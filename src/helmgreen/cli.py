@@ -11,6 +11,7 @@ sequentially (which respects any cap), in config order.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -373,7 +374,8 @@ def cmd_analyticity(cfg, seed):
         )
         expect = lcfg.get("expect", "pass")
         if kind == "z":
-            sampler = _z_sampler(model, grid, probe)
+            sampler = functools.partial(spectral._coefficient_sweep, model, grid,
+                                        probe, probe, reference="none")
         elif kind == "xi":
             fixed = _complex_of(_require(lcfg, "fixed_z", f"loops[{i}]"), "fixed_z")
             sampler = _xi_sampler(model, grid, probe, fixed)
@@ -396,15 +398,6 @@ def cmd_analyticity(cfg, seed):
             report.add(f"analyticity_{kind}", {"loop": i}, defect, 0.0,
                        tol["defect"], defect <= tol["defect"])
     return report, None
-
-
-def _z_sampler(model, grid, probe):
-    def sampler(z_nodes):
-        diag = helmholtz.diagonal_batch(grid, model, "dispersive", z_nodes)
-        rhs = np.broadcast_to(probe.astype(np.complex128)[None, :], diag.shape)
-        fields = helmholtz.solve_batch(grid, diag, rhs)
-        return grid.h * (fields @ np.conj(probe).astype(np.complex128))
-    return sampler
 
 
 def _xi_sampler(model, grid, probe, z_fixed):
@@ -465,8 +458,9 @@ def cmd_asymptotic(cfg, seed):
         eta = float(rcfg.get("eta", 1.0))
         omegas = [float(v) for v in _require(rcfg, "omegas", "resolvent_ray")]
         norms = helmholtz.resolvent_difference_ray(model, rgrid, eta, omegas)
-        x_mid = rgrid.L / 2
-        weight = dispersion.chi_dot_at_zero(model.density_at(x_mid), model.units.eps0)
+        # dchi/dt(0+) of the strongest layer: the cap holds for every point
+        weight = max((dispersion.chi_dot_at_zero(density, model.units.eps0)
+                      for _, _, density in model.layers), default=0.0)
         cap = tol["cap_factor"] * weight / (model.units.eps0 * model.units.mu0 * eta) ** 2
         for omega, norm in zip(omegas, norms):
             passed = norm <= cap if omega >= 100 else True

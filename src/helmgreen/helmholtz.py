@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import _kernels, dispersion
 from .errors import ConfigError, DomainError, PeriodicityError
-from .dispersion import build_nondispersive, density_eval_array
+from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
 
 KINDS = ("dispersive", "two_freq", "nondispersive", "bloch")
 
@@ -116,18 +116,48 @@ class GreenSamples:
 
 def permittivity_profile(model, x_points, z):
     """eps(x_i, z) over the grid points, grouped by layer density."""
-    out = np.full(len(x_points), complex(model.background))
+    z = np.asarray(z, dtype=np.complex128).reshape(1)
+    return _permittivity_columns(model, x_points, z)[:, 0]
+
+
+def _layer_index(model, x_points):
+    """The non-vacuum layer densities that hold points, and each point's
+    table row: 0 for vacuum, k for the k-th density. As in `density_at`,
+    the first layer containing a point wins."""
+    x = np.asarray(x_points, dtype=float)
+    index = np.zeros(x.size, dtype=np.intp)
+    free = np.ones(x.size, dtype=bool)
+    densities = []
+    for x0, x1, density in model.layers:
+        inside = free & (x0 <= x) & (x <= x1)
+        free &= ~inside
+        if inside.any() and not density.is_vacuum:
+            densities.append(density)
+            index[inside] = len(densities)
+    return densities, index
+
+
+def _permittivity_columns(model, x_points, z):
+    """eps(x_i, z_b) as a C-ordered (N, B) array: one density evaluation per
+    layer that holds points, gathered by the per-point layer index."""
+    densities, index = _layer_index(model, x_points)
+    table = np.zeros((len(densities) + 1, z.size), dtype=np.complex128)
+    for k, density in enumerate(densities, 1):
+        table[k] = density_eval_array(density, z, model.units.eps0)
+    eps = table[index]
+    eps += complex(model.background)
+    return eps
+
+
+def _nondispersive_profile(model, x_points, omega0):
+    """Real eps_d(x_i) of the gapped non-dispersive construction."""
     eps0 = model.units.eps0
-    cache = {}
-    for i, x in enumerate(x_points):
-        density = model.density_at(x)
-        if density.is_vacuum:
-            continue
-        key = id(density)
-        if key not in cache:
-            cache[key] = complex(density_eval_array(density, np.asarray(z), eps0))
-        out[i] += cache[key]
-    return out
+    densities, index = _layer_index(model, x_points)
+    values = np.array([
+        model.background + build_nondispersive(density, omega0, eps0) - eps0
+        for density in (VACUUM_DENSITY, *densities)
+    ])
+    return values[index]
 
 
 def _check_kind_domain(kind, z, xi, model, grid):
@@ -178,10 +208,7 @@ def assemble(grid, model, kind, z, xi=None, omega0=None):
     else:  # nondispersive
         if omega0 is None:
             raise ConfigError("nondispersive kind requires omega0")
-        eps_d = np.empty(grid.N)
-        for i, xv in enumerate(x):
-            density = model.density_at(xv)
-            eps_d[i] = model.background + build_nondispersive(density, omega0, eps0) - eps0
+        eps_d = _nondispersive_profile(model, x, omega0)
         diag = z * z * mu0 * eps_d.astype(np.complex128) - 2.0 / h**2
     return DiscreteHelmholtz(
         grid=grid, model=model, kind=kind, z=z, xi=xi, omega0=omega0,
@@ -271,32 +298,24 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
 
 
 def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
-    """Per-z diagonals, shape (B, N), for batched contour solves (Dirichlet only)."""
+    """Per-z diagonals for batched contour solves (Dirichlet only).
+
+    Shape (B, N), Fortran-ordered: the transpose is the C-ordered (N, B)
+    array the batched kernel runs on. Built in place, with the operands in
+    the order of z^2 mu0 eps - 2/h^2.
+    """
     z = np.asarray(z_array, dtype=np.complex128)
-    x = grid.points
-    h = grid.h
-    eps0 = model.units.eps0
-    mu0 = model.units.mu0
+    scale = (z * z * model.units.mu0)[:, None]
     if kind == "dispersive":
-        eps = np.full((z.size, grid.N), complex(model.background))
-        cache = {}
-        for i, xv in enumerate(x):
-            density = model.density_at(xv)
-            if density.is_vacuum:
-                continue
-            key = id(density)
-            if key not in cache:
-                cache[key] = density_eval_array(density, z, eps0)
-            eps[:, i] += cache[key]
-        diag = (z * z * mu0)[:, None] * eps - 2.0 / h**2
+        diag = _permittivity_columns(model, grid.points, z).T
+        np.multiply(scale, diag, out=diag)
     elif kind == "nondispersive":
-        eps_d = np.empty(grid.N)
-        for i, xv in enumerate(x):
-            density = model.density_at(xv)
-            eps_d[i] = model.background + build_nondispersive(density, omega0, eps0) - eps0
-        diag = (z * z * mu0)[:, None] * eps_d[None, :] - 2.0 / h**2
+        eps_d = _nondispersive_profile(model, grid.points, omega0)
+        diag = np.empty((grid.N, z.size), dtype=np.complex128).T
+        np.multiply(scale, eps_d[None, :], out=diag)
     else:
         raise ConfigError(f"batched diagonals not supported for kind {kind!r}")
+    np.subtract(diag, 2.0 / grid.h**2, out=diag)
     return diag
 
 

@@ -118,17 +118,18 @@ def gaussian_probe(grid, center, width):
 
 def _coefficient_sweep(model, grid, phi, psi, z_array, reference):
     """<phi, R(z) psi> over an array of z (Dirichlet batch path)."""
+    if reference not in ("vacuum", "none"):
+        raise ConfigError(f"unknown reference {reference!r}")
     z = np.asarray(z_array, dtype=np.complex128)
     rhs = np.broadcast_to(
         np.asarray(psi, dtype=np.complex128)[None, :], (z.size, grid.N)
     )
     diag = helmholtz.diagonal_batch(grid, model, "dispersive", z)
     fields = helmholtz.solve_batch(grid, diag, rhs)
+    del diag  # peak memory: the vacuum solve allocates its own (B, N) arrays
     if reference == "vacuum":
         diag0 = helmholtz.diagonal_batch(grid, vacuum_model(model.units), "dispersive", z)
-        fields = fields - helmholtz.solve_batch(grid, diag0, rhs)
-    elif reference != "none":
-        raise ConfigError(f"unknown reference {reference!r}")
+        np.subtract(fields, helmholtz.solve_batch(grid, diag0, rhs), out=fields)
     return grid.h * (fields @ np.conj(np.asarray(phi, dtype=np.complex128)))
 
 
@@ -203,7 +204,9 @@ def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, conto
         z = np.asarray(z, dtype=np.complex128)
         jhat = 1j / (z - omega_s)
         diag = helmholtz.diagonal_batch(grid, model, kind, z, omega0=omega0)
-        rhs = (1j * z * mu0 * jhat)[:, None] * src[None, :]
+        # Fortran-ordered (B, N), like the diagonals: the kernel copies rhs.T
+        rhs = np.empty((grid.N, z.size), dtype=np.complex128).T
+        np.multiply((1j * z * mu0 * jhat)[:, None], src[None, :], out=rhs)
         fields = helmholtz.solve_batch(grid, diag, rhs)
         return fields[:, x_index]
 

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +195,26 @@ def test_asymptotic_command(tmp_path, medium, capsys):
                           "eta": 1.0, "omegas": [100.0]},
     })
     assert cli.main(["asymptotic", "--config", cfg]) == 0
+
+
+def test_asymptotic_cap_uses_strongest_layer_across_vacuum_gap(tmp_path, capsys):
+    # lorentz_double.json has vacuum at x = L/2; the cap must still come from
+    # the layers: 1.5 * max(0.8^2 + 0.5^2, 1.2^2) = 2.16
+    medium = str(Path(__file__).resolve().parents[1] / "media" / "lorentz_double.json")
+    cfg = _write(tmp_path, "asy.json", {
+        "field": {"polarization": [1.0, 0.0, 0.0], "s": 1.0},
+        "ladder": {"moduli": [10.0, 100.0, 1000.0], "theta": 1.5707963267948966},
+        "resolvent_ray": {"medium": medium, "grid": {"L": 1.0, "N": 64},
+                          "eta": 1.0, "omegas": [10.0, 100.0, 1000.0]},
+    })
+    out = tmp_path / "report.csv"
+    assert cli.main(["asymptotic", "--config", cfg, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["check_id"] == "resolvent_cap"]
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["bound"]) == pytest.approx(2.16, rel=1e-12)
+        assert row["pass"] == "true"
 
 
 def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):

@@ -18,6 +18,20 @@ def line_slab_model():
     return dsp.PermittivityModel(layers=((0.25, 0.75, density),))
 
 
+def vacuum_gap_double_model():
+    """The two layers of media/lorentz_double.json: vacuum at x = 0.5."""
+    left = dsp.OscillatorDensity(lorentz=((0.8, 1.5, 0.15), (0.5, 3.0, 0.4)))
+    right = dsp.OscillatorDensity(lorentz=((1.2, 2.5, 0.25),))
+    return dsp.PermittivityModel(layers=((0.1, 0.45, left), (0.55, 0.9, right)))
+
+
+def overlapping_model():
+    """Layers [0, 0.6] and [0.4, 1]: the first one wins on the overlap."""
+    left = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))
+    right = dsp.OscillatorDensity(lorentz=((0.7, 1.5, 0.3),))
+    return dsp.PermittivityModel(layers=((0.0, 0.6, left), (0.4, 1.0, right)))
+
+
 # ---------------------------------------------------------------------------
 # grid
 
@@ -249,3 +263,47 @@ def test_solve_batch_matches_individual():
     for i, z in enumerate(zs):
         op = hh.assemble(g, m, "dispersive", complex(z))
         assert np.max(np.abs(x[i] - op.solve(rhs[i]))) < 1e-12
+
+
+def _per_point_permittivity(grid, model, z):
+    """The per-point loop the dispersive diagonal builder used before it
+    gathered a per-density table; kept as the exactness oracle. (B, N)."""
+    eps = np.full((z.size, grid.N), complex(model.background))
+    cache = {}
+    for i, xv in enumerate(grid.points):
+        density = model.density_at(xv)
+        if density.is_vacuum:
+            continue
+        if id(density) not in cache:
+            cache[id(density)] = dsp.density_eval_array(density, z, model.units.eps0)
+        eps[:, i] += cache[id(density)]
+    return eps
+
+
+@pytest.mark.parametrize(
+    "model", [slab_model(), vacuum_gap_double_model(), overlapping_model()],
+    ids=["slab", "vacuum_gap_double", "overlapping"],
+)
+def test_diagonal_batch_bit_identical_to_per_point_loop(model):
+    g = hh.Grid1D(L=1.0, N=64)
+    z = np.linspace(-400.0, 400.0, 4001) + 0.1j
+    eps = _per_point_permittivity(g, model, z)
+    diag = hh.diagonal_batch(g, model, "dispersive", z)
+    assert diag.shape == (z.size, g.N)
+    assert diag.flags.f_contiguous
+    assert np.array_equal(diag, (z * z * model.units.mu0)[:, None] * eps - 2.0 / g.h**2)
+    for i in range(0, z.size, 500):
+        assert np.array_equal(hh.permittivity_profile(model, g.points, z[i]), eps[i])
+
+
+def test_nondispersive_diagonal_batch_bit_identical_to_per_point_loop():
+    m = line_slab_model()
+    g = hh.Grid1D(L=1.0, N=32)
+    z = np.array([1.0 + 0.5j, -3.0 + 2.0j, 7.5 + 0.1j])
+    eps_d = np.array([
+        m.background + dsp.build_nondispersive(m.density_at(x), 1.0) - 1.0
+        for x in g.points
+    ])
+    diag = hh.diagonal_batch(g, m, "nondispersive", z, omega0=1.0)
+    assert diag.flags.f_contiguous
+    assert np.array_equal(diag, (z * z)[:, None] * eps_d[None, :] - 2.0 / g.h**2)
