@@ -127,10 +127,25 @@ def _grid_of(cfg, where="grid"):
     )
 
 
+def _count_of(val, name):
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not float(val).is_integer() or val < 1):
+        raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
+    return int(val)
+
+
 def _z_grid_of(cfg, where="z_grid"):
     _check_keys(cfg, {"re_min", "re_max", "im_min", "im_max", "n_re", "n_im"}, where)
-    re = np.linspace(float(cfg["re_min"]), float(cfg["re_max"]), int(cfg["n_re"]))
-    im = np.geomspace(float(cfg["im_min"]), float(cfg["im_max"]), int(cfg["n_im"]))
+    re_min, re_max, im_min, im_max = (
+        dispersion.parse_number(_require(cfg, key, where), f"{where}.{key}")
+        for key in ("re_min", "re_max", "im_min", "im_max")
+    )
+    if not (im_min > 0 and im_max > 0):
+        raise ConfigError(f"{where}.im_min and {where}.im_max must be > 0")
+    n_re, n_im = (_count_of(_require(cfg, key, where), f"{where}.{key}")
+                  for key in ("n_re", "n_im"))
+    re = np.linspace(re_min, re_max, n_re)
+    im = np.geomspace(im_min, im_max, n_im)
     return [complex(r, i) for i in im for r in re]
 
 
@@ -138,7 +153,7 @@ def _tolerances_of(cfg, defaults, where="tolerances"):
     _check_keys(cfg, set(defaults), where)
     out = dict(defaults)
     for key, val in cfg.items():
-        val = float(val)
+        val = dispersion.parse_number(val, f"{where}.{key}")
         if val <= 0:
             raise ConfigError(f"tolerance {key} must be > 0")
         out[key] = val
@@ -152,7 +167,7 @@ def _tolerances_of(cfg, defaults, where="tolerances"):
 def cmd_kk_eps(cfg, seed):
     _check_keys(cfg, {"medium", "x", "z_grid", "passivity_samples", "tolerances"})
     model = dispersion.load_medium(_require(cfg, "medium"))
-    x = float(cfg.get("x", 0.0))
+    x = dispersion.parse_number(cfg.get("x", 0.0), "x")
     tol = _tolerances_of(cfg.get("tolerances", {}), {
         "kk_rel": 1e-6, "passivity_floor": 1e-12, "sum_rule_rel": 1e-8,
     })
@@ -160,20 +175,21 @@ def cmd_kk_eps(cfg, seed):
     density = model.density_at(x)
     eps0 = model.units.eps0
 
-    for z in _z_grid_of(_require(cfg, "z_grid")):
+    z_grid = _z_grid_of(_require(cfg, "z_grid"))
+    n_samples = _count_of(cfg.get("passivity_samples", 10_000), "passivity_samples")
+    recon = model.background - eps0 + dispersion.kk_reconstruct_permittivity(
+        density, np.array(z_grid), eps0=eps0)
+    for z, r in zip(z_grid, recon):
         exact = dispersion.eval_permittivity(model, x, z)
-        recon = model.background - eps0 + dispersion.kk_reconstruct_permittivity(density, z, eps0=eps0)
-        rel = abs(recon - exact) / abs(exact)
+        rel = float(abs(r - exact) / abs(exact))
         report.add("kk_round_trip", {"z": [z.real, z.imag]}, rel, 0.0,
                    tol["kk_rel"], rel <= tol["kk_rel"])
 
-    n_samples = int(cfg.get("passivity_samples", 10_000))
     rng = np.random.default_rng(seed)
     zs = 10.0 ** rng.uniform(-2, 2, n_samples) * np.exp(
         1j * rng.uniform(0.01, math.pi - 0.01, n_samples)
     )
-    margins = [dispersion.passivity_margin(model, x, z) for z in zs]
-    worst = float(min(margins))
+    worst = float(np.min(dispersion.passivity_margin(model, x, zs)))
     report.add("passivity_sweep", {"n": n_samples, "seed": seed}, worst,
                -tol["passivity_floor"], tol["passivity_floor"],
                worst >= -tol["passivity_floor"])

@@ -198,13 +198,33 @@ def permittivity_derivative(model, x, z):
     return val
 
 
+def _check_pole_floor(density, z):
+    """Vectorized pole guard of `_density_eval` over an ndarray of frequencies."""
+    z2 = z * z
+    for nu, w in density.lines:
+        den = np.min(np.abs(z2 - nu * nu), initial=math.inf)
+        if den < POLE_FLOOR:
+            raise PoleProximityError(f"|z^2 - nu^2| = {den} below floor at nu = {nu}")
+    for wp, w1, gamma in density.lorentz:
+        if np.min(np.abs(w1 * w1 - z2 - 1j * gamma * z), initial=math.inf) < POLE_FLOOR:
+            raise PoleProximityError("Lorentz denominator below pole floor")
+
+
 def passivity_margin(model, x, z):
-    """Im{ z [eps(x,z) - eps0] }; nonnegative in the upper half-plane."""
-    z = complex(z)
-    if z.imag <= 0:
+    """Im{ z [eps(x,z) - eps0] }; nonnegative in the upper half-plane.
+
+    `z` is a scalar (a float is returned) or an array (an array of the
+    same shape is returned); every Im z must be > 0.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.all(z.imag > 0):
         raise DomainError("passivity margin requires Im z > 0")
-    eps = eval_permittivity(model, x, z)
-    return (z * (eps - model.units.eps0)).imag
+    density = model.density_at(x)
+    eps0 = model.units.eps0
+    _check_pole_floor(density, z)
+    eps = model.background + density_eval_array(density, z, eps0)
+    margin = (z * (eps - eps0)).imag
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def sigma_eval(density, nu, eps0=1.0):
@@ -241,50 +261,56 @@ def lines_in_window(density, nu_lo, nu_hi):
 # quadratures
 
 
-def _quad_complex(f, a, b, points=None, epsabs=1e-12, epsrel=1e-10, limit=400):
-    kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if points is not None and not (math.isinf(a) or math.isinf(b)):
-        kw["points"] = points
-    re, re_err = integrate.quad(lambda t: f(t).real, a, b, **kw)
-    im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **kw)
-    return complex(re, im), re_err + im_err
-
-
 def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
     """Permittivity by quadrature of -int sigma(nu)/(z^2-nu^2) dnu.
 
-    Discrete lines enter exactly; the Lorentz continuous parts are
-    integrated numerically (even symmetry halves the range).
+    `z` is a scalar (a complex is returned) or an array of frequencies, all
+    with Im z > 0 (an array of the same shape is returned). Discrete lines
+    enter exactly. The Lorentz continuous parts are integrated numerically
+    (even symmetry halves the range) by one adaptive Gauss-Kronrod vector
+    quadrature over the whole array on [0, cut], with breakpoints at the
+    resonances and at the distinct |Re z|, and one on [cut, inf).
+
+    Each z's integrand is divided by its own scale max(|val|, 1), where val
+    is eps0 plus the line terms, so the max-norm error estimate bounds the
+    error of every z relative to that z's scale. QuadratureError (carrying
+    the estimate) is raised when either quadrature reports failure or when
+    the scaled estimate of the result exceeds `quad.rel_tol`.
     """
     quad = quad or QuadratureSpec()
-    z = complex(z)
-    if z.imag <= 0:
+    z = np.asarray(z, dtype=np.complex128)
+    zs = z.reshape(-1)
+    if not np.all(zs.imag > 0):
         raise DomainError("Kramers-Kronig reconstruction requires Im z > 0")
-    val = complex(eps0)
+    z2 = zs * zs
+    val = np.full(zs.shape, eps0, dtype=np.complex128)
     for nu, w in density.lines:
-        val += -2.0 * w / (z * z - nu * nu)
-    if not density.lorentz:
-        return val
-    resonances = sorted(w1 for _, w1, _ in density.lorentz)
-    cut = 10.0 * max(resonances[-1], abs(z)) + 10.0
+        val += -2.0 * w / (z2 - nu * nu)
+    if density.lorentz and zs.size:
+        resonances = [w1 for _, w1, _ in density.lorentz]
+        cut = 10.0 * max(max(resonances), float(np.max(np.abs(zs)))) + 10.0
+        points = sorted(set(resonances) | set(np.abs(zs.real).tolist()))
+        scale = np.maximum(np.abs(val), 1.0)
 
-    def integrand(nu):
-        return sigma_eval(density, nu, eps0) / (z * z - nu * nu)
+        def integrand(nu):
+            return sigma_eval(density, nu, eps0) / (scale * (z2 - nu * nu))
 
-    scale = max(abs(val), 1.0)
-    core, err1 = _quad_complex(
-        integrand, 0.0, cut, points=resonances + [abs(z)],
-        epsabs=quad.abs_tol * scale, epsrel=quad.rel_tol,
-    )
-    tail, err2 = _quad_complex(
-        integrand, cut, math.inf, epsabs=quad.abs_tol * scale, epsrel=quad.rel_tol
-    )
-    est = err1 + err2
-    if est > max(quad.abs_tol, quad.rel_tol * scale) * 1e3:
-        raise QuadratureError(
-            f"KK quadrature error estimate {est:.3e} above tolerance", estimate=est
-        )
-    return val - 2.0 * (core + tail)
+        parts = [
+            integrate.quad_vec(integrand, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+                               norm="max", points=pts, full_output=True)
+            for a, b, pts in ((0.0, cut, points), (cut, math.inf, None))
+        ]
+        est = 2.0 * sum(err for _, err, _ in parts)
+        failed = [info.message for _, _, info in parts if not info.success]
+        if failed or est > quad.rel_tol:
+            raise QuadratureError(
+                f"KK quadrature scaled error estimate {est:.3e} against rel_tol "
+                f"{quad.rel_tol:.3e}" + "".join(f"; {msg}" for msg in failed),
+                estimate=est,
+            )
+        val -= 2.0 * scale * (parts[0][0] + parts[1][0])
+    val = val.reshape(z.shape)
+    return complex(val) if val.ndim == 0 else val
 
 
 def chi_dot_at_zero(density, eps0=1.0):
@@ -415,14 +441,34 @@ def xi_map(z, nu, omega0):
 
 _MEDIUM_KEYS = {"unit_system", "background_epsilon", "layers"}
 _LAYER_KEYS = {"interval", "lorentz", "lines", "gap_nu0"}
-_LORENTZ_KEYS = {"wp", "w1", "gamma"}
-_LINE_KEYS = {"nu", "weight"}
+_LORENTZ_KEYS = ("wp", "w1", "gamma")
+_LINE_KEYS = ("nu", "weight")
 
 
 def _check_keys(obj, allowed, where):
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def parse_number(val, name):
+    """Finite float from a config or medium-file value; ConfigError otherwise."""
+    try:
+        out = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {val!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    return out
+
+
+def _numbers_of(part, keys, where):
+    """The values of exactly `keys` in a medium-file object, as finite floats."""
+    _check_keys(part, set(keys), where)
+    missing = [key for key in keys if key not in part]
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {where}")
+    return tuple(parse_number(part[key], f"{where}.{key}") for key in keys)
 
 
 def load_medium(path):
@@ -441,25 +487,21 @@ def load_medium(path):
     if unit_name not in _UNIT_SYSTEMS:
         raise ConfigError(f"unknown unit_system {unit_name!r}")
     units = _UNIT_SYSTEMS[unit_name]
-    background = float(raw.get("background_epsilon", units.eps0))
+    background = parse_number(raw.get("background_epsilon", units.eps0), "background_epsilon")
     layers = []
     for i, layer in enumerate(raw.get("layers", [])):
         _check_keys(layer, _LAYER_KEYS, f"layers[{i}]")
-        if "interval" not in layer or len(layer["interval"]) != 2:
+        if not isinstance(layer.get("interval"), list) or len(layer["interval"]) != 2:
             raise ConfigError(f"layers[{i}] needs interval = [x0, x1]")
-        x0, x1 = (float(v) for v in layer["interval"])
-        lorentz = []
-        for j, part in enumerate(layer.get("lorentz", [])):
-            _check_keys(part, _LORENTZ_KEYS, f"layers[{i}].lorentz[{j}]")
-            lorentz.append((float(part["wp"]), float(part["w1"]), float(part["gamma"])))
-        lines = []
-        for j, part in enumerate(layer.get("lines", [])):
-            _check_keys(part, _LINE_KEYS, f"layers[{i}].lines[{j}]")
-            lines.append((float(part["nu"]), float(part["weight"])))
+        x0, x1 = (parse_number(v, f"layers[{i}].interval") for v in layer["interval"])
+        lorentz = [_numbers_of(part, _LORENTZ_KEYS, f"layers[{i}].lorentz[{j}]")
+                   for j, part in enumerate(layer.get("lorentz", []))]
+        lines = [_numbers_of(part, _LINE_KEYS, f"layers[{i}].lines[{j}]")
+                 for j, part in enumerate(layer.get("lines", []))]
         density = OscillatorDensity(
             lines=tuple(lines),
             lorentz=tuple(lorentz),
-            gap_nu0=float(layer.get("gap_nu0", 0.0)),
+            gap_nu0=parse_number(layer.get("gap_nu0", 0.0), f"layers[{i}].gap_nu0"),
         )
         layers.append((x0, x1, density))
     return PermittivityModel(background=background, layers=tuple(layers), units=units)

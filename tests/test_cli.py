@@ -83,6 +83,41 @@ def test_nonpositive_tolerance_exits_2(tmp_path, medium, capsys):
     assert cli.main(["kk_eps", "--config", cfg]) == 2
 
 
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+_GRID = {"re_min": 0.0, "re_max": 4.0, "im_min": 0.05, "im_max": 4.0, "n_re": 4, "n_im": 4}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"z_grid": _without(_GRID, "im_min")},
+    {"z_grid": {**_GRID, "im_min": 0}},
+    {"z_grid": {**_GRID, "n_re": 0}, "passivity_samples": 0},
+    {"z_grid": {**_GRID, "n_im": 2.5}},
+    {"passivity_samples": 0},
+    {"x": "middle"},
+], ids=["missing_im_min", "zero_im_min", "zero_counts", "fractional_n_im",
+        "zero_passivity_samples", "non_numeric_x"])
+def test_kk_eps_bad_config_exits_2(tmp_path, medium, capsys, overrides):
+    cfg = _kk_config(tmp_path, medium, **overrides)
+    assert cli.main(["kk_eps", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("part", [
+    {"wp": "x", "w1": 2.0, "gamma": 0.2},
+    {"wp": 1.0, "w1": 2.0},
+], ids=["non_numeric_wp", "missing_gamma"])
+def test_kk_eps_bad_medium_exits_2(tmp_path, capsys, part):
+    medium = _write(tmp_path, "bad_medium.json", {
+        "layers": [{"interval": [0.25, 0.75], "lorentz": [part]}],
+    })
+    cfg = _kk_config(tmp_path, medium)
+    assert cli.main(["kk_eps", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_determinism_byte_identical(tmp_path, medium, capsys):
     cfg = _kk_config(tmp_path, medium)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,12 +1,23 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helmgreen import dispersion as dsp
 from helmgreen import transforms as tr
-from helmgreen.errors import ConfigError, DomainError, GapViolationError
+from helmgreen.errors import (
+    ConfigError,
+    DomainError,
+    GapViolationError,
+    PoleProximityError,
+    QuadratureError,
+)
+
+MEDIA = Path(__file__).resolve().parents[1] / "media"
 
 
 def lorentz_model(wp=1.0, w1=2.0, gamma=0.1):
@@ -63,10 +74,14 @@ def test_real_axis_with_lines_rejected():
 
 
 def test_pole_proximity_raises():
-    from helmgreen.errors import PoleProximityError
-
     with pytest.raises(PoleProximityError):
         dsp.eval_permittivity(line_model(nu=3.0), 0.5, 3.0 + 1e-15j)
+    with pytest.raises(PoleProximityError):
+        dsp.passivity_margin(line_model(nu=3.0), 0.5, np.array([1j, 3.0 + 1e-15j]))
+    # w1^2 - z^2 - i gamma z is about -1.2e-13 i at z = 1 + 1e-14 i when gamma = 1e-13
+    with pytest.raises(PoleProximityError):
+        dsp.passivity_margin(lorentz_model(w1=1.0, gamma=1e-13), 0.5,
+                             np.array([2j, 1.0 + 1e-14j]))
 
 
 def test_density_eval_array_matches_scalar():
@@ -110,9 +125,19 @@ def test_passivity_margin_vacuum_zero():
 def test_passivity_sweep_small():
     rng = np.random.default_rng(3)
     m = lorentz_model()
-    for _ in range(200):
-        z = complex(rng.uniform(-10, 10), 10.0 ** rng.uniform(-2, 1))
-        assert dsp.passivity_margin(m, 0.5, z) >= -1e-12
+    z = rng.uniform(-10, 10, 200) + 1j * 10.0 ** rng.uniform(-2, 1, 200)
+    margins = dsp.passivity_margin(m, 0.5, z)
+    assert margins.shape == (200,)
+    assert np.all(margins >= -1e-12)
+    # reference: the scalar closed form, one point at a time
+    ref = [(zi * (dsp.eval_permittivity(m, 0.5, zi) - 1.0)).imag for zi in z]
+    np.testing.assert_allclose(margins, ref, rtol=1e-13, atol=1e-300)
+    assert dsp.passivity_margin(m, 0.5, z[7]) == margins[7]
+
+
+def test_passivity_margin_rejects_real_point_in_array():
+    with pytest.raises(DomainError):
+        dsp.passivity_margin(lorentz_model(), 0.5, np.array([1j, 2.0 + 0.0j]))
 
 
 def test_sigma_eval_nonnegative_even():
@@ -141,13 +166,46 @@ def test_lines_in_window():
 # Kramers-Kronig round trip and sum rule
 
 
+def _media_point(name):
+    model = dsp.load_medium(str(MEDIA / name))
+    x0, x1, _ = model.layers[0]
+    return model, 0.5 * (x0 + x1)
+
+
 def test_kk_reconstruction_matches_closed_form():
     m = lorentz_model()
     density = m.density_at(0.5)
-    for z in (1.0 + 0.5j, 0.1 + 0.05j, -2.0 + 1.0j, 5.0 + 3.0j):
-        recon = dsp.kk_reconstruct_permittivity(density, z)
+    zs = np.array([1.0 + 0.5j, 0.1 + 0.05j, -2.0 + 1.0j, 5.0 + 3.0j])
+    recon = dsp.kk_reconstruct_permittivity(density, zs)
+    assert recon.shape == zs.shape
+    for z, r in zip(zs, recon):
         exact = dsp.eval_permittivity(m, 0.5, z)
-        assert abs(recon - exact) / abs(exact) < 1e-8
+        assert abs(r - exact) / abs(exact) < 1e-8
+
+
+@pytest.mark.parametrize("name", ["lorentz_slab.json", "lorentz_double.json"])
+def test_kk_batched_matches_closed_form_per_z(name):
+    model, x = _media_point(name)
+    zs = np.array([complex(re, im) for im in np.geomspace(0.1 * model.min_gamma, 5.0, 8)
+                   for re in np.linspace(-1.0, 5.0, 9)])
+    recon = model.background - 1.0 + dsp.kk_reconstruct_permittivity(model.density_at(x), zs)
+    exact = np.array([dsp.eval_permittivity(model, x, z) for z in zs])
+    assert np.max(np.abs(recon - exact) / np.abs(exact)) < 1e-8
+
+
+def test_kk_scalar_call_equals_array_element():
+    density = lorentz_model().density_at(0.5)
+    zs = np.array([0.3 + 0.02j, 2.0 + 0.1j, 4.0 + 2.0j])
+    recon = dsp.kk_reconstruct_permittivity(density, zs)
+    for z, r in zip(zs, recon):
+        scalar = dsp.kk_reconstruct_permittivity(density, z)
+        assert isinstance(scalar, complex)
+        assert abs(scalar - r) <= 1e-13 * abs(r)
+
+
+def test_kk_empty_array_gives_empty_result():
+    recon = dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), np.array([]))
+    assert recon.shape == (0,)
 
 
 def test_kk_reconstruction_lines_exact():
@@ -157,8 +215,18 @@ def test_kk_reconstruction_lines_exact():
 
 
 def test_kk_requires_upper_half_plane():
+    density = lorentz_model().density_at(0.5)
     with pytest.raises(DomainError):
-        dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), 2.0 + 0.0j)
+        dsp.kk_reconstruct_permittivity(density, 2.0 + 0.0j)
+    with pytest.raises(DomainError):
+        dsp.kk_reconstruct_permittivity(density, np.array([1j, 2.0 + 0.5j, 3.0 + 0.0j]))
+
+
+def test_kk_unreachable_tolerance_raises_with_estimate():
+    spec = dsp.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+    with pytest.raises(QuadratureError) as info:
+        dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), 1.0 + 0.5j, spec)
+    assert info.value.estimate is not None and math.isfinite(info.value.estimate)
 
 
 def test_sum_rule():
@@ -276,6 +344,19 @@ def test_load_medium_unknown_key_rejected(tmp_path):
         dsp.load_medium(str(path))
 
 
+@pytest.mark.parametrize("part", [
+    {"wp": "x", "w1": 2.0, "gamma": 0.1},
+    {"wp": None, "w1": 2.0, "gamma": 0.1},
+    {"wp": 1.0, "w1": 2.0},
+    {"wp": float("nan"), "w1": 2.0, "gamma": 0.1},
+])
+def test_load_medium_bad_number_is_config_error(tmp_path, part):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"layers": [{"interval": [0.2, 0.8], "lorentz": [part]}]}))
+    with pytest.raises(ConfigError):
+        dsp.load_medium(str(path))
+
+
 def test_load_medium_missing_file():
     with pytest.raises(ConfigError):
         dsp.load_medium("/nonexistent/medium.json")
@@ -286,3 +367,32 @@ def test_negative_weights_rejected():
         dsp.OscillatorDensity(lines=((3.0, -1.0),))
     with pytest.raises(ConfigError):
         dsp.OscillatorDensity(lorentz=((1.0, -2.0, 0.1),))
+
+
+# ---------------------------------------------------------------------------
+# properties over random passive media (workload ranges of the benchmark)
+
+lorentz_parts = st.lists(
+    st.tuples(st.floats(0.5, 1.2), st.floats(1.5, 3.0), st.floats(0.15, 0.4)),
+    min_size=1, max_size=3,
+)
+upper_half_plane = st.builds(
+    complex, st.floats(-5.0, 5.0), st.floats(-2.0, 0.7).map(lambda e: 10.0 ** e)
+)
+
+
+@given(parts=lorentz_parts, zs=st.lists(upper_half_plane, min_size=1, max_size=6))
+def test_property_batched_kk_matches_closed_form(parts, zs):
+    model = dsp.PermittivityModel(
+        layers=((0.0, 1.0, dsp.OscillatorDensity(lorentz=tuple(parts))),))
+    recon = dsp.kk_reconstruct_permittivity(model.density_at(0.5), np.array(zs))
+    for z, r in zip(zs, recon):
+        exact = dsp.eval_permittivity(model, 0.5, z)
+        assert abs(r - exact) / abs(exact) <= 1e-8
+
+
+@given(parts=lorentz_parts, zs=st.lists(upper_half_plane, min_size=1, max_size=50))
+def test_property_passivity_margin_nonnegative(parts, zs):
+    model = dsp.PermittivityModel(
+        layers=((0.0, 1.0, dsp.OscillatorDensity(lorentz=tuple(parts))),))
+    assert np.min(dsp.passivity_margin(model, 0.5, np.array(zs))) >= -1e-12
