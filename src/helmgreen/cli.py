@@ -5,21 +5,17 @@ Invocation:  helmgreen <command> --config <path> [--out <path>] [--seed <u64>]
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 on
 input/domain errors. Rows marked expect = "fail" in the config are
 negative controls and count as passing when the underlying check fails.
-
-HG_THREADS caps row-level parallelism; rows are currently evaluated
-sequentially (which respects any cap), in config order.
 """
 
 import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from . import dispersion, freespace, helmholtz, spectral, transforms
+from . import config, dispersion, freespace, helmholtz, spectral, transforms
 from .errors import ConfigError, DomainError, HelmgreenError
 
 CSV_HEADER = "check_id,param_json,measured,bound,tolerance,pass,error_estimate"
@@ -87,96 +83,76 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# strict config parsing
-
-
-def _require(cfg, key, where="config"):
-    if key not in cfg:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return cfg[key]
-
-
-def _check_keys(cfg, allowed, where="config"):
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-
-
-def _complex_of(cfg, where):
-    _check_keys(cfg, {"re", "im"}, where)
-    return complex(float(cfg.get("re", 0.0)), float(cfg.get("im", 0.0)))
+# config sections (every value is read through `config`)
 
 
 def _grid_of(cfg, where="grid"):
-    _check_keys(cfg, {"L", "N", "boundary", "bloch_k"}, where)
-    boundary = cfg.get("boundary", "dirichlet")
-    k = _complex_of(cfg["bloch_k"], where + ".bloch_k") if "bloch_k" in cfg else 0.0
+    L, N, boundary, k = config.fields(cfg, where, ("L", "N"),
+                                      {"boundary": "dirichlet", "bloch_k": None})
     return helmholtz.Grid1D(
-        L=float(_require(cfg, "L", where)), N=int(_require(cfg, "N", where)),
-        boundary=boundary, bloch_k=k,
-    )
-
-
-def _count_of(val, name):
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not float(val).is_integer() or val < 1):
-        raise ConfigError(f"{name} must be an integer >= 1, got {val!r}")
-    return int(val)
+        L=config.number(L, f"{where}.L"), N=config.count(N, f"{where}.N"), boundary=boundary,
+        bloch_k=0.0 if k is None else config.complex_of(k, f"{where}.bloch_k"))
 
 
 def _z_grid_of(cfg, where="z_grid"):
-    _check_keys(cfg, {"re_min", "re_max", "im_min", "im_max", "n_re", "n_im"}, where)
-    re_min, re_max, im_min, im_max = (
-        dispersion.parse_number(_require(cfg, key, where), f"{where}.{key}")
-        for key in ("re_min", "re_max", "im_min", "im_max")
-    )
+    re_min, re_max, im_min, im_max, n_re, n_im = config.record(
+        cfg, where, ("re_min", "re_max", "im_min", "im_max", "n_re", "n_im"))
     if not (im_min > 0 and im_max > 0):
         raise ConfigError(f"{where}.im_min and {where}.im_max must be > 0")
-    n_re, n_im = (_count_of(_require(cfg, key, where), f"{where}.{key}")
-                  for key in ("n_re", "n_im"))
-    re = np.linspace(re_min, re_max, n_re)
-    im = np.geomspace(im_min, im_max, n_im)
+    re = np.linspace(re_min, re_max, config.count(n_re, f"{where}.n_re"))
+    im = np.geomspace(im_min, im_max, config.count(n_im, f"{where}.n_im"))
     return [complex(r, i) for i in im for r in re]
 
 
-def _tolerances_of(cfg, defaults, where="tolerances"):
-    _check_keys(cfg, set(defaults), where)
-    out = dict(defaults)
-    for key, val in cfg.items():
-        val = dispersion.parse_number(val, f"{where}.{key}")
+def _tolerances_of(cfg, defaults):
+    out = dict(zip(defaults, config.record(cfg, "tolerances", (), defaults)))
+    for key, val in out.items():
         if val <= 0:
             raise ConfigError(f"tolerance {key} must be > 0")
-        out[key] = val
     return out
 
 
+def _probe_of(cfg, grid, mode_probe=False):
+    """The probe vector on `grid`; a mode_index probe (`mode_probe`) is returned as its index."""
+    mode, point, gaussian = config.fields(
+        cfg, "probe", (), dict.fromkeys(("mode_index", "point_index", "gaussian")))
+    if len(cfg) != 1:
+        raise ConfigError("probe needs exactly one of mode_index/point_index/gaussian")
+    if gaussian is not None:
+        center, width = config.record(gaussian, "probe.gaussian", ("center", "width"))
+        return spectral.gaussian_probe(grid, center, width)
+    if point is not None:
+        return spectral.point_probe(grid, config.index(point, "probe.point_index", grid.N))
+    if not mode_probe:
+        raise ConfigError("mode_index probe needs cavity modes")
+    return config.index(mode, "probe.mode_index", grid.N)
+
+
+def _contour_of(cfg, where="contour"):
+    eta, omega_max, n_points, rule = config.fields(
+        cfg, where, ("eta", "omega_max", "n_points"), {"rule": "trapezoid"})
+    return transforms.ContourSpec(
+        eta=config.number(eta, f"{where}.eta"),
+        omega_max=config.number(omega_max, f"{where}.omega_max"),
+        n_points=config.count(n_points, f"{where}.n_points"), rule=rule)
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands (each reads its whole config before its first numerical call)
 
 
 def cmd_kk_eps(cfg, seed):
-    _check_keys(cfg, {"medium", "x", "z_grid", "passivity_samples", "tolerances"})
-    model = dispersion.load_medium(_require(cfg, "medium"))
-    x = dispersion.parse_number(cfg.get("x", 0.0), "x")
-    tol = _tolerances_of(cfg.get("tolerances", {}), {
-        "kk_rel": 1e-6, "passivity_floor": 1e-12, "sum_rule_rel": 1e-8,
-    })
+    medium, z_grid, x, n_samples, tol = config.fields(cfg, "config", ("medium", "z_grid"), {
+        "x": 0.0, "passivity_samples": 10_000, "tolerances": {}})
+    model = dispersion.load_medium(medium)
+    x = config.number(x, "x")
+    tol = _tolerances_of(tol, {"kk_rel": 1e-6, "passivity_floor": 1e-12, "sum_rule_rel": 1e-8})
+    z_grid = _z_grid_of(z_grid)
+    n_samples = config.count(n_samples, "passivity_samples")
     report = Report()
     density = model.density_at(x)
     eps0 = model.units.eps0
 
-    z_grid = _z_grid_of(_require(cfg, "z_grid"))
-    n_samples = _count_of(cfg.get("passivity_samples", 10_000), "passivity_samples")
     recon = model.background - eps0 + dispersion.kk_reconstruct_permittivity(
         density, np.array(z_grid), eps0=eps0)
     for z, r in zip(z_grid, recon):
@@ -203,13 +179,15 @@ def cmd_kk_eps(cfg, seed):
 
 
 def cmd_green(cfg, seed):
-    _check_keys(cfg, {"medium", "grid", "z", "norm_grid", "xi_samples", "tolerances"})
-    model = dispersion.load_medium(_require(cfg, "medium"))
-    grid = _grid_of(_require(cfg, "grid"))
-    z = _complex_of(_require(cfg, "z"), "z")
-    tol = _tolerances_of(cfg.get("tolerances", {}), {
-        "reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8,
-    })
+    medium, grid, z, norm_grid, xi_samples, tol = config.fields(
+        cfg, "config", ("medium", "grid", "z", "norm_grid"),
+        {"xi_samples": 0, "tolerances": {}})
+    model = dispersion.load_medium(medium)
+    grid = _grid_of(grid)
+    z = config.complex_of(z, "z")
+    norm_grid = _z_grid_of(norm_grid, "norm_grid")
+    xi_samples = config.count(xi_samples, "xi_samples", 0)
+    tol = _tolerances_of(tol, {"reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8})
     report = Report()
     op = helmholtz.assemble(grid, model, "dispersive", z)
     samples = helmholtz.green_matrix(op)
@@ -226,13 +204,13 @@ def cmd_green(cfg, seed):
                tol["schwarz"], schwarz <= tol["schwarz"])
 
     rng = np.random.default_rng(seed)
-    for zg in _z_grid_of(_require(cfg, "norm_grid"), "norm_grid"):
+    for zg in norm_grid:
         opg = helmholtz.assemble(grid, model, "dispersive", zg)
         measured = helmholtz.inverse_norm(opg)
         bound = helmholtz.norm_bound(opg) * (1.0 + tol["norm_slack"])
         report.add("norm_bound_dispersive", {"z": [zg.real, zg.imag]},
                    measured, bound, tol["norm_slack"], measured <= bound)
-        for _ in range(int(cfg.get("xi_samples", 0))):
+        for _ in range(xi_samples):
             xi = complex(rng.uniform(-5, 5), 10.0 ** rng.uniform(-1, 1))
             op2 = helmholtz.assemble(grid, model, "two_freq", zg, xi=xi)
             measured = helmholtz.inverse_norm(op2)
@@ -244,13 +222,22 @@ def cmd_green(cfg, seed):
 
 
 def cmd_modes(cfg, seed):
-    _check_keys(cfg, {"grid", "eps_const", "z", "truncation_M", "kk", "tolerances"})
-    grid = _grid_of(_require(cfg, "grid"))
-    eps_const = float(_require(cfg, "eps_const"))
-    z = _complex_of(_require(cfg, "z"), "z")
-    tol = _tolerances_of(cfg.get("tolerances", {}), {
-        "identity": 1e-10, "kk_rel": 1e-3,
-    })
+    grid, eps_const, z, m, kk, tol = config.fields(
+        cfg, "config", ("grid", "eps_const", "z"),
+        {"truncation_M": None, "kk": None, "tolerances": {}})
+    grid = _grid_of(grid)
+    eps_const = config.number(eps_const, "eps_const")
+    z = config.complex_of(z, "z")
+    m = grid.N // 2 if m is None else config.count(m, "truncation_M", 1, grid.N)
+    tol = _tolerances_of(tol, {"identity": 1e-10, "kk_rel": 1e-3})
+    if kk is not None:
+        zeta, nu_grid, reference, probe = config.fields(
+            kk, "kk", ("zeta", "nu_grid"), {"reference": "vacuum", "probe": {"mode_index": 0}})
+        zeta = config.number(zeta, "kk.zeta")
+        nu_max, nu_count = config.record(nu_grid, "kk.nu_grid", ("max", "count"))
+        nu = np.linspace(-nu_max, nu_max, config.count(nu_count, "kk.nu_grid.count", 2))
+        reference = config.choice(reference, "kk.reference", ("vacuum", "none"))
+        probe = _probe_of(probe, grid, mode_probe=True)
     report = Report()
     modes = spectral.cavity_modes(grid, eps_const)
     model = dispersion.PermittivityModel(background=eps_const)
@@ -263,21 +250,14 @@ def cmd_modes(cfg, seed):
     report.add("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]},
                identity_err, 0.0, tol["identity"], identity_err <= tol["identity"])
 
-    m = int(cfg.get("truncation_M", grid.N // 2))
     partial, tail_bound = spectral.mode_expansion_green(modes, z, m)
     diff = float(np.max(np.abs(partial.values - direct)))
     report.add("truncation_tail", {"M": m}, diff, tail_bound, tail_bound,
                diff <= tail_bound, tail_bound)
 
-    kk = cfg.get("kk")
     if kk is not None:
-        _check_keys(kk, {"zeta", "nu_grid", "reference", "probe"}, "kk")
-        zeta = float(_require(kk, "zeta", "kk"))
-        nu_cfg = _require(kk, "nu_grid", "kk")
-        _check_keys(nu_cfg, {"max", "count"}, "kk.nu_grid")
-        nu = np.linspace(-float(nu_cfg["max"]), float(nu_cfg["max"]), int(nu_cfg["count"]))
-        reference = kk.get("reference", "vacuum")
-        probe = _probe_of(kk.get("probe", {"mode_index": 0}), grid, modes)
+        if isinstance(probe, int):
+            probe = modes.modes[:, probe]
         sd = spectral.d_density(model, grid, probe, probe, nu, zeta, reference)
         recon = spectral.kk_reconstruct_green(sd, model, grid, probe, probe, z)
         direct_c = spectral.direct_coefficient(model, grid, probe, probe, z)
@@ -287,51 +267,28 @@ def cmd_modes(cfg, seed):
     return report, None
 
 
-def _probe_of(cfg, grid, modes=None):
-    _check_keys(cfg, {"mode_index", "point_index", "gaussian"}, "probe")
-    if len(cfg) != 1:
-        raise ConfigError("probe needs exactly one of mode_index/point_index/gaussian")
-    if "mode_index" in cfg:
-        if modes is None:
-            raise ConfigError("mode_index probe needs cavity modes")
-        return modes.modes[:, int(cfg["mode_index"])]
-    if "point_index" in cfg:
-        return spectral.point_probe(grid, int(cfg["point_index"]))
-    g = cfg["gaussian"]
-    _check_keys(g, {"center", "width"}, "probe.gaussian")
-    return spectral.gaussian_probe(grid, float(g["center"]), float(g["width"]))
-
-
-def _contour_of(ccfg, where="contour"):
-    _check_keys(ccfg, {"eta", "omega_max", "n_points", "rule"}, where)
-    return transforms.ContourSpec(
-        eta=float(_require(ccfg, "eta", where)),
-        omega_max=float(_require(ccfg, "omega_max", where)),
-        n_points=int(_require(ccfg, "n_points", where)),
-        rule=ccfg.get("rule", "trapezoid"),
-    )
-
-
 def cmd_causality(cfg, seed):
-    _check_keys(cfg, {"medium", "grid", "x", "contour", "contour_negative",
-                      "source", "x_index", "taper", "t_negative", "t_positive",
-                      "tolerances"})
-    model = dispersion.load_medium(_require(cfg, "medium"))
-    grid = _grid_of(_require(cfg, "grid"))
-    contour = _contour_of(_require(cfg, "contour"))
+    (medium, grid, contour, source, contour_neg, x, x_index, taper, tol, t_neg,
+     t_pos) = config.fields(cfg, "config", ("medium", "grid", "contour", "source"), {
+        "contour_negative": None, "x": None, "x_index": None, "taper": 0.0, "tolerances": {},
+        "t_negative": [-3.0, -2.0, -1.0], "t_positive": [0.5, 1.0, 2.0, 4.0]})
+    model = dispersion.load_medium(medium)
+    grid = _grid_of(grid)
+    contour = _contour_of(contour)
     # negative times are contour-height independent, so a taller contour may
     # be supplied there purely to suppress window-truncation noise
-    contour_neg = (_contour_of(cfg["contour_negative"], "contour_negative")
-                   if "contour_negative" in cfg else contour)
-    taper = float(cfg.get("taper", 0.0))
-    tol = _tolerances_of(cfg.get("tolerances", {}), {"suppression": 1e-6})
-    t_neg = [float(t) for t in cfg.get("t_negative", [-3.0, -2.0, -1.0])]
-    t_pos = [float(t) for t in cfg.get("t_positive", [0.5, 1.0, 2.0, 4.0])]
+    contour_neg = contour if contour_neg is None else _contour_of(contour_neg, "contour_negative")
+    x = grid.L / 2 if x is None else config.number(x, "x")
+    x_index = grid.N // 4 if x_index is None else config.index(x_index, "x_index", grid.N)
+    taper = config.number(taper, "taper")
+    omega_s, center, width = config.record(source, "source", ("omega_s", "center", "width"))
+    t_neg = config.numbers(t_neg, "t_negative")
+    t_pos = config.numbers(t_pos, "t_positive")
     if any(t >= 0 for t in t_neg):
         raise ConfigError("t_negative must contain negative times only")
+    tol = _tolerances_of(tol, {"suppression": 1e-6})
     report = Report()
 
-    x = float(cfg.get("x", grid.L / 2))
     chi_pos, est_p = dispersion.susceptibility(model, x, t_pos, contour)
     chi_neg, est_n = dispersion.susceptibility(model, x, t_neg, contour_neg)
     peak = max(float(np.max(np.abs(chi_pos))), 1e-300)
@@ -352,11 +309,7 @@ def cmd_causality(cfg, seed):
     report.add("x_operator_reality", {}, reality, 0.0, 1e-6, reality <= 1e-6,
                est_p / peak)
 
-    scfg = _require(cfg, "source")
-    _check_keys(scfg, {"omega_s", "center", "width"}, "source")
-    src = spectral.gaussian_probe(grid, float(scfg["center"]), float(scfg["width"]))
-    omega_s = float(scfg["omega_s"])
-    x_index = int(cfg.get("x_index", grid.N // 4))
+    src = spectral.gaussian_probe(grid, center, width)
     field_pos, _ = spectral.time_domain_field(
         model, grid, src, omega_s, x_index, t_pos, contour, taper=taper,
     )
@@ -371,40 +324,42 @@ def cmd_causality(cfg, seed):
 
 
 def cmd_analyticity(cfg, seed):
-    _check_keys(cfg, {"medium", "grid", "probe", "loops", "tolerances"})
-    model = dispersion.load_medium(_require(cfg, "medium"))
-    grid = _grid_of(_require(cfg, "grid"))
-    probe = _probe_of(cfg.get("probe", {"gaussian": {"center": 0.5, "width": 0.1}}), grid)
-    tol = _tolerances_of(cfg.get("tolerances", {}), {
-        "defect": 1e-8, "witness_min": 1e-2,
-    })
-    report = Report()
-    for i, lcfg in enumerate(_require(cfg, "loops")):
-        _check_keys(lcfg, {"kind", "z_lo", "z_hi", "fixed_z", "bloch_k", "n_points",
-                           "expect"}, f"loops[{i}]")
-        kind = lcfg.get("kind", "z")
+    medium, grid, loop_cfgs, probe, tol = config.fields(
+        cfg, "config", ("medium", "grid", "loops"),
+        {"probe": {"gaussian": {"center": 0.5, "width": 0.1}}, "tolerances": {}})
+    model = dispersion.load_medium(medium)
+    grid = _grid_of(grid)
+    probe = _probe_of(probe, grid)
+    tol = _tolerances_of(tol, {"defect": 1e-8, "witness_min": 1e-2})
+    loops = []
+    for i, lcfg in enumerate(config.items(loop_cfgs, "loops")):
+        where = f"loops[{i}]"
+        z_lo, z_hi, kind, fixed_z, bloch_k, n_points, expect = config.fields(
+            lcfg, where, ("z_lo", "z_hi"), {"kind": "z", "fixed_z": None, "bloch_k": None,
+                                            "n_points": 48, "expect": "pass"})
+        kind = config.choice(kind, f"{where}.kind", ("z", "xi", "zk", "conj_witness"))
+        expect = config.choice(expect, f"{where}.expect", ("pass", "fail"))
         loop = transforms.RectangleLoop(
-            z_lo=_complex_of(_require(lcfg, "z_lo", f"loops[{i}]"), "z_lo"),
-            z_hi=_complex_of(_require(lcfg, "z_hi", f"loops[{i}]"), "z_hi"),
-            n_points=int(lcfg.get("n_points", 48)),
+            z_lo=config.complex_of(z_lo, f"{where}.z_lo"),
+            z_hi=config.complex_of(z_hi, f"{where}.z_hi"),
+            n_points=config.count(n_points, f"{where}.n_points"),
         )
-        expect = lcfg.get("expect", "pass")
         if kind == "z":
             sampler = functools.partial(spectral._coefficient_sweep, model, grid,
                                         probe, probe, reference="none")
         elif kind == "xi":
-            fixed = _complex_of(_require(lcfg, "fixed_z", f"loops[{i}]"), "fixed_z")
+            fixed = config.complex_of(fixed_z, f"{where}.fixed_z")
             sampler = _xi_sampler(model, grid, probe, fixed)
         elif kind == "zk":
-            k = _complex_of(_require(lcfg, "bloch_k", f"loops[{i}]"), "bloch_k")
-            margin = loop.z_lo.imag - model.units.c * abs(k.imag)
-            if margin < 0.1:
+            k = config.complex_of(bloch_k, f"{where}.bloch_k")
+            if loop.z_lo.imag - model.units.c * abs(k.imag) < 0.1:
                 raise DomainError("joint-domain loop must keep Im z - c|k''| >= 0.1")
             sampler = _bloch_sampler(model, grid, probe, k)
-        elif kind == "conj_witness":
-            sampler = np.conj
         else:
-            raise ConfigError(f"unknown loop kind {kind!r}")
+            sampler = np.conj
+        loops.append((kind, loop, sampler, expect))
+    report = Report()
+    for i, (kind, loop, sampler, expect) in enumerate(loops):
         defect = transforms.cauchy_loop(sampler, loop)
         if expect == "fail":
             passed = defect >= tol["witness_min"]
@@ -440,24 +395,29 @@ def _bloch_sampler(model, grid, probe, k):
 
 
 def cmd_asymptotic(cfg, seed):
-    _check_keys(cfg, {"field", "ladder", "resolvent_ray", "tolerances"})
-    tol = _tolerances_of(cfg.get("tolerances", {}), {
-        "final_defect_rel": 1e-3, "cap_factor": 1.5,
-    })
-    report = Report()
-    fcfg = _require(cfg, "field")
-    _check_keys(fcfg, {"k_c", "s", "polarization"}, "field")
+    fcfg, lcfg, rcfg, tol = config.fields(cfg, "config", ("field", "ladder"),
+                                          {"resolvent_ray": None, "tolerances": {}})
+    tol = _tolerances_of(tol, {"final_defect_rel": 1e-3, "cap_factor": 1.5})
+    polarization, k_c, s = config.fields(fcfg, "field", ("polarization",),
+                                         {"k_c": [0.0, 0.0, 0.0], "s": 1.0})
     phi = freespace.TestField3D(
-        polarization=tuple(float(v) for v in _require(fcfg, "polarization", "field")),
-        center=tuple(float(v) for v in fcfg.get("k_c", (0, 0, 0))),
-        width=float(fcfg.get("s", 1.0)),
-    )
-    lcfg = _require(cfg, "ladder")
-    _check_keys(lcfg, {"moduli", "theta"}, "ladder")
-    moduli = [float(v) for v in _require(lcfg, "moduli", "ladder")]
-    for theta in ([float(t) for t in np.atleast_1d(lcfg.get("theta", math.pi / 2))]):
-        if not 0.05 < theta < math.pi - 0.05:
-            raise DomainError("ladder angle too close to the real axis")
+        polarization=tuple(config.numbers(polarization, "field.polarization", 3)),
+        center=tuple(config.numbers(k_c, "field.k_c", 3)),
+        width=config.number(s, "field.s"))
+    moduli, thetas = config.fields(lcfg, "ladder", ("moduli",), {"theta": math.pi / 2})
+    moduli = config.numbers(moduli, "ladder.moduli")
+    thetas = config.numbers(thetas if isinstance(thetas, list) else [thetas], "ladder.theta")
+    if not all(0.05 < theta < math.pi - 0.05 for theta in thetas):
+        raise DomainError("ladder angle too close to the real axis")
+    if rcfg is not None:
+        medium, rgrid, omegas, eta = config.fields(
+            rcfg, "resolvent_ray", ("medium", "grid", "omegas"), {"eta": 1.0})
+        model = dispersion.load_medium(medium)
+        rgrid = _grid_of(rgrid, "resolvent_ray.grid")
+        omegas = config.numbers(omegas, "resolvent_ray.omegas")
+        eta = config.number(eta, "resolvent_ray.eta")
+    report = Report()
+    for theta in thetas:
         defects = freespace.asymptotic_defect(phi, phi, moduli, theta)
         monotone = all(b < a for a, b in zip(defects, defects[1:]))
         report.add("asymptotic_monotone", {"theta": theta}, int(monotone), 1, 1,
@@ -466,13 +426,7 @@ def cmd_asymptotic(cfg, seed):
         report.add("asymptotic_final", {"theta": theta}, final_rel, 0.0,
                    tol["final_defect_rel"], final_rel <= tol["final_defect_rel"])
 
-    rcfg = cfg.get("resolvent_ray")
     if rcfg is not None:
-        _check_keys(rcfg, {"medium", "grid", "eta", "omegas"}, "resolvent_ray")
-        model = dispersion.load_medium(_require(rcfg, "medium", "resolvent_ray"))
-        rgrid = _grid_of(_require(rcfg, "grid", "resolvent_ray"), "resolvent_ray.grid")
-        eta = float(rcfg.get("eta", 1.0))
-        omegas = [float(v) for v in _require(rcfg, "omegas", "resolvent_ray")]
         norms = helmholtz.resolvent_difference_ray(model, rgrid, eta, omegas)
         # dchi/dt(0+) of the strongest layer: the cap holds for every point
         weight = max((dispersion.chi_dot_at_zero(density, model.units.eps0)
@@ -505,24 +459,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    threads = os.environ.get("HG_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: HG_THREADS must be a positive integer, got {threads!r}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        cfg = _load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError("run config must be a JSON object")
+        cfg = config.load(args.config, "config file")
         report, extra = COMMANDS[args.command](cfg, args.seed)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HelmgreenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

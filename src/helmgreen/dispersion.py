@@ -16,13 +16,13 @@ at -nu_j, so its permittivity contribution is -2 w_j / (z^2 - nu_j^2)
 and its contribution to the total weight integral is 2 w_j.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
+from . import config
 from .errors import (
     ConfigError,
     DomainError,
@@ -439,69 +439,33 @@ def xi_map(z, nu, omega0):
 # ---------------------------------------------------------------------------
 # medium description files
 
-_MEDIUM_KEYS = {"unit_system", "background_epsilon", "layers"}
-_LAYER_KEYS = {"interval", "lorentz", "lines", "gap_nu0"}
-_LORENTZ_KEYS = ("wp", "w1", "gamma")
-_LINE_KEYS = ("nu", "weight")
-
-
-def _check_keys(obj, allowed, where):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def parse_number(val, name):
-    """Finite float from a config or medium-file value; ConfigError otherwise."""
-    try:
-        out = float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {val!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {val!r}")
-    return out
-
-
-def _numbers_of(part, keys, where):
-    """The values of exactly `keys` in a medium-file object, as finite floats."""
-    _check_keys(part, set(keys), where)
-    missing = [key for key in keys if key not in part]
-    if missing:
-        raise ConfigError(f"missing key(s) {missing} in {where}")
-    return tuple(parse_number(part[key], f"{where}.{key}") for key in keys)
-
 
 def load_medium(path):
-    """Parse a medium description file (JSON) into a PermittivityModel."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"medium file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"medium file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("medium file must contain a JSON object")
-    _check_keys(raw, _MEDIUM_KEYS, "medium file")
-    unit_name = raw.get("unit_system", "normalized")
-    if unit_name not in _UNIT_SYSTEMS:
-        raise ConfigError(f"unknown unit_system {unit_name!r}")
-    units = _UNIT_SYSTEMS[unit_name]
-    background = parse_number(raw.get("background_epsilon", units.eps0), "background_epsilon")
-    layers = []
-    for i, layer in enumerate(raw.get("layers", [])):
-        _check_keys(layer, _LAYER_KEYS, f"layers[{i}]")
-        if not isinstance(layer.get("interval"), list) or len(layer["interval"]) != 2:
-            raise ConfigError(f"layers[{i}] needs interval = [x0, x1]")
-        x0, x1 = (parse_number(v, f"layers[{i}].interval") for v in layer["interval"])
-        lorentz = [_numbers_of(part, _LORENTZ_KEYS, f"layers[{i}].lorentz[{j}]")
-                   for j, part in enumerate(layer.get("lorentz", []))]
-        lines = [_numbers_of(part, _LINE_KEYS, f"layers[{i}].lines[{j}]")
-                 for j, part in enumerate(layer.get("lines", []))]
+    """Parse a medium description file (JSON) into a PermittivityModel.
+
+    Layers may touch but not overlap (a model built in code lets its first layer win).
+    """
+    unit_name, background, layers = config.fields(
+        config.load(path, "medium file"), "medium file", (),
+        {"unit_system": "normalized", "background_epsilon": None, "layers": []})
+    units = _UNIT_SYSTEMS[config.choice(unit_name, "unit_system", _UNIT_SYSTEMS)]
+    background = (units.eps0 if background is None
+                  else config.number(background, "background_epsilon"))
+    parsed = []
+    for i, layer in enumerate(config.items(layers, "layers")):
+        where = f"layers[{i}]"
+        interval, lorentz, lines, gap_nu0 = config.fields(
+            layer, where, ("interval",), {"lorentz": [], "lines": [], "gap_nu0": 0.0})
+        x0, x1 = config.numbers(interval, f"{where}.interval", 2)
+        for j, (y0, y1, _) in enumerate(parsed):
+            if x0 < y1 and y0 < x1:
+                raise ConfigError(f"layers[{j}] [{y0}, {y1}] and {where} [{x0}, {x1}] overlap")
         density = OscillatorDensity(
-            lines=tuple(lines),
-            lorentz=tuple(lorentz),
-            gap_nu0=parse_number(layer.get("gap_nu0", 0.0), f"layers[{i}].gap_nu0"),
+            lines=tuple(config.record(part, f"{where}.lines[{j}]", ("nu", "weight"))
+                        for j, part in enumerate(config.items(lines, f"{where}.lines"))),
+            lorentz=tuple(config.record(part, f"{where}.lorentz[{j}]", ("wp", "w1", "gamma"))
+                          for j, part in enumerate(config.items(lorentz, f"{where}.lorentz"))),
+            gap_nu0=config.number(gap_nu0, f"{where}.gap_nu0"),
         )
-        layers.append((x0, x1, density))
-    return PermittivityModel(background=background, layers=tuple(layers), units=units)
+        parsed.append((x0, x1, density))
+    return PermittivityModel(background=background, layers=tuple(parsed), units=units)

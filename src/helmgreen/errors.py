@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps DomainError/ConfigError (and subclasses) to exit code 2;
-everything else propagates.
+The CLI maps every HelmgreenError to exit code 2; other exceptions propagate.
 """
 
 

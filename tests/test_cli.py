@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helmgreen import cli
 
@@ -260,13 +266,185 @@ def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):
     assert cli.main(["asymptotic", "--config", cfg]) == 2
 
 
-def test_bad_hg_threads_exits_2(tmp_path, medium, monkeypatch, capsys):
-    monkeypatch.setenv("HG_THREADS", "zero")
-    cfg = _kk_config(tmp_path, medium)
-    assert cli.main(["kk_eps", "--config", cfg]) == 2
+# ---------------------------------------------------------------------------
+# malformed input: every probed value exits 2 with "error: ", never a traceback
+
+SLAB_PATH = Path(__file__).resolve().parents[1] / "media" / "lorentz_slab.json"
+SLAB = json.loads(SLAB_PATH.read_text())
+_LOOP = {"z_lo": {"re": 0.5, "im": 0.5}, "z_hi": {"re": 2.0, "im": 1.5}, "n_points": 8}
+
+# Small-size copies of the shipped configs/: the same keys, smaller grids and node counts.
+SMALL = {
+    "kk_eps": {
+        "medium": str(SLAB_PATH), "x": 0.5,
+        "z_grid": {"re_min": 0.0, "re_max": 5.0, "im_min": 0.02, "im_max": 5.0,
+                   "n_re": 2, "n_im": 2},
+        "passivity_samples": 100,
+        "tolerances": {"kk_rel": 1e-6, "passivity_floor": 1e-12, "sum_rule_rel": 1e-8},
+    },
+    "green": {
+        "medium": str(SLAB_PATH), "grid": {"L": 1.0, "N": 16}, "z": {"re": 0.0, "im": 1.0},
+        "norm_grid": {"re_min": 0.1, "re_max": 5.0, "im_min": 0.1, "im_max": 5.0,
+                      "n_re": 2, "n_im": 1},
+        "xi_samples": 1,
+        "tolerances": {"reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8},
+    },
+    "modes": {
+        "grid": {"L": 1.0, "N": 16}, "eps_const": 2.0, "z": {"re": 0.0, "im": 5.0},
+        "truncation_M": 8,
+        "kk": {"zeta": 0.01, "nu_grid": {"max": 40.0, "count": 401},
+               "reference": "vacuum", "probe": {"mode_index": 0}},
+        "tolerances": {"identity": 1e-10, "kk_rel": 1e-3},
+    },
+    "causality": {
+        "medium": str(SLAB_PATH), "grid": {"L": 1.0, "N": 16}, "x": 0.5,
+        "contour": {"eta": 0.1, "omega_max": 400.0, "n_points": 2000},
+        "contour_negative": {"eta": 12.0, "omega_max": 400.0, "n_points": 2000},
+        "source": {"omega_s": 1.0, "center": 0.3, "width": 0.05},
+        "x_index": 11, "taper": 16.0, "t_negative": [-3.0, -1.0], "t_positive": [0.5, 2.0],
+        "tolerances": {"suppression": 1e-6},
+    },
+    "analyticity": {
+        "medium": str(SLAB_PATH), "grid": {"L": 1.0, "N": 16},
+        "probe": {"gaussian": {"center": 0.5, "width": 0.1}},
+        "loops": [
+            {"kind": "z", **_LOOP},
+            {"kind": "xi", "fixed_z": {"re": 0.0, "im": 1.0}, **_LOOP},
+            {"kind": "zk", "bloch_k": {"re": 1.0, "im": 0.3}, **_LOOP},
+            {"kind": "conj_witness", "expect": "fail", **_LOOP},
+        ],
+        "tolerances": {"defect": 1e-8, "witness_min": 1e-2},
+    },
+    "asymptotic": {
+        "field": {"polarization": [1.0, 0.0, 0.0], "k_c": [0.0, 0.0, 0.0], "s": 1.0},
+        "ladder": {"moduli": [10.0, 100.0], "theta": [1.5707963267948966]},
+        "resolvent_ray": {"medium": str(SLAB_PATH), "grid": {"L": 1.0, "N": 16},
+                          "eta": 1.0, "omegas": [100.0]},
+        "tolerances": {"final_defect_rel": 1e-3, "cap_factor": 1.5},
+    },
+}
+DROP = object()
 
 
-def test_hg_threads_accepted(tmp_path, medium, monkeypatch, capsys):
-    monkeypatch.setenv("HG_THREADS", "2")
-    cfg = _kk_config(tmp_path, medium)
-    assert cli.main(["kk_eps", "--config", cfg]) == 0
+def _replaced(obj, path, value):
+    """A deep copy of `obj` with the value at `path`, if any, replaced
+    (removed for DROP)."""
+    out = copy.deepcopy(obj)
+    if path:
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return out
+
+
+def _run_case(tmp, target, path=(), value=DROP):
+    """Run `target` (a command, or "medium" for a kk_eps run on the slab
+    medium) with the value at `path` replaced; return the exit code."""
+    if target == "medium":
+        medium = _write(tmp, "medium.json", _replaced(SLAB, path, value))
+        command, cfg = "kk_eps", {**SMALL["kk_eps"], "medium": medium}
+    else:
+        command, cfg = target, _replaced(SMALL[target], path, value)
+    return cli.main([command, "--config", _write(tmp, "run.json", cfg),
+                     "--out", str(tmp / "out.csv")])
+
+
+_TWO_LAYERS = [{"interval": [0.0, 0.6]}, {"interval": [0.4, 1.0]}]
+
+MALFORMED = [
+    ("green", ("grid", "N"), "x"),
+    ("green", ("grid", "L"), "x"),
+    ("green", ("z", "re"), "x"),
+    ("green", ("z",), 5),
+    ("green", ("xi_samples",), "x"),
+    ("green", ("grid",), [1, 2]),
+    ("green", ("norm_grid",), "x"),
+    ("modes", ("eps_const",), "x"),
+    ("modes", ("truncation_M",), "x"),
+    ("modes", ("kk", "zeta"), [0.01]),
+    ("modes", ("kk", "nu_grid", "count"), DROP),
+    ("modes", ("kk", "nu_grid", "count"), 1),
+    ("modes", ("kk", "probe"), {"mode_index": 99}),
+    ("causality", ("source", "center"), DROP),
+    ("causality", ("x_index",), 99),
+    ("causality", ("contour", "n_points"), "x"),
+    ("causality", ("taper",), "x"),
+    ("causality", ("t_negative", 1), "y"),
+    ("causality", ("t_positive",), []),
+    ("analyticity", ("loops",), 3),
+    ("analyticity", ("loops", 0, "n_points"), "x"),
+    ("analyticity", ("loops", 0, "z_lo", "re"), "x"),
+    ("analyticity", ("loops", 2, "bloch_k", "im"), "x"),
+    ("analyticity", ("probe",), {"point_index": 99}),
+    ("asymptotic", ("field", "polarization", 2), "y"),
+    ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
+    ("asymptotic", ("field", "s"), "x"),
+    ("asymptotic", ("ladder", "moduli"), []),
+    ("asymptotic", ("ladder", "theta"), "x"),
+    ("asymptotic", ("resolvent_ray", "omegas"), 5),
+    ("asymptotic", ("resolvent_ray", "eta"), "x"),
+    ("medium", ("layers",), 5),
+    ("medium", ("layers",), [5]),
+    ("medium", ("layers", 0, "lorentz"), [5]),
+    ("medium", ("layers", 0, "lorentz"), {"wp": 1.0}),
+    ("medium", ("unit_system",), ["si"]),
+    ("medium", ("layers",), _TWO_LAYERS),
+]
+
+
+def _case_id(case):
+    target, path, value = case
+    shown = "drop" if value is DROP else json.dumps(value)
+    return f"{target}:{'.'.join(map(str, path))}={shown}"
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=[_case_id(c) for c in MALFORMED])
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    assert _run_case(tmp_path, *case) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_overlapping_layers_error_names_both(tmp_path, capsys):
+    assert _run_case(tmp_path, "medium", ("layers",), _TWO_LAYERS) == 2
+    err = capsys.readouterr().err
+    assert "layers[0]" in err and "layers[1]" in err
+
+
+def _leaves(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        pairs = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for key, val in pairs for leaf in _leaves(val, path + (key,))]
+    return [path]
+
+
+BAD_VALUES = st.one_of(
+    st.text("x1.", max_size=3), st.booleans(), st.none(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["re", "im", "x"]), st.integers(-2, 2), max_size=2),
+    st.integers(-5, -1), st.floats(-10.0, -0.01),
+    st.floats(0.01, 10.0).filter(lambda v: not v.is_integer()),
+)
+TARGETS = {target: _leaves(obj) for target, obj in [*SMALL.items(), ("medium", SLAB)]}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_small_configs_run(tmp_path, capsys, target):
+    # the starting points of the property test below run to a report
+    assert _run_case(tmp_path, target) in (0, 1)
+
+
+@given(data=st.data())
+def test_property_one_bad_leaf_never_raises(data):
+    target = data.draw(st.sampled_from(sorted(TARGETS)))
+    path = data.draw(st.sampled_from(TARGETS[target]))
+    value = data.draw(BAD_VALUES)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        code = _run_case(Path(tmp), target, path, value)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
