@@ -10,6 +10,7 @@ that certify the computed quantities.
 from ._kernels import BACKEND
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     GapViolationError,
     HelmgreenError,
@@ -26,6 +27,7 @@ __all__ = [
     "BACKEND",
     "__version__",
     "ConfigError",
+    "ConvergenceError",
     "DomainError",
     "GapViolationError",
     "HelmgreenError",

@@ -153,13 +153,13 @@ def cmd_kk_eps(cfg, seed):
     density = model.density_at(x)
     eps0 = model.units.eps0
 
-    recon = model.background - eps0 + dispersion.kk_reconstruct_permittivity(
-        density, np.array(z_grid), eps0=eps0)
-    for z, r in zip(z_grid, recon):
-        exact = dispersion.eval_permittivity(model, x, z)
-        rel = float(abs(r - exact) / abs(exact))
+    recon, bound = dispersion.kk_reconstruct_permittivity(density, z_grid, eps0=eps0)
+    recon = model.background - eps0 + recon
+    exact = dispersion.eval_permittivity(model, x, z_grid)
+    for z, r, e, b in zip(z_grid, recon, exact, bound):
+        rel = float(abs(r - e) / abs(e))
         report.add("kk_round_trip", {"z": [z.real, z.imag]}, rel, 0.0,
-                   tol["kk_rel"], rel <= tol["kk_rel"])
+                   tol["kk_rel"], rel <= tol["kk_rel"], float(b / abs(e)))
 
     rng = np.random.default_rng(seed)
     zs = 10.0 ** rng.uniform(-2, 2, n_samples) * np.exp(
@@ -281,6 +281,8 @@ def cmd_causality(cfg, seed):
     x = grid.L / 2 if x is None else config.number(x, "x")
     x_index = grid.N // 4 if x_index is None else config.index(x_index, "x_index", grid.N)
     taper = config.number(taper, "taper")
+    if taper < 0:
+        raise ConfigError("taper must be >= 0")
     omega_s, center, width = config.record(source, "source", ("omega_s", "center", "width"))
     t_neg = config.numbers(t_neg, "t_negative")
     t_pos = config.numbers(t_pos, "t_positive")
@@ -349,7 +351,8 @@ def cmd_analyticity(cfg, seed):
                                         probe, probe, reference="none")
         elif kind == "xi":
             fixed = config.complex_of(fixed_z, f"{where}.fixed_z")
-            sampler = _xi_sampler(model, grid, probe, fixed)
+            sampler = functools.partial(spectral._coefficient_sweep, model, grid,
+                                        probe, probe, fixed, "none")
         elif kind == "zk":
             k = config.complex_of(bloch_k, f"{where}.bloch_k")
             if loop.z_lo.imag - model.units.c * abs(k.imag) < 0.1:
@@ -369,16 +372,6 @@ def cmd_analyticity(cfg, seed):
             report.add(f"analyticity_{kind}", {"loop": i}, defect, 0.0,
                        tol["defect"], defect <= tol["defect"])
     return report, None
-
-
-def _xi_sampler(model, grid, probe, z_fixed):
-    def sampler(xi_nodes):
-        out = np.empty(len(xi_nodes), dtype=np.complex128)
-        for i, xi in enumerate(xi_nodes):
-            op = helmholtz.assemble(grid, model, "two_freq", z_fixed, xi=xi)
-            out[i] = helmholtz.coefficient(op, probe, probe)
-        return out
-    return sampler
 
 
 def _bloch_sampler(model, grid, probe, k):

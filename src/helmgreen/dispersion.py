@@ -134,35 +134,25 @@ class QuadratureSpec:
 # point evaluation
 
 
-def _check_upper_half(z, density, allow_real):
-    if z.imag < 0:
-        raise DomainError(f"Im z = {z.imag} < 0: outside the upper half-plane")
-    if z.imag == 0:
-        if not allow_real:
-            raise DomainError("real-axis evaluation not allowed here")
-        if density.lines:
-            raise DomainError("undamped lines cannot be evaluated on the real axis")
-
-
-def _density_eval(density, z, eps0):
-    """Permittivity contribution of one density (background excluded)."""
-    val = 0.0 + 0.0j
+def _check_domain(density, z):
+    """Domain and pole guard of `density_eval_array` over an ndarray of frequencies."""
+    if np.any(z.imag < 0):
+        raise DomainError(f"Im z = {np.min(z.imag)} < 0: outside the upper half-plane")
+    if density.lines and np.any(z.imag == 0):
+        raise DomainError("undamped lines cannot be evaluated on the real axis")
     z2 = z * z
     for nu, w in density.lines:
-        den = z2 - nu * nu
-        if abs(den) < POLE_FLOOR:
-            raise PoleProximityError(f"|z^2 - nu^2| = {abs(den)} below floor at nu = {nu}")
-        val += -2.0 * w / den
+        den = np.min(np.abs(z2 - nu * nu), initial=math.inf)
+        if den < POLE_FLOOR:
+            raise PoleProximityError(f"|z^2 - nu^2| = {den} below floor at nu = {nu}")
     for wp, w1, gamma in density.lorentz:
-        den = w1 * w1 - z2 - 1j * gamma * z
-        if abs(den) < POLE_FLOOR:
+        if np.min(np.abs(w1 * w1 - z2 - 1j * gamma * z), initial=math.inf) < POLE_FLOOR:
             raise PoleProximityError("Lorentz denominator below pole floor")
-        val += eps0 * wp * wp / den
-    return val
 
 
 def density_eval_array(density, z, eps0):
-    """Vectorized `_density_eval` over an ndarray of frequencies (no pole checks)."""
+    """Permittivity contribution of one density (background excluded) over
+    an ndarray of frequencies; no domain or pole checks."""
     z = np.asarray(z, dtype=np.complex128)
     out = np.zeros(z.shape, dtype=np.complex128)
     z2 = z * z
@@ -174,11 +164,17 @@ def density_eval_array(density, z, eps0):
 
 
 def eval_permittivity(model, x, z):
-    """Closed-form permittivity eps(x, z), Im z >= 0."""
-    z = complex(z)
+    """Closed-form permittivity eps(x, z), Im z >= 0.
+
+    `z` is a scalar (a complex is returned) or an array (an array of the
+    same shape is returned). Real-axis points need a damped density, and no
+    point may lie within the pole floor.
+    """
+    z = np.asarray(z, dtype=np.complex128)
     density = model.density_at(x)
-    _check_upper_half(z, density, allow_real=True)
-    return model.background + _density_eval(density, z, model.units.eps0)
+    _check_domain(density, z)
+    eps = model.background + density_eval_array(density, z, model.units.eps0)
+    return complex(eps) if eps.ndim == 0 else eps
 
 
 def permittivity_derivative(model, x, z):
@@ -198,18 +194,6 @@ def permittivity_derivative(model, x, z):
     return val
 
 
-def _check_pole_floor(density, z):
-    """Vectorized pole guard of `_density_eval` over an ndarray of frequencies."""
-    z2 = z * z
-    for nu, w in density.lines:
-        den = np.min(np.abs(z2 - nu * nu), initial=math.inf)
-        if den < POLE_FLOOR:
-            raise PoleProximityError(f"|z^2 - nu^2| = {den} below floor at nu = {nu}")
-    for wp, w1, gamma in density.lorentz:
-        if np.min(np.abs(w1 * w1 - z2 - 1j * gamma * z), initial=math.inf) < POLE_FLOOR:
-            raise PoleProximityError("Lorentz denominator below pole floor")
-
-
 def passivity_margin(model, x, z):
     """Im{ z [eps(x,z) - eps0] }; nonnegative in the upper half-plane.
 
@@ -219,11 +203,7 @@ def passivity_margin(model, x, z):
     z = np.asarray(z, dtype=np.complex128)
     if not np.all(z.imag > 0):
         raise DomainError("passivity margin requires Im z > 0")
-    density = model.density_at(x)
-    eps0 = model.units.eps0
-    _check_pole_floor(density, z)
-    eps = model.background + density_eval_array(density, z, eps0)
-    margin = (z * (eps - eps0)).imag
+    margin = (z * (eval_permittivity(model, x, z) - model.units.eps0)).imag
     return float(margin) if margin.ndim == 0 else margin
 
 
@@ -276,6 +256,9 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
     error of every z relative to that z's scale. QuadratureError (carrying
     the estimate) is raised when either quadrature reports failure or when
     the scaled estimate of the result exceeds `quad.rel_tol`.
+
+    Returns (values, bound), where bound is each z's absolute error bound,
+    the scaled estimate times max(|val|, 1) (0 when no quadrature runs).
     """
     quad = quad or QuadratureSpec()
     z = np.asarray(z, dtype=np.complex128)
@@ -284,6 +267,7 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
         raise DomainError("Kramers-Kronig reconstruction requires Im z > 0")
     z2 = zs * zs
     val = np.full(zs.shape, eps0, dtype=np.complex128)
+    bound = np.zeros(zs.shape)
     for nu, w in density.lines:
         val += -2.0 * w / (z2 - nu * nu)
     if density.lorentz and zs.size:
@@ -309,8 +293,10 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
                 estimate=est,
             )
         val -= 2.0 * scale * (parts[0][0] + parts[1][0])
-    val = val.reshape(z.shape)
-    return complex(val) if val.ndim == 0 else val
+        bound = est * scale
+    if z.ndim == 0:
+        return complex(val[0]), float(bound[0])
+    return val.reshape(z.shape), bound.reshape(z.shape)
 
 
 def chi_dot_at_zero(density, eps0=1.0):

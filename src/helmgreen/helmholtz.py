@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _kernels, dispersion
-from .errors import ConfigError, DomainError, PeriodicityError
+from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
 from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
 
 KINDS = ("dispersive", "two_freq", "nondispersive", "bloch")
@@ -161,18 +161,19 @@ def _nondispersive_profile(model, x_points, omega0):
 
 
 def _check_kind_domain(kind, z, xi, model, grid):
+    """Domain of each operator kind over the diagonal builder's arrays."""
     c = model.units.c
     if kind in ("dispersive", "nondispersive"):
-        if z.imag < 0:
+        if np.any(z.imag < 0):
             raise DomainError(f"{kind} operator requires Im z >= 0")
-        if kind == "dispersive" and z.imag == 0 and not model.damped:
+        if kind == "dispersive" and not model.damped and np.any(z.imag == 0):
             raise DomainError("real-axis assembly requires a damped medium")
     elif kind == "two_freq":
-        if z.imag <= 0 or xi.imag <= 0:
+        if np.any(z.imag <= 0) or np.any(xi.imag <= 0):
             raise DomainError("two-frequency operator requires Im z > 0 and Im xi > 0")
     elif kind == "bloch":
         k = complex(grid.bloch_k)
-        if z.imag <= c * abs(k.imag):
+        if np.any(z.imag <= c * abs(k.imag)):
             raise DomainError(
                 f"Bloch operator requires Im z > c |Im k| = {c * abs(k.imag)}"
             )
@@ -181,39 +182,29 @@ def _check_kind_domain(kind, z, xi, model, grid):
 
 
 def assemble(grid, model, kind, z, xi=None, omega0=None):
-    """Banded matrix for one operator instance. Deterministic in its inputs."""
+    """Banded matrix for one operator instance. Deterministic in its inputs.
+
+    The diagonal is the B = 1 case of `diagonal_batch`, which also checks
+    the kind's domain.
+    """
     z = complex(z)
     xi = complex(xi) if xi is not None else None
-    _check_kind_domain(kind, z, xi, model, grid)
+    diag = diagonal_batch(grid, model, kind, [z], xi, omega0)[0]
     h = grid.h
-    x = grid.points
-    eps0 = model.units.eps0
-    mu0 = model.units.mu0
     offdiag = np.full(grid.N - 1, 1.0 / h**2, dtype=np.complex128)
     corner_lo = corner_hi = 0.0
-    if kind in ("dispersive", "bloch"):
-        if kind == "bloch":
-            if grid.boundary != "bloch":
-                raise ConfigError("bloch kind requires a bloch grid")
-            _check_periodic(model, grid)
-            k = complex(grid.bloch_k)
-            corner_lo = np.exp(1j * k * grid.L) / h**2
-            corner_hi = np.exp(-1j * k * grid.L) / h**2
-        elif grid.boundary != "dirichlet":
-            raise ConfigError("dispersive kind requires a dirichlet grid")
-        diag = z * z * mu0 * permittivity_profile(model, x, z) - 2.0 / h**2
-    elif kind == "two_freq":
-        eps_xi = permittivity_profile(model, x, xi)
-        diag = z * z * eps0 * mu0 + z * mu0 * xi * (eps_xi - eps0) - 2.0 / h**2
-    else:  # nondispersive
-        if omega0 is None:
-            raise ConfigError("nondispersive kind requires omega0")
-        eps_d = _nondispersive_profile(model, x, omega0)
-        diag = z * z * mu0 * eps_d.astype(np.complex128) - 2.0 / h**2
+    if kind == "bloch":
+        if grid.boundary != "bloch":
+            raise ConfigError("bloch kind requires a bloch grid")
+        _check_periodic(model, grid)
+        k = complex(grid.bloch_k)
+        corner_lo = np.exp(1j * k * grid.L) / h**2
+        corner_hi = np.exp(-1j * k * grid.L) / h**2
+    elif kind == "dispersive" and grid.boundary != "dirichlet":
+        raise ConfigError("dispersive kind requires a dirichlet grid")
     return DiscreteHelmholtz(
         grid=grid, model=model, kind=kind, z=z, xi=xi, omega0=omega0,
-        diag=np.asarray(diag, dtype=np.complex128), offdiag=offdiag,
-        corner_lo=corner_lo, corner_hi=corner_hi,
+        diag=diag, offdiag=offdiag, corner_lo=corner_lo, corner_hi=corner_hi,
     )
 
 
@@ -269,7 +260,7 @@ def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
         if abs(new_lam - lam) <= tol * new_lam:
             return math.sqrt(new_lam)
         lam = new_lam
-    raise RuntimeError("power iteration did not converge within the iteration cap")
+    raise ConvergenceError("power iteration did not converge within the iteration cap")
 
 
 def bloch_imag_eigs(k_imag, z, c=1.0):
@@ -298,23 +289,35 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
 
 
 def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
-    """Per-z diagonals for batched contour solves (Dirichlet only).
+    """Operator diagonals of any kind, one per z in the 1-D `z_array`; for
+    two_freq, `xi` is broadcast against it. Raises for z (and xi) outside
+    the kind's domain.
 
     Shape (B, N), Fortran-ordered: the transpose is the C-ordered (N, B)
     array the batched kernel runs on. Built in place, with the operands in
-    the order of z^2 mu0 eps - 2/h^2.
+    the order of the formulas in the module docstring.
     """
     z = np.asarray(z_array, dtype=np.complex128)
-    scale = (z * z * model.units.mu0)[:, None]
-    if kind == "dispersive":
+    if kind == "two_freq":
+        if xi is None:
+            raise ConfigError("two_freq kind requires xi")
+        z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
+    _check_kind_domain(kind, z, xi, model, grid)
+    eps0, mu0 = model.units.eps0, model.units.mu0
+    if kind in ("dispersive", "bloch"):
         diag = _permittivity_columns(model, grid.points, z).T
-        np.multiply(scale, diag, out=diag)
-    elif kind == "nondispersive":
+        np.multiply((z * z * mu0)[:, None], diag, out=diag)
+    elif kind == "two_freq":
+        diag = _permittivity_columns(model, grid.points, xi).T
+        np.subtract(diag, eps0, out=diag)
+        np.multiply((z * mu0 * xi)[:, None], diag, out=diag)
+        np.add((z * z * eps0 * mu0)[:, None], diag, out=diag)
+    else:  # nondispersive
+        if omega0 is None:
+            raise ConfigError("nondispersive kind requires omega0")
         eps_d = _nondispersive_profile(model, grid.points, omega0)
         diag = np.empty((grid.N, z.size), dtype=np.complex128).T
-        np.multiply(scale, eps_d[None, :], out=diag)
-    else:
-        raise ConfigError(f"batched diagonals not supported for kind {kind!r}")
+        np.multiply((z * z * mu0)[:, None], eps_d[None, :], out=diag)
     np.subtract(diag, 2.0 / grid.h**2, out=diag)
     return diag
 

@@ -116,19 +116,23 @@ def gaussian_probe(grid, center, width):
 # spectral density and KK reconstruction
 
 
-def _coefficient_sweep(model, grid, phi, psi, z_array, reference):
-    """<phi, R(z) psi> over an array of z (Dirichlet batch path)."""
+def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
+    """<phi, R(z) psi> over an array of z (Dirichlet batch path); with `xi`,
+    the two-frequency R(z, xi), z and xi broadcast against each other."""
     if reference not in ("vacuum", "none"):
         raise ConfigError(f"unknown reference {reference!r}")
+    kind = "dispersive" if xi is None else "two_freq"
     z = np.asarray(z_array, dtype=np.complex128)
+    if xi is not None:
+        z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
     rhs = np.broadcast_to(
         np.asarray(psi, dtype=np.complex128)[None, :], (z.size, grid.N)
     )
-    diag = helmholtz.diagonal_batch(grid, model, "dispersive", z)
+    diag = helmholtz.diagonal_batch(grid, model, kind, z, xi)
     fields = helmholtz.solve_batch(grid, diag, rhs)
     del diag  # peak memory: the vacuum solve allocates its own (B, N) arrays
     if reference == "vacuum":
-        diag0 = helmholtz.diagonal_batch(grid, vacuum_model(model.units), "dispersive", z)
+        diag0 = helmholtz.diagonal_batch(grid, vacuum_model(model.units), kind, z, xi)
         np.subtract(fields, helmholtz.solve_batch(grid, diag0, rhs), out=fields)
     return grid.h * (fields @ np.conj(np.asarray(phi, dtype=np.complex128)))
 

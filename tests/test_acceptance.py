@@ -50,7 +50,7 @@ def test_acceptance_01_kk_permittivity_round_trip():
         zs = [complex(re, im) for im in np.geomspace(im_min, 5.0, 20)
               for re in np.linspace(0.0, 5.0, 20)]
         recon = (model.background - model.units.eps0
-                 + dsp.kk_reconstruct_permittivity(density, np.array(zs)))
+                 + dsp.kk_reconstruct_permittivity(density, np.array(zs))[0])
         for z, r in zip(zs, recon):
             exact = dsp.eval_permittivity(model, x, z)
             worst = max(worst, abs(r - exact) / abs(exact))

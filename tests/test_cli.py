@@ -132,6 +132,22 @@ def test_determinism_byte_identical(tmp_path, medium, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_kk_round_trip_estimate_covers_measured_error(tmp_path, capsys):
+    # the shipped kk_eps config: the slab medium on its 20 x 20 z-grid
+    root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / "kk_eps.json").read_text())
+    cfg["medium"] = str(root / cfg["medium"])
+    out = tmp_path / "report.csv"
+    assert cli.main(["kk_eps", "--config", _write(tmp_path, "kk.json", cfg),
+                     "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["check_id"] == "kk_round_trip"]
+    assert len(rows) == 400
+    for row in rows:
+        estimate = float(row["error_estimate"])
+        assert estimate > 0.0 and estimate >= float(row["measured"])
+
+
 def test_green_command(tmp_path, medium, capsys):
     cfg = _write(tmp_path, "green.json", {
         "medium": medium,
@@ -373,6 +389,7 @@ MALFORMED = [
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
     ("causality", ("taper",), "x"),
+    ("causality", ("taper",), -16),
     ("causality", ("t_negative", 1), "y"),
     ("causality", ("t_positive",), []),
     ("analyticity", ("loops",), 3),
@@ -380,6 +397,8 @@ MALFORMED = [
     ("analyticity", ("loops", 0, "z_lo", "re"), "x"),
     ("analyticity", ("loops", 2, "bloch_k", "im"), "x"),
     ("analyticity", ("probe",), {"point_index": 99}),
+    ("analyticity", ("loops", 1, "fixed_z", "im"), -1.0),
+    ("analyticity", ("loops", 1, "fixed_z", "im"), 0.0),
     ("asymptotic", ("field", "polarization", 2), "y"),
     ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
     ("asymptotic", ("field", "s"), "x"),

@@ -84,13 +84,50 @@ def test_pole_proximity_raises():
                              np.array([2j, 1.0 + 1e-14j]))
 
 
+def _scalar_density_eval(density, z, eps0=1.0):
+    """The per-point loop that `density_eval_array` replaced, in Python
+    complex arithmetic: the reference for the vectorized formula."""
+    val = 0.0 + 0.0j
+    for nu, w in density.lines:
+        val += -2.0 * w / (z * z - nu * nu)
+    for wp, w1, gamma in density.lorentz:
+        val += eps0 * wp * wp / (w1 * w1 - z * z - 1j * gamma * z)
+    return val
+
+
 def test_density_eval_array_matches_scalar():
-    m = lorentz_model()
-    density = m.density_at(0.5)
+    density = dsp.OscillatorDensity(lines=((3.0, 0.5),), lorentz=((1.0, 2.0, 0.1),))
     zs = np.array([1j, 2.0 + 0.5j, -1.0 + 2.0j])
     arr = dsp.density_eval_array(density, zs, 1.0)
     for z, v in zip(zs, arr):
-        assert v == pytest.approx(dsp.eval_permittivity(m, 0.5, z) - 1.0, rel=1e-14)
+        assert v == pytest.approx(_scalar_density_eval(density, complex(z)), rel=1e-14)
+
+
+def test_eval_permittivity_array_equals_scalar_calls():
+    density = dsp.OscillatorDensity(lines=((3.0, 0.5),), lorentz=((1.0, 2.0, 0.1),))
+    m = dsp.PermittivityModel(background=1.5, layers=((0.0, 1.0, density),))
+    zs = np.array([[1j, 2.0 + 0.5j, -1.0 + 2.0j], [0.3 + 1e-3j, 5.0 + 3.0j, -4.0 + 0.1j]])
+    eps = dsp.eval_permittivity(m, 0.5, zs)
+    assert eps.shape == zs.shape
+    for z, v in zip(zs.ravel(), eps.ravel()):
+        scalar = dsp.eval_permittivity(m, 0.5, z)
+        assert isinstance(scalar, complex)
+        assert scalar == v
+
+
+def test_eval_permittivity_array_rejects_any_bad_point():
+    with pytest.raises(DomainError):
+        dsp.eval_permittivity(lorentz_model(), 0.5, np.array([1j, 1.0 - 0.1j]))
+    with pytest.raises(DomainError):
+        dsp.eval_permittivity(line_model(), 0.5, np.array([1j, 2.0 + 0.5j, 2.0 + 0.0j]))
+    with pytest.raises(PoleProximityError):
+        dsp.eval_permittivity(line_model(nu=3.0), 0.5, np.array([1j, 3.0 + 1e-15j]))
+    with pytest.raises(PoleProximityError):
+        dsp.eval_permittivity(lorentz_model(w1=1.0, gamma=1e-13), 0.5,
+                              np.array([2j, 1.0 + 1e-14j]))
+    # a damped medium may be evaluated on the real axis
+    eps = dsp.eval_permittivity(lorentz_model(), 0.5, np.array([1j, 2.0 + 0.0j]))
+    assert eps[1] == pytest.approx(1.0 + 5.0j, rel=1e-14)
 
 
 def test_derivative_matches_finite_difference():
@@ -176,8 +213,8 @@ def test_kk_reconstruction_matches_closed_form():
     m = lorentz_model()
     density = m.density_at(0.5)
     zs = np.array([1.0 + 0.5j, 0.1 + 0.05j, -2.0 + 1.0j, 5.0 + 3.0j])
-    recon = dsp.kk_reconstruct_permittivity(density, zs)
-    assert recon.shape == zs.shape
+    recon, bound = dsp.kk_reconstruct_permittivity(density, zs)
+    assert recon.shape == bound.shape == zs.shape
     for z, r in zip(zs, recon):
         exact = dsp.eval_permittivity(m, 0.5, z)
         assert abs(r - exact) / abs(exact) < 1e-8
@@ -188,7 +225,7 @@ def test_kk_batched_matches_closed_form_per_z(name):
     model, x = _media_point(name)
     zs = np.array([complex(re, im) for im in np.geomspace(0.1 * model.min_gamma, 5.0, 8)
                    for re in np.linspace(-1.0, 5.0, 9)])
-    recon = model.background - 1.0 + dsp.kk_reconstruct_permittivity(model.density_at(x), zs)
+    recon = model.background - 1.0 + dsp.kk_reconstruct_permittivity(model.density_at(x), zs)[0]
     exact = np.array([dsp.eval_permittivity(model, x, z) for z in zs])
     assert np.max(np.abs(recon - exact) / np.abs(exact)) < 1e-8
 
@@ -196,22 +233,24 @@ def test_kk_batched_matches_closed_form_per_z(name):
 def test_kk_scalar_call_equals_array_element():
     density = lorentz_model().density_at(0.5)
     zs = np.array([0.3 + 0.02j, 2.0 + 0.1j, 4.0 + 2.0j])
-    recon = dsp.kk_reconstruct_permittivity(density, zs)
-    for z, r in zip(zs, recon):
-        scalar = dsp.kk_reconstruct_permittivity(density, z)
-        assert isinstance(scalar, complex)
+    recon, bound = dsp.kk_reconstruct_permittivity(density, zs)
+    for z, r, b in zip(zs, recon, bound):
+        scalar, scalar_bound = dsp.kk_reconstruct_permittivity(density, z)
+        assert isinstance(scalar, complex) and isinstance(scalar_bound, float)
         assert abs(scalar - r) <= 1e-13 * abs(r)
+        assert 0.0 < scalar_bound <= 1e-9 * max(abs(r), 1.0) and 0.0 < b
 
 
 def test_kk_empty_array_gives_empty_result():
-    recon = dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), np.array([]))
-    assert recon.shape == (0,)
+    recon, bound = dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), np.array([]))
+    assert recon.shape == bound.shape == (0,)
 
 
 def test_kk_reconstruction_lines_exact():
     m = line_model()
-    recon = dsp.kk_reconstruct_permittivity(m.density_at(0.5), 1j)
+    recon, bound = dsp.kk_reconstruct_permittivity(m.density_at(0.5), 1j)
     assert recon == pytest.approx(1.2, rel=1e-14)
+    assert bound == 0.0
 
 
 def test_kk_requires_upper_half_plane():
@@ -385,10 +424,11 @@ upper_half_plane = st.builds(
 def test_property_batched_kk_matches_closed_form(parts, zs):
     model = dsp.PermittivityModel(
         layers=((0.0, 1.0, dsp.OscillatorDensity(lorentz=tuple(parts))),))
-    recon = dsp.kk_reconstruct_permittivity(model.density_at(0.5), np.array(zs))
-    for z, r in zip(zs, recon):
+    recon, bound = dsp.kk_reconstruct_permittivity(model.density_at(0.5), np.array(zs))
+    for z, r, b in zip(zs, recon, bound):
         exact = dsp.eval_permittivity(model, 0.5, z)
         assert abs(r - exact) / abs(exact) <= 1e-8
+        assert abs(r - exact) <= b
 
 
 @given(parts=lorentz_parts, zs=st.lists(upper_half_plane, min_size=1, max_size=50))

@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
-from helmgreen.errors import ConfigError, DomainError, PeriodicityError
+from helmgreen.errors import (
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    HelmgreenError,
+    PeriodicityError,
+)
 
 
 def slab_model():
@@ -172,6 +180,30 @@ def test_unknown_kind_rejected():
         hh.assemble(g, slab_model(), "static", 1j)
 
 
+def test_missing_kind_parameter_rejected():
+    g = hh.Grid1D(L=1.0, N=16)
+    with pytest.raises(ConfigError):
+        hh.assemble(g, slab_model(), "two_freq", 1j)
+    with pytest.raises(ConfigError):
+        hh.assemble(g, line_slab_model(), "nondispersive", 1j)
+
+
+def test_diagonal_batch_checks_every_node():
+    g = hh.Grid1D(L=1.0, N=16)
+    z = np.array([1j, 2.0 + 0.5j, 1.0 + 1.0j])
+    with pytest.raises(DomainError):
+        hh.diagonal_batch(g, line_slab_model(), "dispersive", z - 0.5j)
+    with pytest.raises(DomainError):
+        hh.diagonal_batch(g, line_slab_model(), "nondispersive", z - 0.6j, omega0=1.0)
+    with pytest.raises(DomainError):
+        hh.diagonal_batch(g, slab_model(), "two_freq", z - 1.0j, xi=0.5j)
+    with pytest.raises(DomainError):
+        hh.diagonal_batch(g, slab_model(), "two_freq", 1j, xi=z - 0.5j)
+    gb = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=1.0 + 0.6j)
+    with pytest.raises(DomainError):
+        hh.diagonal_batch(gb, slab_model(), "bloch", z)
+
+
 # ---------------------------------------------------------------------------
 # Green matrix and coefficients
 
@@ -224,6 +256,14 @@ def test_inverse_norm_power_iteration_agrees_with_svd():
     dense = hh.inverse_norm(op)
     iterative = hh.inverse_norm(op, dense_cutoff=0)
     assert iterative == pytest.approx(dense, rel=1e-6)
+
+
+def test_inverse_norm_iteration_cap_raises_package_error():
+    g = hh.Grid1D(L=1.0, N=48)
+    op = hh.assemble(g, slab_model(), "dispersive", 1j)
+    with pytest.raises(ConvergenceError) as info:
+        hh.inverse_norm(op, dense_cutoff=0, max_iter=1)
+    assert isinstance(info.value, HelmgreenError)
 
 
 def test_bloch_imag_eigs():
@@ -307,3 +347,63 @@ def test_nondispersive_diagonal_batch_bit_identical_to_per_point_loop():
     diag = hh.diagonal_batch(g, m, "nondispersive", z, omega0=1.0)
     assert diag.flags.f_contiguous
     assert np.array_equal(diag, (z * z)[:, None] * eps_d[None, :] - 2.0 / g.h**2)
+
+
+def _slab_eps(x, z):
+    """eps of `slab_model` in closed form: 1 + 1 / (4 - z^2 - 0.2 i z) on [0.25, 0.75]."""
+    return 1.0 + np.where((x >= 0.25) & (x <= 0.75), 1.0 / (4.0 - z * z - 0.2j * z), 0.0)
+
+
+@pytest.mark.parametrize("kind", hh.KINDS)
+def test_diagonal_batch_matches_closed_form(kind):
+    bloch = kind == "bloch"
+    g = hh.Grid1D(L=1.0, N=24, boundary="bloch" if bloch else "dirichlet", bloch_k=0.5 + 0.2j)
+    x = g.points[None, :]
+    z = np.array([1j, 0.5 + 0.5j, -2.0 + 1.0j])[:, None]
+    xi = np.array([0.7 + 0.3j, -1.5 + 0.05j, 3.0 + 2.0j])[:, None]
+    if kind == "nondispersive":
+        diag = hh.diagonal_batch(g, line_slab_model(), kind, z[:, 0], omega0=1.0)
+        # one line nu = 4, w = 1: eps_d = 1 + 2 w / (nu^2 - omega0^2) on the slab
+        eps_d = 1.0 + np.where((x >= 0.25) & (x <= 0.75), 2.0 / 15.0, 0.0)
+        expect = z * z * eps_d
+    elif kind == "two_freq":
+        diag = hh.diagonal_batch(g, slab_model(), kind, z[:, 0], xi=xi[:, 0])
+        expect = z * z + z * xi * (_slab_eps(x, xi) - 1.0)
+    else:
+        diag = hh.diagonal_batch(g, slab_model(), kind, z[:, 0])
+        expect = z * z * _slab_eps(x, z)
+    assert diag.shape == (3, g.N) and diag.flags.f_contiguous
+    np.testing.assert_allclose(diag, expect - 2.0 / g.h**2, rtol=1e-14)
+    for b in range(3):
+        op = hh.assemble(g, line_slab_model() if kind == "nondispersive" else slab_model(),
+                         kind, z[b, 0], xi=xi[b, 0], omega0=1.0)
+        assert np.array_equal(op.diag, diag[b])
+
+
+# ---------------------------------------------------------------------------
+# properties over random passive media (workload ranges of the benchmark)
+
+lorentz_parts = st.lists(
+    st.tuples(st.floats(0.5, 1.2), st.floats(1.5, 3.0), st.floats(0.15, 0.4)),
+    min_size=1, max_size=3,
+)
+slab_media = st.builds(
+    lambda parts, x0, x1: dsp.PermittivityModel(
+        layers=((x0, x1, dsp.OscillatorDensity(lorentz=tuple(parts))),)),
+    lorentz_parts, st.floats(0.05, 0.45), st.floats(0.55, 0.95),
+)
+upper_half_plane = st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.05, 5.0))
+
+
+@given(model=slab_media, z=upper_half_plane)
+def test_property_green_reciprocity(model, z):
+    G = hh.green_matrix(hh.assemble(hh.Grid1D(L=1.0, N=24), model, "dispersive", z)).values
+    assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
+
+
+@given(model=slab_media, z=upper_half_plane)
+def test_property_green_schwarz_reflection(model, z):
+    g = hh.Grid1D(L=1.0, N=24)
+    G = hh.green_matrix(hh.assemble(g, model, "dispersive", z)).values
+    mirror = hh.green_matrix(hh.assemble(g, model, "dispersive", -z.conjugate())).values
+    assert np.max(np.abs(mirror - np.conj(G))) <= 1e-12 * np.max(np.abs(G))

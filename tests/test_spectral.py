@@ -170,3 +170,21 @@ def test_time_domain_field_zero_source():
     c = tr.ContourSpec(eta=1.0, omega_max=200.0, n_points=50000)
     vals, _ = sp.time_domain_field(model, g, np.zeros(48), 1.0, 10, [0.5, 1.0], c)
     assert np.all(vals == 0.0)
+
+
+@pytest.mark.parametrize("reference", ["none", "vacuum"])
+def test_xi_sweep_matches_per_node_two_freq_solves(reference):
+    left = dsp.OscillatorDensity(lorentz=((0.8, 1.5, 0.15), (0.5, 3.0, 0.4)))
+    right = dsp.OscillatorDensity(lorentz=((1.2, 2.5, 0.25),))
+    model = dsp.PermittivityModel(layers=((0.1, 0.45, left), (0.55, 0.9, right)))
+    grid = hh.Grid1D(L=1.0, N=64)
+    probe = sp.gaussian_probe(grid, 0.5, 0.1)
+    z = 0.3 + 1.0j
+    xi = np.linspace(-2.0, 3.0, 11) + 1j * np.geomspace(0.05, 2.0, 11)
+    got = sp._coefficient_sweep(model, grid, probe, probe, z, reference, xi)
+    vacuum = dsp.vacuum_model()
+    for x, g in zip(xi, got):
+        expect = hh.coefficient(hh.assemble(grid, model, "two_freq", z, xi=x), probe, probe)
+        if reference == "vacuum":
+            expect -= hh.coefficient(hh.assemble(grid, vacuum, "two_freq", z, xi=x), probe, probe)
+        assert abs(g - expect) <= 1e-13 * abs(expect)
