@@ -129,12 +129,11 @@ def _probe_of(cfg, grid, mode_probe=False):
 
 
 def _contour_of(cfg, where="contour"):
-    eta, omega_max, n_points, rule = config.fields(
-        cfg, where, ("eta", "omega_max", "n_points"), {"rule": "trapezoid"})
+    eta, omega_max, n_points = config.fields(cfg, where, ("eta", "omega_max", "n_points"))
     return transforms.ContourSpec(
         eta=config.number(eta, f"{where}.eta"),
         omega_max=config.number(omega_max, f"{where}.omega_max"),
-        n_points=config.count(n_points, f"{where}.n_points"), rule=rule)
+        n_points=config.count(n_points, f"{where}.n_points"))
 
 
 # ---------------------------------------------------------------------------

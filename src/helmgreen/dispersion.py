@@ -8,8 +8,8 @@ Lorentz continuous parts. The permittivity is the superposition
 
 evaluable at any complex frequency z in the closed upper half-plane.
 This module also provides the passivity margin, the time-domain
-susceptibility (contour inversion), the sum rule weight, the
-high-frequency deviation and the non-dispersive (gapped) construction.
+susceptibility (contour inversion), the sum rule weight and the
+non-dispersive (gapped) construction.
 
 Convention: a stored line (nu_j, w_j) carries weight w_j at +nu_j *and*
 at -nu_j, so its permittivity contribution is -2 w_j / (z^2 - nu_j^2)
@@ -177,23 +177,6 @@ def eval_permittivity(model, x, z):
     return complex(eps) if eps.ndim == 0 else eps
 
 
-def permittivity_derivative(model, x, z):
-    """Analytic d eps / dz at Im z > 0."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("derivative requires Im z > 0")
-    density = model.density_at(x)
-    eps0 = model.units.eps0
-    z2 = z * z
-    val = 0.0 + 0.0j
-    for nu, w in density.lines:
-        val += 4.0 * w * z / (z2 - nu * nu) ** 2
-    for wp, w1, gamma in density.lorentz:
-        den = w1 * w1 - z2 - 1j * gamma * z
-        val += eps0 * wp * wp * (2.0 * z + 1j * gamma) / den**2
-    return val
-
-
 def passivity_margin(model, x, z):
     """Im{ z [eps(x,z) - eps0] }; nonnegative in the upper half-plane.
 
@@ -208,11 +191,8 @@ def passivity_margin(model, x, z):
 
 
 def sigma_eval(density, nu, eps0=1.0):
-    """Continuous part of sigma at real frequency nu (even, >= 0).
-
-    Discrete lines are distributions and are reported separately by
-    `lines_in_window`.
-    """
+    """Continuous part of sigma at real frequency nu (even, >= 0); discrete
+    lines are distributions and are not included."""
     nu = np.asarray(nu, dtype=float)
     nu2 = nu * nu
     out = np.zeros_like(nu2)
@@ -225,16 +205,6 @@ def sigma_eval(density, nu, eps0=1.0):
             / (math.pi * ((w1 * w1 - nu2) ** 2 + gamma * gamma * nu2))
         )
     return out if out.ndim else float(out)
-
-
-def lines_in_window(density, nu_lo, nu_hi):
-    """Mirrored discrete lines (nu, weight) with nu in [nu_lo, nu_hi]."""
-    out = []
-    for nu, w in density.lines:
-        for signed in (nu, -nu):
-            if nu_lo <= signed <= nu_hi:
-                out.append((signed, w))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +297,6 @@ def sigma_total_weight(density, eps0=1.0, quad=None):
     return total, err
 
 
-def high_freq_deviation(model, x, omega, eta):
-    """z^2 [eps - eps_b] + dchi/dt(0+) at z = omega + i eta; -> 0 as omega grows.
-
-    The deviation is taken against the model background so that it stays
-    finite for backgrounds above the vacuum value.
-    """
-    if eta <= 0:
-        raise DomainError("high-frequency deviation requires eta > 0")
-    z = complex(omega, eta)
-    density = model.density_at(x)
-    eps = eval_permittivity(model, x, z)
-    return z * z * (eps - model.background) + chi_dot_at_zero(density, model.units.eps0)
-
-
 # ---------------------------------------------------------------------------
 # time domain
 
@@ -408,18 +364,6 @@ def build_nondispersive(density, omega0, eps0=1.0):
     for nu, w in density.lines:
         value += 2.0 * w / (nu * nu - omega0 * omega0)
     return value
-
-
-def xi_map(z, nu, omega0):
-    """Dispersion-frequency map xi = nu + (omega0^2 - nu^2)/z.
-
-    Im xi = Im z (nu^2 - omega0^2)/|z|^2, so the gap condition nu0 > omega0
-    keeps xi in the upper half-plane whenever z is.
-    """
-    z = complex(z)
-    if z == 0:
-        raise DomainError("xi map undefined at z = 0")
-    return nu + (omega0 * omega0 - nu * nu) / z
 
 
 # ---------------------------------------------------------------------------

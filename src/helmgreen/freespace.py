@@ -97,9 +97,10 @@ def free_symbol(k, z, eps0=1.0, mu0=1.0):
     return proj_l / z2 + proj_t / (z2 - k2)
 
 
-def _symbol_apply_batch(k, z, vec, eps0, mu0, transverse_only=False):
-    """symbol(k, z) . vec for a batch of wavevectors; vec shape (B, 3)."""
-    z2 = z * z * eps0 * mu0
+def _symbol_apply_batch(k, z, vec, transverse_only=False):
+    """symbol(k, z) . vec for a batch of wavevectors in normalized units
+    (eps0 = mu0 = 1); vec shape (B, 3)."""
+    z2 = z * z
     k2 = np.sum(k * k, axis=-1)
     kdotv = np.sum(k * vec, axis=-1)
     safe_k2 = np.where(k2 > 0, k2, 1.0)
@@ -130,7 +131,7 @@ def free_coefficient(phi, psi, z, quad=None, k_max=None):
     k, w = quad.nodes_weights(k_max)
     pol_phi = np.asarray(phi.polarization)
     amp_psi = psi.envelope(k)[:, None] * np.asarray(psi.polarization)
-    applied = _symbol_apply_batch(k, z, amp_psi, 1.0, 1.0)
+    applied = _symbol_apply_batch(k, z, amp_psi)
     integrand = phi.envelope(k) * (applied @ np.conj(pol_phi))
     value = complex(np.sum(w * integrand))
     edge = math.exp(-((k_max - float(np.linalg.norm(phi.center))) ** 2) / (2.0 * phi.width**2))
@@ -160,7 +161,7 @@ def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
         z = mod * complex(math.cos(theta), math.sin(theta))
         if z.imag <= 0:
             raise DomainError("ray must lie in the upper half-plane")
-        remainder = _symbol_apply_batch(k, z, amp_psi, 1.0, 1.0, transverse_only=True)
+        remainder = _symbol_apply_batch(k, z, amp_psi, transverse_only=True)
         integrand = env_phi * (remainder @ np.conj(pol_phi))
         defects.append(abs(complex(np.sum(w * integrand))))
     return defects

@@ -10,13 +10,16 @@ Operator kinds:
   two_freq(z, xi)      diag  z^2 eps0 mu0 + z mu0 xi [eps(x, xi) - eps0] - 2/h^2
   nondispersive(z, w0) diag  z^2 eps_d(x) mu0        - 2/h^2
   bloch(z, k)          dispersive diagonal, cyclic wrap entries exp(-+ikL)/h^2
+
+The bloch kind runs on Bloch grids, every other kind on Dirichlet grids.
+With constant eps the Dirichlet operator is diagonal in the closed-form
+sine basis of `sine_modes`.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _kernels, dispersion
 from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
@@ -160,8 +163,33 @@ def _nondispersive_profile(model, x_points, omega0):
     return values[index]
 
 
-def _check_kind_domain(kind, z, xi, model, grid):
-    """Domain of each operator kind over the diagonal builder's arrays."""
+def sine_modes(grid):
+    """Closed-form eigenpairs of the Dirichlet second difference (the DST-I
+    basis): -D2 s_n = lam_n s_n with s_n(j) = sqrt(2/(N+1)) sin(n j pi/(N+1))
+    and lam_n = (4/h^2) sin^2(n pi / (2(N+1))), n = 1..N.
+
+    Returns (lam, S): lam increasing, S orthogonal with column n-1 = s_n.
+    """
+    if grid.boundary != "dirichlet":
+        raise ConfigError("the sine basis requires a Dirichlet grid")
+    m = grid.N + 1
+    n = np.arange(1, m)
+    lam = (2.0 / grid.h * np.sin(0.5 * math.pi / m * n)) ** 2
+    # n j reduced modulo the period 2m keeps the sine argument below 2 pi
+    S = math.sqrt(2.0 / m) * np.sin(math.pi / m * (np.outer(n, n) % (2 * m)))
+    return lam, S
+
+
+def uniform_permittivity(model, grid):
+    """The constant eps (model.background) of a medium none of whose
+    dispersive layers holds a grid point; None otherwise."""
+    densities, _ = _layer_index(model, grid.points)
+    return None if densities else float(model.background)
+
+
+def check_kind_domain(kind, z, xi, model, grid):
+    """Domain of each operator kind over arrays of z (and xi), and the
+    grid each kind runs on."""
     c = model.units.c
     if kind in ("dispersive", "nondispersive"):
         if np.any(z.imag < 0):
@@ -179,6 +207,9 @@ def _check_kind_domain(kind, z, xi, model, grid):
             )
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
+    boundary = "bloch" if kind == "bloch" else "dirichlet"
+    if grid.boundary != boundary:
+        raise ConfigError(f"{kind} kind requires a {boundary} grid")
 
 
 def assemble(grid, model, kind, z, xi=None, omega0=None):
@@ -194,14 +225,10 @@ def assemble(grid, model, kind, z, xi=None, omega0=None):
     offdiag = np.full(grid.N - 1, 1.0 / h**2, dtype=np.complex128)
     corner_lo = corner_hi = 0.0
     if kind == "bloch":
-        if grid.boundary != "bloch":
-            raise ConfigError("bloch kind requires a bloch grid")
         _check_periodic(model, grid)
         k = complex(grid.bloch_k)
         corner_lo = np.exp(1j * k * grid.L) / h**2
         corner_hi = np.exp(-1j * k * grid.L) / h**2
-    elif kind == "dispersive" and grid.boundary != "dirichlet":
-        raise ConfigError("dispersive kind requires a dirichlet grid")
     return DiscreteHelmholtz(
         grid=grid, model=model, kind=kind, z=z, xi=xi, omega0=omega0,
         diag=diag, offdiag=offdiag, corner_lo=corner_lo, corner_hi=corner_hi,
@@ -247,7 +274,7 @@ def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
     """Largest singular value of H^-1 (dense SVD below the cutoff, else power iteration)."""
     n = op.grid.N
     if n <= dense_cutoff:
-        sv = scipy.linalg.svdvals(op.dense())
+        sv = np.linalg.svd(op.dense(), compute_uv=False)
         return float(1.0 / sv[-1])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -263,12 +290,6 @@ def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
     raise ConvergenceError("power iteration did not converge within the iteration cap")
 
 
-def bloch_imag_eigs(k_imag, z, c=1.0):
-    """Eigenvalues {Im z, Im z +- c |k''|} of the anti-Hermitian part of the free operator."""
-    eta = complex(z).imag
-    return (eta, eta + c * abs(k_imag), eta - c * abs(k_imag))
-
-
 def resolvent_difference_ray(model, grid, eta, omega_ladder):
     """||z^2 (H_e(z)^-1 - H_0(z)^-1)|| along z = omega + i eta.
 
@@ -276,6 +297,9 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
     """
     if eta <= 0:
         raise DomainError("ray requires eta > 0")
+    # Two Thomas solves rather than the closed-form vacuum inverse: their
+    # shared rounding cancels in the difference, which is orders of
+    # magnitude smaller than either inverse at large omega.
     vacuum = dispersion.vacuum_model(model.units)
     rhs = np.eye(grid.N, dtype=np.complex128)
     out = []
@@ -283,7 +307,7 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
         z = complex(omega, eta)
         inv_e = assemble(grid, model, "dispersive", z).solve(rhs)
         inv_0 = assemble(grid, vacuum, "dispersive", z).solve(rhs)
-        sv = scipy.linalg.svdvals(z * z * (inv_e - inv_0))
+        sv = np.linalg.svd(z * z * (inv_e - inv_0), compute_uv=False)
         out.append(float(sv[0]))
     return out
 
@@ -302,7 +326,7 @@ def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
         if xi is None:
             raise ConfigError("two_freq kind requires xi")
         z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
-    _check_kind_domain(kind, z, xi, model, grid)
+    check_kind_domain(kind, z, xi, model, grid)
     eps0, mu0 = model.units.eps0, model.units.mu0
     if kind in ("dispersive", "bloch"):
         diag = _permittivity_columns(model, grid.points, z).T

@@ -4,16 +4,18 @@ reconstruction of Green's coefficients, and causal time-domain quantities.
 The mode-expansion scaling is pinned by the M = N identity: the full
 partial sum reproduces the discrete inverse-operator kernel exactly, which
 fixes the (eps mu0) weight bookkeeping left implicit in operator form.
+
+Constant-eps resolvents (the vacuum reference, and media none of whose
+dispersive layers holds a grid point) are mode sums over the closed-form
+sine basis `helmholtz.sine_modes`; only dispersive media are solved.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import helmholtz, transforms
-from .dispersion import PermittivityModel, vacuum_model
 from .errors import ConfigError, DomainError
 
 RESONANCE_FLOOR = 1e-10
@@ -41,25 +43,14 @@ class SpectralDensity:
 
 
 def cavity_modes(grid, eps_const, mu0=1.0):
-    """All N modes of L = -(eps mu0)^-1 d^2/dx^2 on a Dirichlet grid."""
-    if grid.boundary != "dirichlet":
-        raise ConfigError("cavity modes require a Dirichlet grid")
+    """All N modes of L = -(eps mu0)^-1 d^2/dx^2 on a Dirichlet grid, from
+    the closed-form sine basis."""
     if eps_const <= 0:
         raise DomainError("cavity permittivity must be a positive constant")
-    h = grid.h
-    scale = 1.0 / (eps_const * mu0)
-    d = np.full(grid.N, 2.0 / h**2 * scale)
-    e = np.full(grid.N - 1, -1.0 / h**2 * scale)
-    eigvals, eigvecs = scipy.linalg.eigh_tridiagonal(d, e)
-    omegas = np.sqrt(eigvals)
-    modes = eigvecs / math.sqrt(h * eps_const * mu0)
+    lam, basis = helmholtz.sine_modes(grid)
+    omegas = np.sqrt(lam / (eps_const * mu0))
+    modes = basis / math.sqrt(grid.h * eps_const * mu0)
     return ModeSet(grid=grid, eps_const=eps_const, mu0=mu0, omegas=omegas, modes=modes)
-
-
-def discrete_mode_frequency(grid, n, eps_const, mu0=1.0):
-    """Analytic discrete dispersion (2/h) sin(n pi h / 2L) / sqrt(eps mu0)."""
-    h = grid.h
-    return 2.0 / h * math.sin(n * math.pi * h / (2.0 * grid.L)) / math.sqrt(eps_const * mu0)
 
 
 def mode_expansion_green(modes, z, truncation=None):
@@ -90,10 +81,23 @@ def mode_expansion_green(modes, z, truncation=None):
     return helmholtz.GreenSamples(grid=modes.grid, z=z, values=values), tail_bound
 
 
-def mode_coefficient(modes, phi, psi, z, truncation=None):
-    """Probe coefficient of the mode expansion: h^2 sum overlaps / (z^2 - w_n^2)."""
-    samples, _ = mode_expansion_green(modes, z, truncation)
-    return complex(modes.grid.h**2 * np.conj(phi) @ samples.values @ psi)
+def mode_coefficient(modes, phi, psi, z):
+    """Probe coefficient of the full mode expansion,
+    h^2 sum_n <phi, phi_n> <phi_n, psi> / (z^2 - w_n^2), at a scalar z (a
+    complex is returned) or over an array of z (an array of its shape),
+    accumulated mode by mode."""
+    z = np.asarray(z, dtype=np.complex128)
+    z2 = z * z
+    h = modes.grid.h
+    weights = h * h * (np.conj(phi) @ modes.modes) * (np.asarray(psi) @ modes.modes)
+    out = np.zeros(z.shape, dtype=np.complex128)
+    denom = np.empty(z.shape, dtype=np.complex128)
+    for weight, omega in zip(weights, modes.omegas):
+        np.subtract(z2, omega * omega, out=denom)
+        if np.min(np.abs(denom), initial=np.inf) < RESONANCE_FLOOR:
+            raise DomainError("z too close to a cavity resonance")
+        out += weight / denom
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -116,25 +120,41 @@ def gaussian_probe(grid, center, width):
 # spectral density and KK reconstruction
 
 
+def _vacuum_coefficient(model, grid, phi, psi, z):
+    """<phi, H_0(z)^-1 psi> of the vacuum operator, the reference subtracted
+    from a medium's coefficient."""
+    units = model.units
+    return mode_coefficient(cavity_modes(grid, units.eps0, units.mu0), phi, psi, z)
+
+
 def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     """<phi, R(z) psi> over an array of z (Dirichlet batch path); with `xi`,
-    the two-frequency R(z, xi), z and xi broadcast against each other."""
+    the two-frequency R(z, xi), z and xi broadcast against each other.
+
+    A medium of constant eps on the grid takes the closed-form mode sum
+    instead of the batched solve (single-frequency sweeps only).
+    """
     if reference not in ("vacuum", "none"):
         raise ConfigError(f"unknown reference {reference!r}")
     kind = "dispersive" if xi is None else "two_freq"
     z = np.asarray(z_array, dtype=np.complex128)
     if xi is not None:
         z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
-    rhs = np.broadcast_to(
-        np.asarray(psi, dtype=np.complex128)[None, :], (z.size, grid.N)
-    )
-    diag = helmholtz.diagonal_batch(grid, model, kind, z, xi)
-    fields = helmholtz.solve_batch(grid, diag, rhs)
-    del diag  # peak memory: the vacuum solve allocates its own (B, N) arrays
+    eps_const = None if xi is not None else helmholtz.uniform_permittivity(model, grid)
+    if eps_const is not None:
+        helmholtz.check_kind_domain(kind, z, xi, model, grid)
+        modes = cavity_modes(grid, eps_const, model.units.mu0)
+        coeff = mode_coefficient(modes, phi, psi, z)
+    else:
+        rhs = np.broadcast_to(
+            np.asarray(psi, dtype=np.complex128)[None, :], (z.size, grid.N)
+        )
+        diag = helmholtz.diagonal_batch(grid, model, kind, z, xi)
+        fields = helmholtz.solve_batch(grid, diag, rhs)
+        coeff = grid.h * (fields @ np.conj(np.asarray(phi, dtype=np.complex128)))
     if reference == "vacuum":
-        diag0 = helmholtz.diagonal_batch(grid, vacuum_model(model.units), kind, z, xi)
-        np.subtract(fields, helmholtz.solve_batch(grid, diag0, rhs), out=fields)
-    return grid.h * (fields @ np.conj(np.asarray(phi, dtype=np.complex128)))
+        coeff -= _vacuum_coefficient(model, grid, phi, psi, z)
+    return coeff
 
 
 def d_density(model, grid, phi, psi, nu_grid, zeta, reference="vacuum"):
@@ -165,8 +185,7 @@ def kk_reconstruct_green(sd, model, grid, phi, psi, z):
         raise DomainError("reconstruction needs Im z well above the broadening zeta")
     value = transforms.kk_kernel_integral(sd.nu_grid, sd.samples, z)
     if sd.reference == "vacuum":
-        op0 = helmholtz.assemble(grid, vacuum_model(model.units), "dispersive", z)
-        value += helmholtz.coefficient(op0, phi, psi)
+        value += _vacuum_coefficient(model, grid, phi, psi, z)
     return value
 
 

@@ -23,7 +23,6 @@ class ContourSpec:
     eta: float
     omega_max: float
     n_points: int
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -32,24 +31,13 @@ class ContourSpec:
             raise ConfigError("contour half-width must be > 0")
         if self.n_points < 16:
             raise ConfigError("contour needs at least 16 points")
-        if self.rule not in ("trapezoid", "gauss-panel"):
-            raise ConfigError(f"unknown contour rule {self.rule!r}")
 
     def nodes_weights(self):
-        if self.rule == "trapezoid":
-            omega = np.linspace(-self.omega_max, self.omega_max, self.n_points)
-            w = np.full(self.n_points, omega[1] - omega[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return omega, w
-        order = 16
-        n_panels = max(1, self.n_points // order)
-        edges = np.linspace(-self.omega_max, self.omega_max, n_panels + 1)
-        x, wx = np.polynomial.legendre.leggauss(order)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        omega = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        w = (half[:, None] * wx[None, :]).ravel()
+        """Trapezoid nodes and weights on the window."""
+        omega = np.linspace(-self.omega_max, self.omega_max, self.n_points)
+        w = np.full(self.n_points, omega[1] - omega[0])
+        w[0] *= 0.5
+        w[-1] *= 0.5
         return omega, w
 
 

@@ -392,6 +392,8 @@ MALFORMED = [
     ("causality", ("taper",), -16),
     ("causality", ("t_negative", 1), "y"),
     ("causality", ("t_positive",), []),
+    ("causality", ("contour", "rule"), "trapezoid"),
+    ("causality", ("grid", "boundary"), "bloch"),
     ("analyticity", ("loops",), 3),
     ("analyticity", ("loops", 0, "n_points"), "x"),
     ("analyticity", ("loops", 0, "z_lo", "re"), "x"),
@@ -399,6 +401,7 @@ MALFORMED = [
     ("analyticity", ("probe",), {"point_index": 99}),
     ("analyticity", ("loops", 1, "fixed_z", "im"), -1.0),
     ("analyticity", ("loops", 1, "fixed_z", "im"), 0.0),
+    ("analyticity", ("grid", "boundary"), "bloch"),
     ("asymptotic", ("field", "polarization", 2), "y"),
     ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
     ("asymptotic", ("field", "s"), "x"),

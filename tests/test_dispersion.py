@@ -130,14 +130,6 @@ def test_eval_permittivity_array_rejects_any_bad_point():
     assert eps[1] == pytest.approx(1.0 + 5.0j, rel=1e-14)
 
 
-def test_derivative_matches_finite_difference():
-    m = lorentz_model()
-    z = 0.7 + 0.9j
-    h = 1e-6
-    fd = (dsp.eval_permittivity(m, 0.5, z + h) - dsp.eval_permittivity(m, 0.5, z - h)) / (2 * h)
-    assert dsp.permittivity_derivative(m, 0.5, z) == pytest.approx(fd, rel=1e-8)
-
-
 def test_schwarz_reflection():
     m = lorentz_model()
     for z in (0.3 + 0.8j, -1.2 + 0.4j, 2.0 + 2.0j):
@@ -191,12 +183,6 @@ def test_sigma_eval_closed_form():
     nu = 1.7
     expect = 0.1 * nu**2 / (math.pi * ((4.0 - nu**2) ** 2 + 0.01 * nu**2))
     assert dsp.sigma_eval(density, nu) == pytest.approx(expect, rel=1e-13)
-
-
-def test_lines_in_window():
-    density = dsp.OscillatorDensity(lines=((3.0, 1.0), (5.0, 0.5)))
-    assert dsp.lines_in_window(density, -4.0, 4.0) == [(-3.0, 1.0), (3.0, 1.0)]
-    assert dsp.lines_in_window(density, 4.0, 6.0) == [(5.0, 0.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +264,6 @@ def test_sum_rule():
     assert abs(total - expect) / expect < 1e-8
 
 
-def test_high_freq_deviation_decays():
-    m = lorentz_model()
-    devs = [abs(dsp.high_freq_deviation(m, 0.5, w, 1.0)) for w in (10.0, 100.0, 1000.0)]
-    assert devs[0] > devs[1] > devs[2]
-    # residual ~ gamma/omega at fixed eta
-    assert devs[2] < 2e-4
-
-
 # ---------------------------------------------------------------------------
 # time domain
 
@@ -342,16 +320,6 @@ def test_build_nondispersive_rejects_line_in_gap():
     density = dsp.OscillatorDensity(lines=((1.2, 1.0),), gap_nu0=2.0)
     with pytest.raises(GapViolationError):
         dsp.build_nondispersive(density, 1.5)
-
-
-def test_xi_map_imaginary_part_sign():
-    z = 1.0 + 0.5j
-    # Im xi = Im z (nu^2 - omega0^2)/|z|^2
-    for nu, omega0 in ((3.0, 1.0), (4.0, 0.5)):
-        xi = dsp.xi_map(z, nu, omega0)
-        expect = z.imag * (nu**2 - omega0**2) / abs(z) ** 2
-        assert xi.imag == pytest.approx(expect, rel=1e-13)
-        assert xi.imag > 0
 
 
 # ---------------------------------------------------------------------------

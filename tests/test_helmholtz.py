@@ -266,10 +266,6 @@ def test_inverse_norm_iteration_cap_raises_package_error():
     assert isinstance(info.value, HelmgreenError)
 
 
-def test_bloch_imag_eigs():
-    assert hh.bloch_imag_eigs(0.3, 1j, c=1.0) == (1.0, 1.3, 0.7)
-
-
 def test_resolvent_difference_ray_decreasing_cap():
     g = hh.Grid1D(L=1.0, N=32)
     m = slab_model()

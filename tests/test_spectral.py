@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
@@ -17,10 +20,12 @@ def cavity():
 
 
 def test_mode_frequencies_match_closed_form(cavity):
+    # oracle: dense eigenvalues of L = -(eps mu0)^-1 d^2/dx^2 with eps = 2
     grid, modes = cavity
-    for n in (1, 2, 10, 96):
-        expect = sp.discrete_mode_frequency(grid, n, 2.0)
-        assert modes.omegas[n - 1] == pytest.approx(expect, rel=1e-10)
+    lap = (np.diag(np.full(grid.N, -2.0)) + np.diag(np.ones(grid.N - 1), 1)
+           + np.diag(np.ones(grid.N - 1), -1)) / grid.h**2
+    expect = np.sqrt(np.linalg.eigvalsh(-lap / 2.0))
+    np.testing.assert_allclose(modes.omegas, expect, rtol=1e-10)
 
 
 def test_modes_orthonormal(cavity):
@@ -63,6 +68,24 @@ def test_single_mode_coefficient(cavity):
     # plain-L2 overlap h <phi1, phi1> equals 1/(eps mu0), squared here
     expect = 1.0 / (2.0**2 * (z * z - modes.omegas[0] ** 2))
     assert got == pytest.approx(expect, rel=1e-10)
+
+
+def test_mode_coefficient_batch_matches_scalar(cavity):
+    grid, modes = cavity
+    p = sp.gaussian_probe(grid, 0.4, 0.1)
+    z = np.array([[0.4 + 0.5j, 3.0 + 0.05j], [-7.0 + 2.0j, 20.0 + 0.1j]])
+    got = sp.mode_coefficient(modes, p, p, z)
+    assert got.shape == z.shape
+    for zi, g in zip(z.ravel(), got.ravel()):
+        assert g == sp.mode_coefficient(modes, p, p, zi)
+
+
+def test_mode_coefficient_resonance_guard(cavity):
+    grid, modes = cavity
+    p = sp.gaussian_probe(grid, 0.4, 0.1)
+    z = np.array([1j, complex(modes.omegas[3]), 2.0 + 1j])
+    with pytest.raises(DomainError):
+        sp.mode_coefficient(modes, p, p, z)
 
 
 def test_resonance_floor(cavity):
@@ -182,9 +205,90 @@ def test_xi_sweep_matches_per_node_two_freq_solves(reference):
     z = 0.3 + 1.0j
     xi = np.linspace(-2.0, 3.0, 11) + 1j * np.geomspace(0.05, 2.0, 11)
     got = sp._coefficient_sweep(model, grid, probe, probe, z, reference, xi)
-    vacuum = dsp.vacuum_model()
+    # the program's vacuum reference, whose accuracy is checked against
+    # mpmath in test_vacuum_reference_matches_mpmath
+    vacuum = sp.mode_coefficient(sp.cavity_modes(grid, 1.0), probe, probe, z)
     for x, g in zip(xi, got):
         expect = hh.coefficient(hh.assemble(grid, model, "two_freq", z, xi=x), probe, probe)
         if reference == "vacuum":
-            expect -= hh.coefficient(hh.assemble(grid, vacuum, "two_freq", z, xi=x), probe, probe)
+            expect -= vacuum
         assert abs(g - expect) <= 1e-13 * abs(expect)
+
+
+def _mp_coefficient(grid, probe, z, eps):
+    """40-digit <probe, H(z)^-1 probe> of the constant-eps operator
+    z^2 eps + d^2/dx^2 (mu0 = 1), by the Thomas algorithm in mpmath."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(grid.h)
+        off = 1 / h**2
+        diag = mpmath.mpc(z) ** 2 * mpmath.mpf(eps) - 2 / h**2
+        p = [mpmath.mpf(float(v)) for v in probe]
+        x, cp = list(p), [mpmath.mpf(0)] * grid.N
+        piv = diag
+        cp[0], x[0] = off / piv, x[0] / piv
+        for i in range(1, grid.N):
+            piv = diag - off * cp[i - 1]
+            cp[i] = off / piv
+            x[i] = (x[i] - off * x[i - 1]) / piv
+        for i in range(grid.N - 2, -1, -1):
+            x[i] -= cp[i] * x[i + 1]
+        return complex(h * mpmath.fsum(a * b for a, b in zip(p, x)))
+
+
+@pytest.mark.parametrize("z", [0.3 + 1j, 3 + 0.05j, 10 + 0.05j])
+def test_vacuum_reference_matches_mpmath(z):
+    grid = hh.Grid1D(L=1.0, N=64)
+    probe = sp.gaussian_probe(grid, 0.5, 0.1)
+    expect = _mp_coefficient(grid, probe, z, 1.0)
+    got = sp._vacuum_coefficient(dsp.vacuum_model(), grid, probe, probe, z)
+    assert abs(got - expect) <= 1e-14 * abs(expect)
+
+
+@given(
+    eps=st.floats(1.0, 12.0),
+    si=st.booleans(),
+    center=st.floats(0.2, 0.8),
+    width=st.floats(0.03, 0.3),
+    re=st.floats(-20.0, 20.0),
+    im=st.floats(0.05, 5.0),
+)
+def test_property_constant_eps_sweep_matches_solves(eps, si, center, width, re, im):
+    units = dsp.SI if si else dsp.NORMALIZED
+    model = dsp.PermittivityModel(background=eps * units.eps0, units=units)
+    grid = hh.Grid1D(L=1.0, N=32)
+    probe = sp.gaussian_probe(grid, center, width)
+    # z in units of c, so that z^2 eps mu0 weighs the same in both systems
+    z = units.c * np.array([complex(re, im), complex(-re, 2.0 * im), complex(0.5 * re, im)])
+    got = sp._coefficient_sweep(model, grid, probe, probe, z, "none")
+    for zi, g in zip(z, got):
+        expect = hh.coefficient(hh.assemble(grid, model, "dispersive", zi), probe, probe)
+        assert abs(g - expect) <= 1e-10 * abs(expect)
+
+
+def test_constant_eps_sweep_makes_no_batched_solve(monkeypatch):
+    # a dispersive layer that holds no grid point leaves eps constant on the grid
+    density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))
+    model = dsp.PermittivityModel(background=2.0, layers=((0.0, 0.01, density),))
+    grid = hh.Grid1D(L=1.0, N=32)
+    probe = sp.gaussian_probe(grid, 0.5, 0.1)
+    z = np.array([0.5 + 1j, 4.0 + 0.2j])
+    expect = [hh.coefficient(hh.assemble(grid, model, "dispersive", zi), probe, probe)
+              for zi in z]
+
+    def no_solve(*args):
+        raise AssertionError("batched solve on a constant-eps medium")
+
+    monkeypatch.setattr(hh, "solve_batch", no_solve)
+    got = sp._coefficient_sweep(model, grid, probe, probe, z, "none")
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    with pytest.raises(DomainError):
+        sp._coefficient_sweep(model, grid, probe, probe, np.array([1j, 1.0 - 0.1j]), "none")
+
+
+@pytest.mark.parametrize("model", [dsp.vacuum_model(), dsp.PermittivityModel(
+    layers=((0.25, 0.75, dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))),))])
+def test_coefficient_sweep_rejects_bloch_grid(model):
+    grid = hh.Grid1D(L=1.0, N=32, boundary="bloch", bloch_k=1.0)
+    probe = sp.gaussian_probe(grid, 0.5, 0.1)
+    with pytest.raises(ConfigError):
+        sp._coefficient_sweep(model, grid, probe, probe, np.array([1.0 + 1j]), "none")

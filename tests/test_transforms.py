@@ -14,20 +14,11 @@ def test_contour_nodes_trapezoid():
     assert np.sum(w) == pytest.approx(20.0, rel=1e-13)
 
 
-def test_contour_nodes_gauss_panel():
-    c = tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=64, rule="gauss-panel")
-    omega, w = c.nodes_weights()
-    assert np.sum(w) == pytest.approx(20.0, rel=1e-13)
-    assert np.all(np.abs(omega) < 10.0)
-
-
 def test_contour_validation():
     with pytest.raises(ConfigError):
         tr.ContourSpec(eta=0.0, omega_max=1.0, n_points=100)
     with pytest.raises(ConfigError):
         tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=4)
-    with pytest.raises(ConfigError):
-        tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=100, rule="midpoint")
 
 
 def test_laplace_invert_damped_oscillator():
