@@ -9,7 +9,8 @@ Lorentz continuous parts. The permittivity is the superposition
 evaluable at any complex frequency z in the closed upper half-plane.
 This module also provides the passivity margin, the time-domain
 susceptibility (contour inversion), the sum rule weight and the
-non-dispersive (gapped) construction.
+non-dispersive (gapped) construction. scipy is imported inside the two
+quadratures that use it, so evaluating a permittivity never pays its import.
 
 Convention: a stored line (nu_j, w_j) carries weight w_j at +nu_j *and*
 at -nu_j, so its permittivity contribution is -2 w_j / (z^2 - nu_j^2)
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import config
 from .errors import (
@@ -230,6 +230,8 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
     Returns (values, bound), where bound is each z's absolute error bound,
     the scaled estimate times max(|val|, 1) (0 when no quadrature runs).
     """
+    from scipy import integrate
+
     quad = quad or QuadratureSpec()
     z = np.asarray(z, dtype=np.complex128)
     zs = z.reshape(-1)
@@ -278,6 +280,8 @@ def chi_dot_at_zero(density, eps0=1.0):
 
 def sigma_total_weight(density, eps0=1.0, quad=None):
     """Quadrature of int sigma dnu (continuous part) plus exact line weights."""
+    from scipy import integrate
+
     quad = quad or QuadratureSpec()
     total = 2.0 * sum(w for _, w in density.lines)
     err = 0.0

@@ -207,6 +207,7 @@ def x_operator_coefficient(model, grid, phi, psi, t_grid, contour, reference="va
     """
 
     def sampler(z):
+        # z is one block of contour nodes; the sweep is pointwise in z
         return _coefficient_sweep(model, grid, phi, psi, z, reference)
 
     return transforms.laplace_invert(sampler, contour, t_grid)
@@ -227,7 +228,8 @@ def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, conto
         z = np.asarray(z, dtype=np.complex128)
         jhat = 1j / (z - omega_s)
         diag = helmholtz.diagonal_batch(grid, model, kind, z, omega0=omega0)
-        # Fortran-ordered (B, N), like the diagonals: the kernel copies rhs.T
+        # one (B, N) row per node of the block; Fortran-ordered like the
+        # diagonals, so the kernel's copy of rhs.T is contiguous
         rhs = np.empty((grid.N, z.size), dtype=np.complex128).T
         np.multiply((1j * z * mu0 * jhat)[:, None], src[None, :], out=rhs)
         fields = helmholtz.solve_batch(grid, diag, rhs)

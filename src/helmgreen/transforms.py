@@ -2,6 +2,8 @@
 broadened deltas and grid-based Kramers-Kronig kernels.
 
 All quadratures return (value, error_estimate); callers decide pass/fail.
+scipy is imported inside the one function that uses it, so the contour and
+loop paths never pay its import.
 """
 
 import math
@@ -9,11 +11,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DomainError, NonDecayingIntegrandError
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,12 @@ class RectangleLoop:
 def laplace_invert(sampler, contour, t_grid, taper=0.0):
     """(1/2pi) int_{Gamma_eta} exp(-izt) sampler(z) dz on a grid of times.
 
-    sampler must accept a complex ndarray and be analytic on the contour.
+    sampler must accept a complex ndarray, be analytic on the contour and
+    be pointwise in z: it is called on consecutive blocks of at most
+    `_BLOCK` nodes, and a node's value must not depend on the rest of its
+    block. Its working arrays then scale with the block, not with
+    `contour.n_points`.
+
     `taper` > 0 applies a Gaussian window exp(-taper (omega/Omega)^2),
     trading a small time smearing (~ sqrt(taper)/Omega) for exponentially
     suppressed truncation ringing.
@@ -71,9 +78,13 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     omega, w = contour.nodes_weights()
     z = omega + 1j * contour.eta
-    f = np.asarray(sampler(z), dtype=np.complex128)
-    if f.shape != z.shape:
-        raise ValueError("sampler must return one value per contour node")
+    f = np.empty(z.shape, dtype=np.complex128)
+    for lo in range(0, z.size, _BLOCK):
+        block = z[lo:lo + _BLOCK]
+        f_block = np.asarray(sampler(block), dtype=np.complex128)
+        if f_block.shape != block.shape:
+            raise ValueError("sampler must return one value per contour node")
+        f[lo:lo + _BLOCK] = f_block
     peak = float(np.max(np.abs(f)))
     edge = max(abs(f[0]), abs(f[-1]))
     if peak > 0 and edge > 0.5 * peak:
@@ -137,6 +148,8 @@ def kk_kernel_integral(nu_grid, samples, z):
 
     Samples are even-symmetrized before integration (composite Simpson).
     """
+    from scipy import integrate
+
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("KK kernel integral requires Im z > 0")

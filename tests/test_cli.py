@@ -3,6 +3,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helmgreen
 from helmgreen import cli
 
 
@@ -470,3 +474,32 @@ def test_property_one_bad_leaf_never_raises(data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+_SCIPY_PROBE = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import helmgreen.cli as cli
+seen = [loaded()]
+for command, cfg in json.loads(sys.argv[1]):
+    code = cli.main([command, "--config", cfg, "--out", cfg + ".csv"])
+    seen.append([code, loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_is_imported_only_by_quadrature_commands(tmp_path):
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    runs = [(command, _write(tmp_path, f"{command}.json", SMALL[command]))
+            for command in ("analyticity", "kk_eps")]
+    env = dict(os.environ)
+    src = str(Path(helmgreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    after_import, (ana_code, after_ana), (kk_code, after_kk) = json.loads(out)
+    assert after_import == []
+    assert ana_code in (0, 1) and after_ana == []
+    # the KK quadrature of kk_eps loads it, which shows the probe can see it
+    assert kk_code in (0, 1) and "scipy.integrate" in after_kk

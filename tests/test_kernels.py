@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helmgreen
 from helmgreen import _kernels
@@ -46,6 +48,22 @@ def test_tridiag_solve_batch_matches_loop():
     for i in range(batch):
         xi = _kernels.tridiag_solve(dl, d[i], du, b[i])
         assert np.max(np.abs(x[i] - xi)) < 1e-12
+
+
+@given(n=st.integers(2, 32), batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_property_batch_matches_dense_solve(n, batch, seed):
+    # strictly diagonally dominant rows: |d| exceeds |dl| + |du| by at least 1
+    rng = np.random.default_rng(seed)
+    dl, du, _, b = _random_system(rng, n, batch=batch)
+    off = np.zeros(n)
+    off[1:] += np.abs(dl)
+    off[:-1] += np.abs(du)
+    phase = np.exp(2j * np.pi * rng.random((batch, n)))
+    d = (off + 1.0 + rng.random((batch, n))) * phase
+    x = _kernels.tridiag_solve_batch(dl, du, d, b)
+    for i in range(batch):
+        oracle = np.linalg.solve(_dense(dl, du, d[i]), b[i])
+        assert np.linalg.norm(x[i] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_cyclic_solve_matches_dense_oracle():

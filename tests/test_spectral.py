@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -292,3 +294,22 @@ def test_coefficient_sweep_rejects_bloch_grid(model):
     probe = sp.gaussian_probe(grid, 0.5, 0.1)
     with pytest.raises(ConfigError):
         sp._coefficient_sweep(model, grid, probe, probe, np.array([1.0 + 1j]), "none")
+
+
+def test_time_domain_field_memory_does_not_scale_with_contour():
+    # the shipped causality size: N=64 over 200k contour nodes. The sampler
+    # sees one block of nodes at a time, so the peak is a few (block, N)
+    # arrays plus the 3.2 MB of contour values, not four (200k, N) arrays
+    # (about 800 MiB)
+    model = dsp.load_medium(str(Path(__file__).resolve().parents[1] / "media"
+                                / "lorentz_slab.json"))
+    grid = hh.Grid1D(L=1.0, N=64)
+    src = sp.gaussian_probe(grid, 0.3, 0.05)
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000)
+    tracemalloc.start()
+    try:
+        sp.time_domain_field(model, grid, src, 1.0, 47, [0.5, 1.0], contour, taper=16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20

@@ -71,6 +71,74 @@ def test_laplace_invert_rejects_nondecaying():
         tr.laplace_invert(lambda z: np.ones_like(z), c, [1.0])
 
 
+def _one_shot_laplace_invert(sampler, contour, t_grid, taper=0.0):
+    """laplace_invert as it was before the block loop, less its window
+    check: one sampler call on every node, then the same taper, chunked
+    accumulation and estimate. Kept as the exactness oracle."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    omega, w = contour.nodes_weights()
+    f = np.asarray(sampler(omega + 1j * contour.eta), dtype=np.complex128)
+    edge = max(abs(f[0]), abs(f[-1]))
+    if taper > 0:
+        f = f * np.exp(-taper * (omega / contour.omega_max) ** 2)
+    acc = np.zeros(t.shape, dtype=np.complex128)
+    for lo in range(0, omega.size, tr._CHUNK):
+        hi = lo + tr._CHUNK
+        phase = np.exp(-1j * np.outer(t, omega[lo:hi]))
+        acc += phase @ (w[lo:hi] * f[lo:hi])
+    values = np.exp(contour.eta * t) * acc / (2.0 * math.pi)
+    tail = edge * contour.omega_max / (2.0 * math.pi)
+    if taper > 0:
+        tail *= math.exp(-taper)
+    return values, tail * float(np.exp(contour.eta * np.max(t)))
+
+
+def _oscillator(z):
+    return 1.0 / (4.0 - z * z - 0.2j * z)
+
+
+# two full blocks and a short last one
+_BLOCKED = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2 * tr._BLOCK + 17)
+
+
+@pytest.mark.parametrize("taper", [0.0, 16.0])
+def test_laplace_invert_blocks_match_one_shot(taper):
+    sizes = []
+
+    def sampler(z):
+        sizes.append(z.size)
+        return _oscillator(z)
+
+    t = np.array([-1.0, 0.5, 2.0])
+    vals, est = tr.laplace_invert(sampler, _BLOCKED, t, taper=taper)
+    assert max(sizes) <= tr._BLOCK
+    assert sum(sizes) == _BLOCKED.n_points
+    expect, expect_est = _one_shot_laplace_invert(_oscillator, _BLOCKED, t, taper=taper)
+    assert np.array_equal(vals, expect)
+    assert est == expect_est
+
+
+def test_laplace_invert_rejects_wrong_shape_on_last_block():
+    def sampler(z):
+        f = _oscillator(z)
+        return f if z.size == tr._BLOCK else f[:-1]
+
+    with pytest.raises(ValueError):
+        tr.laplace_invert(sampler, _BLOCKED, [1.0])
+
+
+def test_laplace_invert_rejects_nondecaying_across_blocks():
+    with pytest.raises(NonDecayingIntegrandError):
+        tr.laplace_invert(lambda z: np.ones_like(z), _BLOCKED, [1.0])
+
+    # decays everywhere but on the last block, which holds the window edge
+    def sampler(z):
+        return _oscillator(z) + 10.0 * (z.real > 399.0)
+
+    with pytest.raises(NonDecayingIntegrandError):
+        tr.laplace_invert(sampler, _BLOCKED, [1.0])
+
+
 def test_cauchy_loop_polynomial_defect_zero():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
     defect = tr.cauchy_loop(lambda z: z**3 - 2.0 * z + 1.0, loop)
