@@ -1,9 +1,11 @@
-"""Tridiagonal solvers: the Thomas algorithm in numpy.
+"""Tridiagonal solvers in numpy: the Thomas algorithm, and a forward-only
+LDL^T sweep for bilinear forms of complex-symmetric systems.
 
 The batched solve keeps the public (B, N) shapes but runs its recurrence on
 the (N, B) transposes, so each of its N steps reads and writes contiguous
-rows of B values. Callers on the contour path build their diagonals
-Fortran-ordered, which makes ``diags.T`` that (N, B) array without a copy.
+rows of B values; ``diags`` built Fortran-ordered make ``diags.T`` that
+(N, B) array without a copy. The bilinear sweep, which the contour and
+sweep paths use, keeps only (B,) vectors between its steps.
 """
 
 import numpy as np
@@ -89,6 +91,69 @@ def _check_batch_pivots(piv, mag):
     np.abs(piv, out=mag)
     if np.any(mag < _PIVOT_FLOOR):
         raise SingularMatrixError("zero pivot in batched tridiagonal factorization")
+
+
+def tridiag_bilinear_batch(off, rows, index, phi, psi):
+    """phi^T A_b^-1 psi for B complex-symmetric tridiagonal systems A_b.
+
+    off   : the constant off-diagonal shared by every system
+    rows  : (K+1, B) distinct diagonal rows; row i of the diagonal of the
+            B systems is ``rows[index[i]]``
+    index : length-N table row of each diagonal row
+    phi, psi : length-N vectors shared by every system
+
+    One forward sweep of A = L D L^T (Golub & Van Loan, Matrix Computations,
+    sec. 4.3), keeping only (B,) vectors: p_0 = d_0, l_i = off / p_{i-1},
+    p_i = d_i - off l_i, as in the Thomas elimination. With y = D^-1 L^-1 psi
+    (its forward sweep, y_i = (psi_i - off y_{i-1}) / p_i) and u = L^-1 phi
+    (u_i = phi_i - l_i u_{i-1}), the form is sum_i u_i y_i. Each step takes
+    one reciprocal 1 / p_i and multiplies by it. When phi equals psi,
+    u_i = p_i y_i and the y recurrence serves both; rows before the first
+    nonzero entry of phi add nothing and only advance p and y.
+
+    Returns a length-B complex array. Raises SingularMatrixError when the
+    running minimum of |p_i| falls below the pivot floor; no floating-point
+    warning escapes.
+    """
+    phi = np.asarray(phi, dtype=np.complex128)
+    psi = np.asarray(psi, dtype=np.complex128)
+    same = np.array_equal(phi, psi)
+    nonzero = np.flatnonzero(phi)
+    first = nonzero[0] if nonzero.size else len(index)
+    nb = rows.shape[1]
+    piv = np.array(rows[index[0]], dtype=np.complex128)
+    inv = np.empty(nb, dtype=np.complex128)
+    mult = np.zeros(nb, dtype=np.complex128)
+    tmp = np.empty(nb, dtype=np.complex128)
+    mag = np.abs(piv)
+    smallest = mag.copy()
+    y = np.full(nb, psi[0])
+    u = np.zeros(nb, dtype=np.complex128)
+    acc = np.zeros(nb, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(len(index)):
+            if i:
+                np.multiply(off, inv, out=mult)  # l_i
+                np.multiply(off, mult, out=tmp)
+                np.subtract(rows[index[i]], tmp, out=piv)
+                np.abs(piv, out=mag)
+                np.fmin(smallest, mag, out=smallest)
+                np.multiply(off, y, out=tmp)
+                np.subtract(psi[i], tmp, out=y)
+            np.divide(1.0, piv, out=inv)
+            np.multiply(y, inv, out=y)
+            if i < first:
+                continue
+            if same:
+                np.multiply(piv, y, out=u)
+            else:  # l_0 = 0
+                np.multiply(mult, u, out=tmp)
+                np.subtract(phi[i], tmp, out=u)
+            np.multiply(u, y, out=tmp)
+            np.add(acc, tmp, out=acc)
+    if np.fmin.reduce(smallest) < _PIVOT_FLOOR:
+        raise SingularMatrixError("zero pivot in batched tridiagonal factorization")
+    return acc
 
 
 def cyclic_tridiag_solve(dl, d, du, corner_lo, corner_hi, b):

@@ -120,7 +120,8 @@ class GreenSamples:
 def permittivity_profile(model, x_points, z):
     """eps(x_i, z) over the grid points, grouped by layer density."""
     z = np.asarray(z, dtype=np.complex128).reshape(1)
-    return _permittivity_columns(model, x_points, z)[:, 0]
+    table, index = _permittivity_table(model, x_points, z)
+    return table[index, 0]
 
 
 def _layer_index(model, x_points):
@@ -140,27 +141,28 @@ def _layer_index(model, x_points):
     return densities, index
 
 
-def _permittivity_columns(model, x_points, z):
-    """eps(x_i, z_b) as a C-ordered (N, B) array: one density evaluation per
-    layer that holds points, gathered by the per-point layer index."""
+def _permittivity_table(model, x_points, z):
+    """eps at the 1-D array z for each `_layer_index` table row, as a
+    (K+1, B) array (row 0 the background), and each point's table row: one
+    density evaluation per layer that holds points."""
     densities, index = _layer_index(model, x_points)
     table = np.zeros((len(densities) + 1, z.size), dtype=np.complex128)
     for k, density in enumerate(densities, 1):
         table[k] = density_eval_array(density, z, model.units.eps0)
-    eps = table[index]
-    eps += complex(model.background)
-    return eps
+    table += complex(model.background)
+    return table, index
 
 
-def _nondispersive_profile(model, x_points, omega0):
-    """Real eps_d(x_i) of the gapped non-dispersive construction."""
+def _nondispersive_table(model, x_points, omega0):
+    """Real eps_d of the gapped non-dispersive construction for each
+    `_layer_index` table row, and each point's table row."""
     eps0 = model.units.eps0
     densities, index = _layer_index(model, x_points)
     values = np.array([
         model.background + build_nondispersive(density, omega0, eps0) - eps0
         for density in (VACUUM_DENSITY, *densities)
     ])
-    return values[index]
+    return values, index
 
 
 def sine_modes(grid):
@@ -312,14 +314,16 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
     return out
 
 
-def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
-    """Operator diagonals of any kind, one per z in the 1-D `z_array`; for
-    two_freq, `xi` is broadcast against it. Raises for z (and xi) outside
-    the kind's domain.
+def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
+    """Operator diagonals of any kind, one per z in the 1-D `z_array`, as
+    the distinct rows of the `_layer_index` table; for two_freq, `xi` is
+    broadcast against `z_array`. Raises for z (and xi) outside the kind's
+    domain.
 
-    Shape (B, N), Fortran-ordered: the transpose is the C-ordered (N, B)
-    array the batched kernel runs on. Built in place, with the operands in
-    the order of the formulas in the module docstring.
+    Returns (rows, index): rows of shape (K+1, B) and the length-N table
+    row of each grid point, so the diagonal at point i is rows[index[i]].
+    Built in place, with the operands in the order of the formulas in the
+    module docstring.
     """
     z = np.asarray(z_array, dtype=np.complex128)
     if kind == "two_freq":
@@ -329,24 +333,25 @@ def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
     check_kind_domain(kind, z, xi, model, grid)
     eps0, mu0 = model.units.eps0, model.units.mu0
     if kind in ("dispersive", "bloch"):
-        diag = _permittivity_columns(model, grid.points, z).T
-        np.multiply((z * z * mu0)[:, None], diag, out=diag)
+        rows, index = _permittivity_table(model, grid.points, z)
+        np.multiply(z * z * mu0, rows, out=rows)
     elif kind == "two_freq":
-        diag = _permittivity_columns(model, grid.points, xi).T
-        np.subtract(diag, eps0, out=diag)
-        np.multiply((z * mu0 * xi)[:, None], diag, out=diag)
-        np.add((z * z * eps0 * mu0)[:, None], diag, out=diag)
+        rows, index = _permittivity_table(model, grid.points, xi)
+        np.subtract(rows, eps0, out=rows)
+        np.multiply(z * mu0 * xi, rows, out=rows)
+        np.add(z * z * eps0 * mu0, rows, out=rows)
     else:  # nondispersive
         if omega0 is None:
             raise ConfigError("nondispersive kind requires omega0")
-        eps_d = _nondispersive_profile(model, grid.points, omega0)
-        diag = np.empty((grid.N, z.size), dtype=np.complex128).T
-        np.multiply((z * z * mu0)[:, None], eps_d[None, :], out=diag)
-    np.subtract(diag, 2.0 / grid.h**2, out=diag)
-    return diag
+        eps_d, index = _nondispersive_table(model, grid.points, omega0)
+        rows = np.multiply(z * z * mu0, eps_d[:, None])
+    np.subtract(rows, 2.0 / grid.h**2, out=rows)
+    return rows, index
 
 
-def solve_batch(grid, diag_batch, rhs_batch):
-    """Batched Dirichlet solves sharing the 1/h^2 off-diagonals."""
-    offdiag = np.full(grid.N - 1, 1.0 / grid.h**2, dtype=np.complex128)
-    return _kernels.tridiag_solve_batch(offdiag, offdiag, diag_batch, rhs_batch)
+def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):
+    """The diagonals of `diagonal_rows` gathered per grid point: shape
+    (B, N), Fortran-ordered, so the transpose is the C-ordered (N, B) array
+    the batched Thomas kernel runs on."""
+    rows, index = diagonal_rows(grid, model, kind, z_array, xi, omega0)
+    return rows[index].T

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import helmholtz, transforms
+from . import _kernels, helmholtz, transforms
 from .errors import ConfigError, DomainError
 
 RESONANCE_FLOOR = 1e-10
@@ -131,8 +131,10 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     """<phi, R(z) psi> over an array of z (Dirichlet batch path); with `xi`,
     the two-frequency R(z, xi), z and xi broadcast against each other.
 
-    A medium of constant eps on the grid takes the closed-form mode sum
-    instead of the batched solve (single-frequency sweeps only).
+    Every Dirichlet operator is complex-symmetric, so the coefficient is
+    the bilinear form h conj(phi)^T H^-1 psi of one forward LDL^T sweep per
+    node. A medium of constant eps on the grid takes the closed-form mode
+    sum instead (single-frequency sweeps only).
     """
     if reference not in ("vacuum", "none"):
         raise ConfigError(f"unknown reference {reference!r}")
@@ -146,12 +148,9 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
         modes = cavity_modes(grid, eps_const, model.units.mu0)
         coeff = mode_coefficient(modes, phi, psi, z)
     else:
-        rhs = np.broadcast_to(
-            np.asarray(psi, dtype=np.complex128)[None, :], (z.size, grid.N)
-        )
-        diag = helmholtz.diagonal_batch(grid, model, kind, z, xi)
-        fields = helmholtz.solve_batch(grid, diag, rhs)
-        coeff = grid.h * (fields @ np.conj(np.asarray(phi, dtype=np.complex128)))
+        rows, index = helmholtz.diagonal_rows(grid, model, kind, z, xi)
+        coeff = grid.h * _kernels.tridiag_bilinear_batch(
+            1.0 / grid.h**2, rows, index, np.conj(phi), psi)
     if reference == "vacuum":
         coeff -= _vacuum_coefficient(model, grid, phi, psi, z)
     return coeff
@@ -218,21 +217,20 @@ def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, conto
     """E(x_i, t) radiated by a source switched on at t = 0.
 
     Time profile exp(-i omega_s t) step(t) with transform i / (z - omega_s);
-    E = inverse transform of H(z)^-1 (i z mu0) J_hat(z) s(x).
+    E = inverse transform of H(z)^-1 (i z mu0) J_hat(z) s(x), whose entry
+    at x_i is the bilinear form e_i^T H^-1 s of the complex-symmetric H.
     Returns (complex field values, truncation_estimate).
     """
     src = np.asarray(source_space, dtype=np.complex128)
     mu0 = model.units.mu0
+    unit = np.zeros(grid.N)
+    unit[x_index] = 1.0
 
     def sampler(z):
         z = np.asarray(z, dtype=np.complex128)
         jhat = 1j / (z - omega_s)
-        diag = helmholtz.diagonal_batch(grid, model, kind, z, omega0=omega0)
-        # one (B, N) row per node of the block; Fortran-ordered like the
-        # diagonals, so the kernel's copy of rhs.T is contiguous
-        rhs = np.empty((grid.N, z.size), dtype=np.complex128).T
-        np.multiply((1j * z * mu0 * jhat)[:, None], src[None, :], out=rhs)
-        fields = helmholtz.solve_batch(grid, diag, rhs)
-        return fields[:, x_index]
+        rows, index = helmholtz.diagonal_rows(grid, model, kind, z, omega0=omega0)
+        entry = _kernels.tridiag_bilinear_batch(1.0 / grid.h**2, rows, index, unit, src)
+        return 1j * z * mu0 * jhat * entry
 
     return transforms.laplace_invert(sampler, contour, t_grid, taper=taper)

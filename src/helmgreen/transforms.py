@@ -2,8 +2,7 @@
 broadened deltas and grid-based Kramers-Kronig kernels.
 
 All quadratures return (value, error_estimate); callers decide pass/fail.
-scipy is imported inside the one function that uses it, so the contour and
-loop paths never pay its import.
+The module imports no scipy: its composite Simpson rule is written out.
 """
 
 import math
@@ -148,8 +147,6 @@ def kk_kernel_integral(nu_grid, samples, z):
 
     Samples are even-symmetrized before integration (composite Simpson).
     """
-    from scipy import integrate
-
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("KK kernel integral requires Im z > 0")
@@ -168,4 +165,45 @@ def kk_kernel_integral(nu_grid, samples, z):
         )
     s_even = 0.5 * (s + s[::-1])
     integrand = -s_even / (z * z - nu * nu)
-    return complex(integrate.simpson(integrand, x=nu))
+    return complex(_simpson(integrand, nu))
+
+
+def _simpson(y, x):
+    """Composite Simpson rule of the samples y on the 1-D grid x.
+
+    The operations are those of `scipy.integrate.simpson(y, x=x)` (scipy
+    1.17), in the same order, so the sums agree bit for bit: Simpson panels
+    with per-panel spacings over the first N - 1 points (N odd) or N - 2
+    points (N even, followed by Cartwright's correction for the last
+    interval), and the trapezoid rule for N = 2.
+    """
+    n = len(y)
+    # scipy adds its two zero-initialized accumulators, which clears the
+    # sign of a zero part; the "0.0 +" below do the same
+    if n == 2:
+        return 0.0 + (0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x).astype(float, copy=False)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    ratio = _divide(h0, h1)
+    panels = hsum / 6.0 * (y[0:stop:2] * (2.0 - _divide(1.0, ratio))
+                           + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+                           + y[2:stop + 2:2] * (2.0 - ratio))
+    result = np.sum(panels)
+    if n % 2:
+        return result
+    # the last two spacings as 0-d arrays, as scipy takes them, so that the
+    # powers below run the same numpy loops
+    h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+    alpha = _divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _divide(1 * h1**3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0
+
+
+def _divide(a, b):
+    """a / b, and 0 where b is 0."""
+    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)

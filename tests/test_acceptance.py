@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmgreen import cli
+from helmgreen import _kernels, cli
 from helmgreen import dispersion as dsp
 from helmgreen import freespace as fs
 from helmgreen import helmholtz as hh
@@ -109,9 +109,9 @@ def test_acceptance_05_analyticity_loops():
     probe = sp.gaussian_probe(grid, 0.5, 0.1).astype(np.complex128)
 
     def z_sampler(z_nodes):
-        diag = hh.diagonal_batch(grid, model, "dispersive", z_nodes)
-        rhs = np.broadcast_to(probe[None, :], diag.shape)
-        return grid.h * (hh.solve_batch(grid, diag, rhs) @ probe.conj())
+        rows, index = hh.diagonal_rows(grid, model, "dispersive", z_nodes)
+        return grid.h * _kernels.tridiag_bilinear_batch(
+            1.0 / grid.h**2, rows, index, probe.conj(), probe)
 
     def xi_sampler(xi_nodes):
         out = np.empty(len(xi_nodes), dtype=complex)

@@ -492,14 +492,17 @@ print(json.dumps(seen))
 def test_scipy_is_imported_only_by_quadrature_commands(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests
     runs = [(command, _write(tmp_path, f"{command}.json", SMALL[command]))
-            for command in ("analyticity", "kk_eps")]
+            for command in ("analyticity", "modes", "kk_eps")]
     env = dict(os.environ)
     src = str(Path(helmgreen.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    after_import, (ana_code, after_ana), (kk_code, after_kk) = json.loads(out)
+    after_import, (ana_code, after_ana), (modes_code, after_modes), (kk_code, after_kk) = \
+        json.loads(out)
     assert after_import == []
     assert ana_code in (0, 1) and after_ana == []
+    # the KK reconstruction of the Green's coefficient runs its own Simpson rule
+    assert modes_code in (0, 1) and after_modes == []
     # the KK quadrature of kk_eps loads it, which shows the probe can see it
     assert kk_code in (0, 1) and "scipy.integrate" in after_kk

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helmgreen import _kernels
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
 from helmgreen.errors import (
@@ -295,10 +296,28 @@ def test_solve_batch_matches_individual():
     diag = hh.diagonal_batch(g, m, "dispersive", zs)
     rng = np.random.default_rng(10)
     rhs = rng.standard_normal((3, 24)) + 0j
-    x = hh.solve_batch(g, diag, rhs)
+    off = np.full(g.N - 1, 1.0 / g.h**2, dtype=complex)
+    x = _kernels.tridiag_solve_batch(off, off, diag, rhs)
     for i, z in enumerate(zs):
         op = hh.assemble(g, m, "dispersive", complex(z))
         assert np.max(np.abs(x[i] - op.solve(rhs[i]))) < 1e-12
+
+
+@pytest.mark.parametrize("kind, model, distinct", [
+    ("dispersive", dsp.vacuum_model(), 1),
+    ("dispersive", slab_model(), 2),
+    ("dispersive", vacuum_gap_double_model(), 3),
+    ("two_freq", vacuum_gap_double_model(), 3),
+    ("nondispersive", line_slab_model(), 2),
+], ids=["dispersive-vacuum", "dispersive-slab", "dispersive-double", "two_freq-double",
+        "nondispersive-lines"])
+def test_diagonal_rows_one_row_per_layer_table_row(kind, model, distinct):
+    g = hh.Grid1D(L=1.0, N=32)
+    z = np.array([1j, 0.5 + 0.5j, 2.0 + 1.0j, -1.0 + 0.2j])
+    args = {"xi": 0.3 + 0.7j, "omega0": 1.0}
+    rows, index = hh.diagonal_rows(g, model, kind, z, **args)
+    assert rows.shape == (distinct, z.size)
+    assert index.shape == (g.N,) and set(index) == set(range(distinct))
 
 
 def _per_point_permittivity(grid, model, z):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -148,3 +150,61 @@ def test_batch_zero_pivot_inside_batch_raises():
 def test_backend_selected():
     # numpy is the only backend; benchmark provenance reads helmgreen.BACKEND
     assert helmgreen.BACKEND == _kernels.BACKEND == "pure"
+
+
+def _symmetric_system(rng, n, batch, distinct):
+    """A constant complex off-diagonal and `distinct` diagonal rows of
+    length `batch`, each entry exceeding 2 |off| by at least 1 in modulus
+    (strictly diagonally dominant), with a random table row per point."""
+    off = complex(rng.standard_normal(), rng.standard_normal())
+    phase = np.exp(2j * np.pi * rng.random((distinct, batch)))
+    rows = (2.0 * abs(off) + 1.0 + rng.random((distinct, batch))) * phase
+    index = rng.integers(0, distinct, n)
+    return off, rows, index
+
+
+def _dense_symmetric(off, diag):
+    n = diag.size
+    return np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+
+
+@given(n=st.integers(1, 32), batch=st.integers(1, 40), distinct=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_bilinear_matches_dense_solve(n, batch, distinct, seed):
+    rng = np.random.default_rng(seed)
+    off, rows, index = _symmetric_system(rng, n, batch, distinct)
+    phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    unit = np.zeros(n)
+    unit[rng.integers(0, n)] = 1.0
+    cases = [(phi, psi), (psi, psi), (unit, psi), (phi, unit)]
+    got = [_kernels.tridiag_bilinear_batch(off, rows, index, a, b) for a, b in cases]
+    for k in range(batch):
+        a_mat = _dense_symmetric(off, rows[index, k])
+        for (a, b), values in zip(cases, got):
+            x = np.linalg.solve(a_mat, b)
+            bound = 1e-12 * np.linalg.norm(a) * np.linalg.norm(x)
+            assert abs(values[k] - a @ x) <= bound
+
+
+def test_bilinear_zero_pivot_inside_batch_raises():
+    rng = np.random.default_rng(29)
+    n, batch = 12, 50
+    # unit off-diagonal; every row exceeds 2 in modulus, so the systems are
+    # diagonally dominant, except system 31: pivots 2, then 0.5 - 1 / 2 = 0
+    rows = (3.0 + rng.random((3, batch))) * np.exp(2j * np.pi * rng.random((3, batch)))
+    index = np.array([0, 1] + [2] * (n - 2))
+    phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rows[0, 31], rows[1, 31] = 2.0, 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            _kernels.tridiag_bilinear_batch(1.0, rows, index, phi, phi)
+        with pytest.raises(SingularMatrixError):
+            _kernels.tridiag_bilinear_batch(1.0, rows, index, phi, phi[::-1])
+        rows[0, 31] = 0.0  # a zero first pivot
+        with pytest.raises(SingularMatrixError):
+            _kernels.tridiag_bilinear_batch(1.0, rows, index, phi, phi)
+        rows[0, 31], rows[1, 31] = 2.0, 1.5
+        assert np.all(np.isfinite(_kernels.tridiag_bilinear_batch(1.0, rows, index, phi, phi)))
+

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helmgreen import _kernels
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
 from helmgreen import spectral as sp
@@ -280,9 +281,14 @@ def test_constant_eps_sweep_makes_no_batched_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("batched solve on a constant-eps medium")
 
-    monkeypatch.setattr(hh, "solve_batch", no_solve)
+    monkeypatch.setattr(_kernels, "tridiag_bilinear_batch", no_solve)
+    monkeypatch.setattr(_kernels, "tridiag_solve_batch", no_solve)
     got = sp._coefficient_sweep(model, grid, probe, probe, z, "none")
     np.testing.assert_allclose(got, expect, rtol=1e-12)
+    # the patched kernel is the one a dispersive medium sweeps with
+    slab = dsp.PermittivityModel(layers=((0.25, 0.75, density),))
+    with pytest.raises(AssertionError, match="batched solve"):
+        sp._coefficient_sweep(slab, grid, probe, probe, z, "none")
     with pytest.raises(DomainError):
         sp._coefficient_sweep(model, grid, probe, probe, np.array([1j, 1.0 - 0.1j]), "none")
 
@@ -298,9 +304,10 @@ def test_coefficient_sweep_rejects_bloch_grid(model):
 
 def test_time_domain_field_memory_does_not_scale_with_contour():
     # the shipped causality size: N=64 over 200k contour nodes. The sampler
-    # sees one block of nodes at a time, so the peak is a few (block, N)
-    # arrays plus the 3.2 MB of contour values, not four (200k, N) arrays
-    # (about 800 MiB)
+    # sees one block of nodes at a time and builds no (block, N) array, so
+    # the peak is the contour arrays of laplace_invert plus a few (block,)
+    # vectors (15 MiB measured), not four (200k, N) arrays (about 800 MiB)
+    # or the (block, N) arrays of a full batched solve (90 MiB)
     model = dsp.load_medium(str(Path(__file__).resolve().parents[1] / "media"
                                 / "lorentz_slab.json"))
     grid = hh.Grid1D(L=1.0, N=64)
@@ -312,4 +319,79 @@ def test_time_domain_field_memory_does_not_scale_with_contour():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 150 * 2**20
+    assert peak < 40 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the bilinear sweeps against the batched Thomas solve
+
+
+MEDIA = Path(__file__).resolve().parents[1] / "media"
+
+
+def _thomas_fields(grid, diag, rhs):
+    off = np.full(grid.N - 1, 1.0 / grid.h**2, dtype=complex)
+    return _kernels.tridiag_solve_batch(off, off, diag, rhs)
+
+
+def _probe_pairs(grid):
+    gauss = sp.gaussian_probe(grid, 0.5, 0.1)
+    chirp = sp.gaussian_probe(grid, 0.4, 0.05) * np.exp(3j * grid.points)
+    return {"same": (gauss, gauss), "complex": (chirp, gauss)}
+
+
+@pytest.mark.parametrize("pair", ["same", "complex"])
+@pytest.mark.parametrize("eta", [0.1, 12.0])
+def test_dispersive_sweep_matches_thomas_oracle(eta, pair):
+    model = dsp.load_medium(str(MEDIA / "lorentz_double.json"))
+    grid = hh.Grid1D(L=1.0, N=64)
+    phi, psi = _probe_pairs(grid)[pair]
+    z = np.linspace(-400.0, 400.0, 2001) + 1j * eta
+    got = sp._coefficient_sweep(model, grid, phi, psi, z, "none")
+    diag = hh.diagonal_batch(grid, model, "dispersive", z)
+    fields = _thomas_fields(grid, diag, np.broadcast_to(psi, diag.shape))
+    expect = grid.h * (fields @ np.conj(phi))
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+
+
+@pytest.mark.parametrize("pair", ["same", "complex"])
+def test_two_freq_sweep_matches_thomas_oracle(pair):
+    model = dsp.load_medium(str(MEDIA / "lorentz_double.json"))
+    grid = hh.Grid1D(L=1.0, N=64)
+    phi, psi = _probe_pairs(grid)[pair]
+    z = 0.3 + 1.0j
+    xi = np.linspace(-20.0, 20.0, 2001) + 0.05j
+    got = sp._coefficient_sweep(model, grid, phi, psi, z, "none", xi)
+    diag = hh.diagonal_batch(grid, model, "two_freq", z, xi)
+    fields = _thomas_fields(grid, diag, np.broadcast_to(psi, diag.shape))
+    expect = grid.h * (fields @ np.conj(phi))
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
+
+
+@pytest.mark.parametrize("kind, medium", [("dispersive", "lorentz_slab.json"),
+                                          ("nondispersive", "gapped_lines.json")])
+def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
+    model = dsp.load_medium(str(MEDIA / medium))
+    grid = hh.Grid1D(L=1.0, N=64)
+    src = sp.gaussian_probe(grid, 0.3, 0.05)
+    omega_s, x_index, omega0 = 1.0, 47, 1.0
+    samplers = []
+
+    def keep_sampler(sampler, contour, t_grid, taper=0.0):
+        samplers.append(sampler)
+        return np.zeros(len(t_grid), dtype=complex), 0.0
+
+    monkeypatch.setattr(tr, "laplace_invert", keep_sampler)
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2001)
+    sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour,
+                         kind=kind, omega0=omega0)
+    for eta in (0.1, 12.0):
+        z = np.linspace(-400.0, 400.0, 2001) + 1j * eta
+        got = samplers[0](z)
+        diag = hh.diagonal_batch(grid, model, kind, z, omega0=omega0)
+        rhs = (1j * z * model.units.mu0 * (1j / (z - omega_s)))[:, None] * src[None, :]
+        fields = _thomas_fields(grid, diag, rhs)
+        # the entry is exponentially small against the field near |Re z| = 140,
+        # where both solvers carry an error of order eps |field|
+        bound = 1e-12 * np.linalg.norm(fields, axis=1)
+        assert np.all(np.abs(got - fields[:, x_index]) <= bound)

@@ -209,3 +209,17 @@ def test_kk_kernel_integral_warns_when_underresolved():
     nu = np.linspace(-5, 5, 21)
     with pytest.warns(UserWarning):
         tr.kk_kernel_integral(nu, np.ones_like(nu), 0.1j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 64000, 64001])
+@pytest.mark.parametrize("grid", ["symmetric", "irregular"])
+def test_simpson_bit_identical_to_scipy(n, grid):
+    from scipy import integrate
+
+    rng = np.random.default_rng(n)
+    if grid == "symmetric":
+        x = np.linspace(-40.0, 40.0, n)
+    else:
+        x = np.sort(rng.uniform(-2.0, 2.0, n))
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(tr._simpson(y, x), integrate.simpson(y, x=x))
