@@ -1,11 +1,12 @@
 """Tridiagonal solvers in numpy: the Thomas algorithm, and a forward-only
 LDL^T sweep for bilinear forms of complex-symmetric systems.
 
-The batched solve keeps the public (B, N) shapes but runs its recurrence on
-the (N, B) transposes, so each of its N steps reads and writes contiguous
-rows of B values; ``diags`` built Fortran-ordered make ``diags.T`` that
-(N, B) array without a copy. The bilinear sweep, which the contour and
-sweep paths use, keeps only (B,) vectors between its steps.
+One Thomas recurrence serves one system and B systems: the batched solve
+keeps the public (B, N) shapes but runs it on the (N, B) transposes, so
+each of its N steps reads and writes contiguous rows of B values;
+``diags`` built Fortran-ordered make ``diags.T`` that (N, B) array without
+a copy. The bilinear sweep, which the contour and sweep paths use, keeps
+only (B,) vectors between its steps.
 """
 
 import numpy as np
@@ -19,78 +20,51 @@ _PIVOT_FLOOR = 1e-300
 
 
 def tridiag_solve(dl, d, du, b):
-    """Solve a (complex) tridiagonal system by the Thomas algorithm.
+    """Solve (complex) tridiagonal systems by the Thomas algorithm.
 
     dl, du : sub/super-diagonals, length N-1
-    d      : diagonal, length N
-    b      : right-hand side, shape (N,) or (N, nrhs)
+    d      : diagonal, shape (N,); or (N, B) for B systems, one per column
+    b      : right-hand side, shape (N,) or (N, nrhs); (N, B) with an (N, B) d
+
+    A pivot below the floor raises SingularMatrixError after the forward
+    sweep, which runs under ``np.errstate``: no floating-point warning escapes.
     """
-    d = np.asarray(d, dtype=np.complex128)
+    d = np.ascontiguousarray(d, dtype=np.complex128)
     dl = np.asarray(dl, dtype=np.complex128)
     du = np.asarray(du, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    x = np.array(b, dtype=np.complex128, order="C")
     n = d.shape[0]
-    cp = np.empty(n - 1, dtype=np.complex128)
-    x = b.copy()
-    piv = d[0]
-    if abs(piv) < _PIVOT_FLOOR:
+    cp = np.empty((n - 1,) + d.shape[1:], dtype=np.complex128)
+    piv = np.empty(d.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = piv[0] = d[0]
+        cp[0] = du[0] / p
+        x[0] = x[0] / p
+        for i in range(1, n):
+            p = piv[i] = d[i] - dl[i - 1] * cp[i - 1]
+            if i < n - 1:
+                cp[i] = du[i] / p
+            x[i] = (x[i] - dl[i - 1] * x[i - 1]) / p
+    # fmin skips the NaNs that follow a zero pivot
+    if np.fmin.reduce(np.abs(piv), axis=None) < _PIVOT_FLOOR:
         raise SingularMatrixError("zero pivot in tridiagonal factorization")
-    cp[0] = du[0] / piv
-    x[0] = x[0] / piv
-    for i in range(1, n):
-        piv = d[i] - dl[i - 1] * cp[i - 1]
-        if abs(piv) < _PIVOT_FLOOR:
-            raise SingularMatrixError("zero pivot in tridiagonal factorization")
-        if i < n - 1:
-            cp[i] = du[i] / piv
-        x[i] = (x[i] - dl[i - 1] * x[i - 1]) / piv
     for i in range(n - 2, -1, -1):
         x[i] = x[i] - cp[i] * x[i + 1]
     return x
 
 
 def tridiag_solve_batch(dl, du, diags, rhs):
-    """Solve B independent tridiagonal systems sharing off-diagonals.
+    """Solve B tridiagonal systems sharing off-diagonals: `tridiag_solve`
+    on the (N, B) transposes.
 
     dl, du : shared sub/super-diagonals, length N-1
-    diags  : per-system diagonals, shape (B, N); Fortran order is fastest
+    diags  : per-system diagonals, shape (B, N); Fortran order saves a copy
     rhs    : per-system right-hand sides, shape (B, N); may be a broadcast view
 
-    Returns the solutions as a Fortran-ordered (B, N) array. Every step
-    writes through ``out=`` buffers, with the operands in the order of the
-    textbook recurrence, so the result does not depend on the input layout.
+    Returns the solutions as a Fortran-ordered (B, N) array; the result
+    does not depend on the input layout.
     """
-    dl = np.asarray(dl, dtype=np.complex128)
-    du = np.asarray(du, dtype=np.complex128)
-    d = np.asarray(diags, dtype=np.complex128).T
-    x = np.array(np.asarray(rhs).T, dtype=np.complex128, order="C")
-    n, nb = d.shape
-    cp = np.empty((n - 1, nb), dtype=np.complex128)
-    piv = np.empty(nb, dtype=np.complex128)
-    tmp = np.empty(nb, dtype=np.complex128)
-    mag = np.empty(nb)
-    _check_batch_pivots(d[0], mag)
-    np.divide(du[0], d[0], out=cp[0])
-    np.divide(x[0], d[0], out=x[0])
-    for i in range(1, n):
-        np.multiply(dl[i - 1], cp[i - 1], out=tmp)
-        np.subtract(d[i], tmp, out=piv)
-        _check_batch_pivots(piv, mag)
-        if i < n - 1:
-            np.divide(du[i], piv, out=cp[i])
-        np.multiply(dl[i - 1], x[i - 1], out=tmp)
-        np.subtract(x[i], tmp, out=x[i])
-        np.divide(x[i], piv, out=x[i])
-    for i in range(n - 2, -1, -1):
-        np.multiply(cp[i], x[i + 1], out=tmp)
-        np.subtract(x[i], tmp, out=x[i])
-    return x.T
-
-
-def _check_batch_pivots(piv, mag):
-    np.abs(piv, out=mag)
-    if np.any(mag < _PIVOT_FLOOR):
-        raise SingularMatrixError("zero pivot in batched tridiagonal factorization")
+    return tridiag_solve(dl, np.asarray(diags).T, du, np.asarray(rhs).T).T
 
 
 def tridiag_bilinear_batch(off, rows, index, phi, psi):

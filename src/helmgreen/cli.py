@@ -188,16 +188,14 @@ def cmd_green(cfg, seed):
     xi_samples = config.count(xi_samples, "xi_samples", 0)
     tol = _tolerances_of(tol, {"reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8})
     report = Report()
-    op = helmholtz.assemble(grid, model, "dispersive", z)
-    samples = helmholtz.green_matrix(op)
-    g = samples.values
+    g = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
     recip = float(np.max(np.abs(g - g.T)) / np.max(np.abs(g)))
     report.add("reciprocity", {"z": [z.real, z.imag]}, recip, 0.0,
                tol["reciprocity"], recip <= tol["reciprocity"])
 
     mirror = helmholtz.green_matrix(
         helmholtz.assemble(grid, model, "dispersive", -z.conjugate())
-    ).values
+    )
     schwarz = float(np.max(np.abs(mirror - np.conj(g))) / np.max(np.abs(g)))
     report.add("schwarz", {"z": [z.real, z.imag]}, schwarz, 0.0,
                tol["schwarz"], schwarz <= tol["schwarz"])
@@ -217,7 +215,7 @@ def cmd_green(cfg, seed):
             report.add("norm_bound_two_freq",
                        {"z": [zg.real, zg.imag], "xi": [xi.real, xi.imag]},
                        measured, bound, tol["norm_slack"], measured <= bound)
-    return report, ("green", samples)
+    return report, ("green", g)
 
 
 def cmd_modes(cfg, seed):
@@ -234,6 +232,8 @@ def cmd_modes(cfg, seed):
             kk, "kk", ("zeta", "nu_grid"), {"reference": "vacuum", "probe": {"mode_index": 0}})
         zeta = config.number(zeta, "kk.zeta")
         nu_max, nu_count = config.record(nu_grid, "kk.nu_grid", ("max", "count"))
+        if nu_max <= 0:
+            raise ConfigError("kk.nu_grid.max must be > 0")
         nu = np.linspace(-nu_max, nu_max, config.count(nu_count, "kk.nu_grid.count", 2))
         reference = config.choice(reference, "kk.reference", ("vacuum", "none"))
         probe = _probe_of(probe, grid, mode_probe=True)
@@ -242,15 +242,13 @@ def cmd_modes(cfg, seed):
     model = dispersion.PermittivityModel(background=eps_const)
 
     expansion, _ = spectral.mode_expansion_green(modes, z)
-    direct = helmholtz.green_matrix(
-        helmholtz.assemble(grid, model, "dispersive", z)
-    ).values
-    identity_err = float(np.max(np.abs(expansion.values - direct)) / np.max(np.abs(direct)))
+    direct = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
+    identity_err = float(np.max(np.abs(expansion - direct)) / np.max(np.abs(direct)))
     report.add("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]},
                identity_err, 0.0, tol["identity"], identity_err <= tol["identity"])
 
     partial, tail_bound = spectral.mode_expansion_green(modes, z, m)
-    diff = float(np.max(np.abs(partial.values - direct)))
+    diff = float(np.max(np.abs(partial - direct)))
     report.add("truncation_tail", {"M": m}, diff, tail_bound, tail_bound,
                diff <= tail_bound, tail_bound)
 
@@ -283,6 +281,7 @@ def cmd_causality(cfg, seed):
     if taper < 0:
         raise ConfigError("taper must be >= 0")
     omega_s, center, width = config.record(source, "source", ("omega_s", "center", "width"))
+    src = spectral.gaussian_probe(grid, center, width)
     t_neg = config.numbers(t_neg, "t_negative")
     t_pos = config.numbers(t_pos, "t_positive")
     if any(t >= 0 for t in t_neg):
@@ -310,7 +309,6 @@ def cmd_causality(cfg, seed):
     report.add("x_operator_reality", {}, reality, 0.0, 1e-6, reality <= 1e-6,
                est_p / peak)
 
-    src = spectral.gaussian_probe(grid, center, width)
     field_pos, _ = spectral.time_domain_field(
         model, grid, src, omega_s, x_index, t_pos, contour, taper=taper,
     )
@@ -460,10 +458,10 @@ def main(argv=None):
 
     report.write_csv(args.out)
     if extra is not None and args.out is not None:
-        tag, samples = extra
+        tag, matrix = extra
         side = args.out + f".{tag}.csv"
         with open(side, "w", newline="") as fh:
-            for row in samples.values:
+            for row in matrix:
                 fh.write(",".join(_fmt(complex(v)) for v in row) + "\n")
     report.print_summary()
     return 0 if report.all_pass else 1

@@ -305,10 +305,11 @@ def sigma_total_weight(density, eps0=1.0, quad=None):
 # time domain
 
 
-def susceptibility(model, x, t_grid, contour=None):
+def susceptibility(model, x, t_grid, contour):
     """Time-domain susceptibility chi(x, t) by contour inversion.
 
-    Inverts eps(x, z) - eps_b along the horizontal line Im z = eta.
+    Inverts eps(x, z) - eps_b along the horizontal line Im z = eta of the
+    `transforms.ContourSpec` `contour` (unused where x is in vacuum).
     Returns (values, error_estimate); values are real up to the estimate
     and vanish for t < 0 (causality).
     """
@@ -318,14 +319,6 @@ def susceptibility(model, x, t_grid, contour=None):
     if density.is_vacuum:
         t = np.atleast_1d(np.asarray(t_grid, dtype=float))
         return np.zeros_like(t), 0.0
-    if contour is None:
-        gamma_min = density.min_gamma
-        eta = gamma_min / 2.0 if math.isfinite(gamma_min) else 1.0
-        scales = [w1 for _, w1, _ in density.lorentz] + [nu for nu, _ in density.lines]
-        omega_max = 400.0 * max(scales + [1.0])
-        t_abs = max(float(np.max(np.abs(t_grid))), 1.0)
-        n = int(min(4_000_000, max(40_000, 24.0 * omega_max * t_abs / math.pi)))
-        contour = transforms.ContourSpec(eta=eta, omega_max=omega_max, n_points=n)
 
     def sampler(z):
         return density_eval_array(density, z, model.units.eps0)

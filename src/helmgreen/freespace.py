@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-TAIL_WARN = 1e-9
-
 
 @dataclass(frozen=True)
 class TestField3D:
@@ -82,19 +80,14 @@ class SphericalQuadrature:
         return k, w.reshape(-1)
 
 
-def free_symbol(k, z, eps0=1.0, mu0=1.0):
-    """3x3 inverse symbol at one real wavevector; removable limit at k = 0."""
+def free_symbol(k, z):
+    """3x3 inverse symbol at one real wavevector: `_symbol_apply_batch` on
+    the unit vectors, one per column; removable limit at k = 0."""
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("free symbol requires Im z > 0")
-    k = np.asarray(k, dtype=float)
-    z2 = z * z * eps0 * mu0
-    k2 = float(k @ k)
-    if k2 == 0.0:
-        return np.eye(3, dtype=np.complex128) / z2
-    proj_l = np.outer(k, k) / k2
-    proj_t = np.eye(3) - proj_l
-    return proj_l / z2 + proj_t / (z2 - k2)
+    k = np.broadcast_to(np.asarray(k, dtype=float), (3, 3))
+    return _symbol_apply_batch(k, z, np.eye(3)).T
 
 
 def _symbol_apply_batch(k, z, vec, transverse_only=False):
@@ -113,7 +106,21 @@ def _symbol_apply_batch(k, z, vec, transverse_only=False):
     return np.where(k2[:, None] > 0, out, vec / z2)
 
 
-def free_coefficient(phi, psi, z, quad=None, k_max=None):
+def _sandwich_nodes(phi, psi, quad):
+    """(k_max, k, w, env_phi, amp_psi): the Gaussian cut-off radius, the
+    quadrature nodes and weights inside it, and phi's envelope and psi's
+    amplitude at the nodes."""
+    quad = quad or SphericalQuadrature()
+    k_max = max(
+        float(np.linalg.norm(phi.center)) + 12.0 * phi.width,
+        float(np.linalg.norm(psi.center)) + 12.0 * psi.width,
+    )
+    k, w = quad.nodes_weights(k_max)
+    amp_psi = psi.envelope(k)[:, None] * np.asarray(psi.polarization)
+    return k_max, k, w, phi.envelope(k), amp_psi
+
+
+def free_coefficient(phi, psi, z, quad=None):
     """<phi, H_0(z)^-1 psi> by spherical quadrature of the symbol sandwich.
 
     Returns (value, tail_estimate); the tail estimate reflects the Gaussian
@@ -122,17 +129,9 @@ def free_coefficient(phi, psi, z, quad=None, k_max=None):
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("free coefficient requires Im z > 0")
-    quad = quad or SphericalQuadrature()
-    if k_max is None:
-        k_max = max(
-            float(np.linalg.norm(phi.center)) + 12.0 * phi.width,
-            float(np.linalg.norm(psi.center)) + 12.0 * psi.width,
-        )
-    k, w = quad.nodes_weights(k_max)
-    pol_phi = np.asarray(phi.polarization)
-    amp_psi = psi.envelope(k)[:, None] * np.asarray(psi.polarization)
+    k_max, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
     applied = _symbol_apply_batch(k, z, amp_psi)
-    integrand = phi.envelope(k) * (applied @ np.conj(pol_phi))
+    integrand = env_phi * (applied @ np.conj(np.asarray(phi.polarization)))
     value = complex(np.sum(w * integrand))
     edge = math.exp(-((k_max - float(np.linalg.norm(phi.center))) ** 2) / (2.0 * phi.width**2))
     tail = edge * max(abs(value), norm_sq(phi) ** 0.5 * norm_sq(psi) ** 0.5)
@@ -147,21 +146,14 @@ def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
     """
     if not 0.05 < theta < math.pi - 0.05:
         raise DomainError("ray angle must be bounded away from the real axis")
-    quad = quad or SphericalQuadrature()
-    k_max = max(
-        float(np.linalg.norm(phi.center)) + 12.0 * phi.width,
-        float(np.linalg.norm(psi.center)) + 12.0 * psi.width,
-    )
-    k, w = quad.nodes_weights(k_max)
-    pol_phi = np.asarray(phi.polarization)
-    amp_psi = psi.envelope(k)[:, None] * np.asarray(psi.polarization)
-    env_phi = phi.envelope(k)
+    _, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
+    conj_pol = np.conj(np.asarray(phi.polarization))
     defects = []
     for mod in z_moduli:
         z = mod * complex(math.cos(theta), math.sin(theta))
         if z.imag <= 0:
             raise DomainError("ray must lie in the upper half-plane")
         remainder = _symbol_apply_batch(k, z, amp_psi, transverse_only=True)
-        integrand = env_phi * (remainder @ np.conj(pol_phi))
+        integrand = env_phi * (remainder @ conj_pol)
         defects.append(abs(complex(np.sum(w * integrand))))
     return defects

@@ -60,10 +60,7 @@ class Grid1D:
 class DiscreteHelmholtz:
     grid: Grid1D
     model: dispersion.PermittivityModel
-    kind: str
     z: complex
-    xi: complex = None
-    omega0: float = None
     diag: np.ndarray = field(repr=False, default=None)
     offdiag: np.ndarray = field(repr=False, default=None)  # shared sub/super diag
     corner_lo: complex = 0.0  # A[N-1, 0] (bloch only)
@@ -108,13 +105,6 @@ class DiscreteHelmholtz:
             ax[0] += self.corner_hi * x[-1]
         denom = np.linalg.norm(source)
         return float(np.linalg.norm(ax - source) / denom) if denom else 0.0
-
-
-@dataclass(frozen=True)
-class GreenSamples:
-    grid: Grid1D
-    z: complex
-    values: np.ndarray = field(repr=False, default=None)
 
 
 def permittivity_profile(model, x_points, z):
@@ -221,7 +211,6 @@ def assemble(grid, model, kind, z, xi=None, omega0=None):
     the kind's domain.
     """
     z = complex(z)
-    xi = complex(xi) if xi is not None else None
     diag = diagonal_batch(grid, model, kind, [z], xi, omega0)[0]
     h = grid.h
     offdiag = np.full(grid.N - 1, 1.0 / h**2, dtype=np.complex128)
@@ -232,8 +221,8 @@ def assemble(grid, model, kind, z, xi=None, omega0=None):
         corner_lo = np.exp(1j * k * grid.L) / h**2
         corner_hi = np.exp(-1j * k * grid.L) / h**2
     return DiscreteHelmholtz(
-        grid=grid, model=model, kind=kind, z=z, xi=xi, omega0=omega0,
-        diag=diag, offdiag=offdiag, corner_lo=corner_lo, corner_hi=corner_hi,
+        grid=grid, model=model, z=z, diag=diag, offdiag=offdiag,
+        corner_lo=corner_lo, corner_hi=corner_hi,
     )
 
 
@@ -245,16 +234,10 @@ def _check_periodic(model, grid):
             )
 
 
-def solve(op, source):
-    """Field radiated by a source vector: x = H^-1 source."""
-    return op.solve(np.asarray(source, dtype=np.complex128))
-
-
 def green_matrix(op):
-    """GreenSamples with values[i][j] ~= G(x_i, x_j; z) via discrete deltas e_j / h."""
+    """The (N, N) matrix G[i, j] ~= G(x_i, x_j; z), via discrete deltas e_j / h."""
     rhs = np.eye(op.grid.N, dtype=np.complex128) / op.grid.h
-    values = op.solve(rhs)
-    return GreenSamples(grid=op.grid, z=op.z, values=values)
+    return op.solve(rhs)
 
 
 def coefficient(op, phi, psi):

@@ -26,8 +26,6 @@ class ModeSet:
     """Cavity modes, eps-weighted orthonormal: h sum eps mu0 phi_n phi_m = delta_nm."""
 
     grid: helmholtz.Grid1D
-    eps_const: float
-    mu0: float
     omegas: np.ndarray = field(repr=False, default=None)  # strictly increasing
     modes: np.ndarray = field(repr=False, default=None)  # column n = phi_n on the grid
 
@@ -50,15 +48,15 @@ def cavity_modes(grid, eps_const, mu0=1.0):
     lam, basis = helmholtz.sine_modes(grid)
     omegas = np.sqrt(lam / (eps_const * mu0))
     modes = basis / math.sqrt(grid.h * eps_const * mu0)
-    return ModeSet(grid=grid, eps_const=eps_const, mu0=mu0, omegas=omegas, modes=modes)
+    return ModeSet(grid=grid, omegas=omegas, modes=modes)
 
 
 def mode_expansion_green(modes, z, truncation=None):
     """Partial mode sum of the Green's kernel; equals the direct discrete
     inverse exactly at full truncation.
 
-    Returns (GreenSamples, tail_bound) where tail_bound caps the entrywise
-    error of the omitted modes.
+    Returns (G, tail_bound): the (N, N) kernel matrix, and a cap on the
+    entrywise error of the omitted modes.
     """
     z = complex(z)
     m = modes.omegas.size if truncation is None else int(truncation)
@@ -78,7 +76,7 @@ def mode_expansion_green(modes, z, truncation=None):
         tail_bound = float(np.sum(peaks / tail_denom))
     else:
         tail_bound = 0.0
-    return helmholtz.GreenSamples(grid=modes.grid, z=z, values=values), tail_bound
+    return values, tail_bound
 
 
 def mode_coefficient(modes, phi, psi, z):
@@ -112,6 +110,8 @@ def point_probe(grid, index):
 
 
 def gaussian_probe(grid, center, width):
+    if width <= 0:
+        raise DomainError("probe width must be > 0")
     x = grid.points
     return np.exp(-((x - center) ** 2) / (2.0 * width**2))
 

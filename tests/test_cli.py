@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -389,6 +390,8 @@ MALFORMED = [
     ("modes", ("kk", "nu_grid", "count"), DROP),
     ("modes", ("kk", "nu_grid", "count"), 1),
     ("modes", ("kk", "probe"), {"mode_index": 99}),
+    ("modes", ("kk", "nu_grid", "max"), -40.0),
+    ("modes", ("kk", "nu_grid", "max"), 0.0),
     ("causality", ("source", "center"), DROP),
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
@@ -432,6 +435,26 @@ def _case_id(case):
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert _run_case(tmp_path, *case) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# A Gaussian of width 0 is 0 at every grid point, after a divide-by-zero
+# warning, and a negative width is no width: both stop the run at config
+# reading, before any numerical work and with no warning.
+NONPOSITIVE_WIDTHS = [
+    ("causality", ("source", "width"), 0.0),
+    ("causality", ("source", "width"), -0.05),
+    ("analyticity", ("probe", "gaussian", "width"), 0.0),
+]
+
+
+@pytest.mark.parametrize("case", NONPOSITIVE_WIDTHS,
+                         ids=[_case_id(c) for c in NONPOSITIVE_WIDTHS])
+def test_nonpositive_width_exits_2_with_one_error_line(tmp_path, capsys, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_case(tmp_path, *case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_overlapping_layers_error_names_both(tmp_path, capsys):

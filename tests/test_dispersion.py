@@ -271,7 +271,7 @@ def test_sum_rule():
 def test_susceptibility_matches_exact_lorentz():
     m = lorentz_model(wp=1.0, w1=2.0, gamma=0.2)
     t = np.array([0.3, 1.0, 2.5, 5.0])
-    chi, est = dsp.susceptibility(m, 0.5, t)
+    chi, est = dsp.susceptibility(m, 0.5, t, tr.ContourSpec(0.1, 800.0, 40000))
     exact = dsp.lorentz_susceptibility_exact(1.0, 2.0, 0.2, t)
     assert np.max(np.abs(chi - exact)) < 1e-5
 
@@ -284,7 +284,7 @@ def test_susceptibility_causal():
 
 
 def test_susceptibility_vacuum_zero():
-    chi, est = dsp.susceptibility(dsp.vacuum_model(), 0.5, [1.0, 2.0])
+    chi, est = dsp.susceptibility(dsp.vacuum_model(), 0.5, [1.0, 2.0], None)
     assert np.all(chi == 0.0) and est == 0.0
 
 

@@ -89,8 +89,10 @@ def test_singular_pivot_raises():
     d = np.ones(n, dtype=complex)
     d[3] = 0.0
     b = np.ones(n, dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        _kernels.tridiag_solve(dl, d, du, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            _kernels.tridiag_solve(dl, d, du, b)
 
 
 def _row_major_batch_solve(dl, du, diags, rhs):
@@ -140,8 +142,10 @@ def test_batch_zero_pivot_inside_batch_raises():
     d[31] = 2.5
     d[31, 0] = 2.0
     d[31, 5] = 0.5
-    with pytest.raises(SingularMatrixError):
-        _kernels.tridiag_solve_batch(ones, ones, np.asfortranarray(d), b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            _kernels.tridiag_solve_batch(ones, ones, np.asfortranarray(d), b)
     d[31, 5] = 1.5
     x = _kernels.tridiag_solve_batch(ones, ones, d, b)
     assert np.all(np.isfinite(x))
