@@ -135,11 +135,11 @@ def test_acceptance_05_analyticity_loops():
     xi_loop = tr.RectangleLoop(z_lo=0.3 + 0.4j, z_hi=1.5 + 1.2j)
     # joint-domain margin: Im z - c |Im k| = 0.5 - 0.3 = 0.2 >= 0.1
     defects = {
-        "z": tr.cauchy_loop(z_sampler, loop),
-        "xi": tr.cauchy_loop(xi_sampler, xi_loop),
-        "zk": tr.cauchy_loop(bloch_sampler, loop),
+        "z": tr.cauchy_loop(z_sampler, loop)[0],
+        "xi": tr.cauchy_loop(xi_sampler, xi_loop)[0],
+        "zk": tr.cauchy_loop(bloch_sampler, loop)[0],
     }
-    witness = tr.cauchy_loop(np.conj, loop)
+    witness, _ = tr.cauchy_loop(np.conj, loop)
     worst = max(defects.values())
     _verdict(5, f"analyticity defects (witness {witness:.2e})", worst,
              worst <= 1e-8 and witness >= 1e-2)

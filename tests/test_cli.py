@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import csv
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -10,12 +12,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import helmgreen
 from helmgreen import cli
+from helmgreen import transforms as tr
 
 
 MEDIUM = {
@@ -247,6 +251,94 @@ def test_analyticity_loop_touching_real_axis_exits_2(tmp_path, medium, capsys):
                    "z_hi": {"re": 2.0, "im": 1.5}}],
     })
     assert cli.main(["analyticity", "--config", cfg]) == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _causality_config(tmp_path, seed):
+    """The shipped causality config (seed None) or the benchmark's generated
+    one for `seed`, with its medium path made absolute."""
+    if seed is None:
+        base = ROOT
+        cfg = json.loads((base / "configs" / "causality.json").read_text())
+    else:
+        base = tmp_path
+        (job,) = _workloads().generate("causal_contour", seed, tmp_path)
+        cfg = json.loads((tmp_path / job.config).read_text())
+    cfg["medium"] = str(base / cfg["medium"])
+    return _write(tmp_path, "causality.json", cfg)
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_causality_estimates_cover_measured_errors(tmp_path, capsys, seed):
+    # every row measures an error: the negative-time values and the
+    # imaginary part of the x-operator coefficient are 0 in exact arithmetic
+    out = tmp_path / "report.csv"
+    assert cli.main(["causality", "--config", _causality_config(tmp_path, seed),
+                     "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert len(rows) == 4
+    for row in rows:
+        assert row["pass"] == "true"
+        assert float(row["error_estimate"]) >= float(row["measured"])
+
+
+def test_causality_contours_sample_each_node_once_and_stop_early(tmp_path, capsys,
+                                                                monkeypatch):
+    invert = tr.laplace_invert
+    runs = []
+
+    def counted(sampler, contour, t_grid, taper=0.0):
+        blocks = []
+
+        def sampled(z):
+            blocks.append(z.copy())
+            return sampler(z)
+
+        values, est = invert(sampled, contour, t_grid, taper)
+        fixed, _ = invert(sampler, dataclasses.replace(contour, rtol=None), t_grid, taper)
+        runs.append((contour, blocks, values, est, fixed))
+        return values, est
+
+    monkeypatch.setattr(tr, "laplace_invert", counted)
+    assert cli.main(["causality", "--config", _causality_config(tmp_path, None)]) == 0
+    assert len(runs) == 6
+    for contour, blocks, values, est, fixed in runs:
+        z = np.concatenate(blocks)
+        assert max(b.size for b in blocks) <= tr._BLOCK
+        assert np.unique(z).size == z.size
+        assert z.size <= (2049 if contour.eta == 12.0 else 65537)
+        # the adaptive result lies within its own estimate of the fixed
+        # 200k-node rule
+        assert contour.n_points == 200000
+        assert np.max(np.abs(values - fixed)) <= est
+
+
+def test_analyticity_estimates_cover_shipped_defects(tmp_path, capsys):
+    cfg = json.loads((ROOT / "configs" / "analyticity.json").read_text())
+    cfg["medium"] = str(ROOT / cfg["medium"])
+    out = tmp_path / "report.csv"
+    assert cli.main(["analyticity", "--config", _write(tmp_path, "ana.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = [r for r in _rows(out) if "expect" not in r["param_json"]]
+    assert {r["check_id"] for r in rows} == {"analyticity_z", "analyticity_xi",
+                                              "analyticity_zk"}
+    for row in rows:
+        estimate = float(row["error_estimate"])
+        assert estimate > 0.0 and estimate >= float(row["measured"])
 
 
 def test_asymptotic_command(tmp_path, medium, capsys):

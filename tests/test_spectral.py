@@ -190,6 +190,23 @@ def test_x_operator_causal_and_real():
     assert np.max(np.abs(xp.imag)) / peak < 1e-10
 
 
+def test_under_resolved_contour_estimate_covers_its_error():
+    # 8193 nodes cannot resolve the x-operator coefficient of the shipped
+    # slab at eta = 0.1: the nested rule hits its cap unconverged, and its
+    # estimate must then be at least the error against a resolved rule
+    model = dsp.load_medium(str(MEDIA / "lorentz_slab.json"))
+    grid = hh.Grid1D(L=1.0, N=64)
+    probe = sp.gaussian_probe(grid, 0.5, 1.0 / 16.0)
+    t = [0.5, 1.0, 2.0, 4.0]
+    coarse = tr.ContourSpec(0.1, 400.0, 8193, rtol=1e-9)
+    got, est = sp.x_operator_coefficient(model, grid, probe, probe, t, coarse)
+    ref, _ = sp.x_operator_coefficient(model, grid, probe, probe, t,
+                                       tr.ContourSpec(0.1, 400.0, 131073))
+    error = float(np.max(np.abs(got - ref)))
+    assert error > 1e-4 * np.max(np.abs(ref))
+    assert est >= error
+
+
 def test_time_domain_field_zero_source():
     g = hh.Grid1D(L=1.0, N=48)
     model = dsp.vacuum_model()

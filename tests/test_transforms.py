@@ -21,6 +21,56 @@ def test_contour_validation():
         tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=4)
 
 
+def test_contour_tolerance_validation():
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ConfigError):
+            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=100, rtol=bad)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigError):
+            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=100, rtol=1e-9, scale=bad)
+
+
+def test_nested_levels_double_up_to_the_cap():
+    assert tr._levels(tr.ContourSpec(0.1, 400.0, 200000)) == [200000]
+    assert tr._levels(tr.ContourSpec(0.1, 400.0, 200000, rtol=1e-9)) == [
+        2**j * tr._FIRST + 1 for j in range(8)]
+    # one level under the cap is no nested rule: the cap alone is used
+    assert tr._levels(tr.ContourSpec(0.1, 400.0, 2048, rtol=1e-9)) == [2048]
+    assert tr._levels(tr.ContourSpec(0.1, 400.0, 2049, rtol=1e-9)) == [1025, 2049]
+
+
+def test_one_level_under_the_cap_matches_the_fixed_rule():
+    t = np.array([-1.0, 0.5, 2.0])
+    fixed = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2000)
+    capped = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2000, rtol=1e-9)
+    a, a_est = tr.laplace_invert(_oscillator, fixed, t, taper=16.0)
+    b, b_est = tr.laplace_invert(_oscillator, capped, t, taper=16.0)
+    assert np.array_equal(a, b) and a_est == b_est
+
+
+@pytest.mark.parametrize("taper", [0.0, 16.0])
+def test_nested_rule_samples_new_midpoints_only(taper):
+    nodes = []
+
+    def sampler(z):
+        nodes.append(z.copy())
+        return _oscillator(z)
+
+    t = np.array([0.5, 1.0, 2.0, 4.0])
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000, rtol=1e-9)
+    vals, est = tr.laplace_invert(sampler, contour, t, taper=taper)
+    z = np.concatenate(nodes)
+    assert max(b.size for b in nodes) <= tr._BLOCK
+    # the nodes of the last level, each sampled once
+    n = z.size
+    assert n in tr._levels(contour) and n < contour.n_points
+    expect = np.linspace(-400.0, 400.0, n) + 0.1j
+    assert np.array_equal(np.sort_complex(z), np.sort_complex(expect))
+    fixed, _ = tr.laplace_invert(_oscillator, tr.ContourSpec(0.1, 400.0, n), t, taper=taper)
+    assert np.max(np.abs(vals - fixed)) <= 1e-12 * np.max(np.abs(fixed))
+    assert np.max(np.abs(vals - fixed)) <= est
+
+
 def test_laplace_invert_damped_oscillator():
     # sampler 1/(w1^2 - z^2 - i gamma z) inverts to exp(-gamma t/2) sin(wt t)/wt
     w1, gamma = 2.0, 0.2
@@ -141,20 +191,32 @@ def test_laplace_invert_rejects_nondecaying_across_blocks():
 
 def test_cauchy_loop_polynomial_defect_zero():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
-    defect = tr.cauchy_loop(lambda z: z**3 - 2.0 * z + 1.0, loop)
+    defect, _ = tr.cauchy_loop(lambda z: z**3 - 2.0 * z + 1.0, loop)
     assert defect < 1e-14
+
+
+def test_cauchy_loop_estimate_bounds_rounding():
+    # the polynomial's loop integral is 0 up to rounding, which the
+    # estimate must cover; it scales with the node count
+    loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
+    fine = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j, n_points=96)
+    defect, est = tr.cauchy_loop(lambda z: z**3 - 2.0 * z + 1.0, loop)
+    _, fine_est = tr.cauchy_loop(lambda z: z**3 - 2.0 * z + 1.0, fine)
+    assert defect <= est < 1e-13 and est > 0.0
+    assert fine_est == pytest.approx(2.0 * est, rel=1e-2)
+    assert tr.cauchy_loop(np.zeros_like, loop) == (0.0, 0.0)
 
 
 def test_cauchy_loop_meromorphic_defect_small():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
-    defect = tr.cauchy_loop(lambda z: 1.0 / (z + 1j), loop)  # pole outside
+    defect, _ = tr.cauchy_loop(lambda z: 1.0 / (z + 1j), loop)  # pole outside
     assert defect < 1e-10
 
 
 def test_cauchy_loop_conjugate_witness():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
     # non-analytic witness: defect = 2 Area / (perimeter max|conj z|)
-    defect = tr.cauchy_loop(np.conj, loop)
+    defect, _ = tr.cauchy_loop(np.conj, loop)
     area, perim = 1.5, 5.0
     expect = 2.0 * area / (perim * abs(2.0 + 1.5j))
     # max|f| is taken over the quadrature nodes, which miss the corners,
@@ -165,7 +227,7 @@ def test_cauchy_loop_conjugate_witness():
 
 def test_cauchy_loop_enclosed_pole_detected():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
-    defect = tr.cauchy_loop(lambda z: 1.0 / (z - (1.0 + 1.0j)), loop)
+    defect, _ = tr.cauchy_loop(lambda z: 1.0 / (z - (1.0 + 1.0j)), loop)
     assert defect > 1e-2
 
 
