@@ -47,6 +47,10 @@ class Report:
             }
         )
 
+    def zero(self, check_id, params, measured, tolerance, estimate=0.0):
+        """A row whose true value is 0: bound 0, pass iff measured <= tolerance."""
+        self.add(check_id, params, measured, 0.0, tolerance, measured <= tolerance, estimate)
+
     @property
     def all_pass(self):
         return all(r["pass"] for r in self.rows)
@@ -88,11 +92,8 @@ class Report:
 
 
 def _grid_of(cfg, where="grid"):
-    L, N, boundary, k = config.fields(cfg, where, ("L", "N"),
-                                      {"boundary": "dirichlet", "bloch_k": None})
-    return helmholtz.Grid1D(
-        L=config.number(L, f"{where}.L"), N=config.count(N, f"{where}.N"), boundary=boundary,
-        bloch_k=0.0 if k is None else config.complex_of(k, f"{where}.bloch_k"))
+    L, N = config.fields(cfg, where, ("L", "N"))
+    return helmholtz.Grid1D(L=config.number(L, f"{where}.L"), N=config.count(N, f"{where}.N"))
 
 
 def _z_grid_of(cfg, where="z_grid"):
@@ -158,8 +159,8 @@ def cmd_kk_eps(cfg, seed):
     exact = dispersion.eval_permittivity(model, x, z_grid)
     for z, r, e, b in zip(z_grid, recon, exact, bound):
         rel = float(abs(r - e) / abs(e))
-        report.add("kk_round_trip", {"z": [z.real, z.imag]}, rel, 0.0,
-                   tol["kk_rel"], rel <= tol["kk_rel"], float(b / abs(e)))
+        report.zero("kk_round_trip", {"z": [z.real, z.imag]}, rel, tol["kk_rel"],
+                    float(b / abs(e)))
 
     rng = np.random.default_rng(seed)
     zs = 10.0 ** rng.uniform(-2, 2, n_samples) * np.exp(
@@ -173,8 +174,7 @@ def cmd_kk_eps(cfg, seed):
     total, est = dispersion.sigma_total_weight(density, eps0)
     target = dispersion.chi_dot_at_zero(density, eps0)
     rel = abs(total - target) / target if target else 0.0
-    report.add("sum_rule", {}, rel, 0.0, tol["sum_rule_rel"],
-               rel <= tol["sum_rule_rel"], est)
+    report.zero("sum_rule", {}, rel, tol["sum_rule_rel"], est)
     return report, None
 
 
@@ -191,31 +191,27 @@ def cmd_green(cfg, seed):
     report = Report()
     g = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
     recip = float(np.max(np.abs(g - g.T)) / np.max(np.abs(g)))
-    report.add("reciprocity", {"z": [z.real, z.imag]}, recip, 0.0,
-               tol["reciprocity"], recip <= tol["reciprocity"])
+    report.zero("reciprocity", {"z": [z.real, z.imag]}, recip, tol["reciprocity"])
 
     mirror = helmholtz.green_matrix(
         helmholtz.assemble(grid, model, "dispersive", -z.conjugate())
     )
     schwarz = float(np.max(np.abs(mirror - np.conj(g))) / np.max(np.abs(g)))
-    report.add("schwarz", {"z": [z.real, z.imag]}, schwarz, 0.0,
-               tol["schwarz"], schwarz <= tol["schwarz"])
+    report.zero("schwarz", {"z": [z.real, z.imag]}, schwarz, tol["schwarz"])
 
     rng = np.random.default_rng(seed)
     for zg in norm_grid:
-        opg = helmholtz.assemble(grid, model, "dispersive", zg)
-        measured = helmholtz.inverse_norm(opg)
-        bound = helmholtz.norm_bound(opg) * (1.0 + tol["norm_slack"])
-        report.add("norm_bound_dispersive", {"z": [zg.real, zg.imag]},
-                   measured, bound, tol["norm_slack"], measured <= bound)
-        for _ in range(xi_samples):
-            xi = complex(rng.uniform(-5, 5), 10.0 ** rng.uniform(-1, 1))
-            op2 = helmholtz.assemble(grid, model, "two_freq", zg, xi=xi)
-            measured = helmholtz.inverse_norm(op2)
-            bound = helmholtz.norm_bound(op2) * (1.0 + tol["norm_slack"])
-            report.add("norm_bound_two_freq",
-                       {"z": [zg.real, zg.imag], "xi": [xi.real, xi.imag]},
-                       measured, bound, tol["norm_slack"], measured <= bound)
+        z_params = {"z": [zg.real, zg.imag]}
+        xis = [complex(rng.uniform(-5, 5), 10.0 ** rng.uniform(-1, 1))
+               for _ in range(xi_samples)]
+        rows = [("dispersive", z_params, None)] + [
+            ("two_freq", {**z_params, "xi": [xi.real, xi.imag]}, xi) for xi in xis]
+        for kind, params, xi in rows:
+            op = helmholtz.assemble(grid, model, kind, zg, xi=xi)
+            measured = helmholtz.inverse_norm(op)
+            bound = helmholtz.norm_bound(op) * (1.0 + tol["norm_slack"])
+            report.add(f"norm_bound_{kind}", params, measured, bound, tol["norm_slack"],
+                       measured <= bound)
     return report, ("green", g)
 
 
@@ -245,8 +241,8 @@ def cmd_modes(cfg, seed):
     expansion, _ = spectral.mode_expansion_green(modes, z)
     direct = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
     identity_err = float(np.max(np.abs(expansion - direct)) / np.max(np.abs(direct)))
-    report.add("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]},
-               identity_err, 0.0, tol["identity"], identity_err <= tol["identity"])
+    report.zero("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]}, identity_err,
+                tol["identity"])
 
     partial, tail_bound = spectral.mode_expansion_green(modes, z, m)
     diff = float(np.max(np.abs(partial - direct)))
@@ -260,8 +256,7 @@ def cmd_modes(cfg, seed):
         recon = spectral.kk_reconstruct_green(sd, model, grid, probe, probe, z)
         direct_c = spectral.direct_coefficient(model, grid, probe, probe, z)
         rel = abs(recon - direct_c) / abs(direct_c)
-        report.add("kk_green", {"zeta": zeta, "reference": reference}, rel, 0.0,
-                   tol["kk_rel"], rel <= tol["kk_rel"])
+        report.zero("kk_green", {"zeta": zeta, "reference": reference}, rel, tol["kk_rel"])
     return report, None
 
 
@@ -295,41 +290,26 @@ def cmd_causality(cfg, seed):
     rtol = 1e-3 * min(tol["suppression"], 1e-6)
     contour = dataclasses.replace(contour, rtol=rtol)
 
-    def negative(peak):
-        return dataclasses.replace(contour_neg, rtol=rtol, scale=peak)
-
     report = Report()
 
-    chi_pos, est_p = dispersion.susceptibility(model, x, t_pos, contour)
-    peak = max(float(np.max(np.abs(chi_pos))), 1e-300)
-    chi_neg, est_n = dispersion.susceptibility(model, x, t_neg, negative(peak))
-    worst = float(np.max(np.abs(chi_neg))) / peak
-    report.add("chi_causality", {"t_negative": t_neg}, worst, 0.0,
-               tol["suppression"], worst <= tol["suppression"], est_n / peak)
+    def causal(check_id, invert):
+        """Invert at t > 0, then at t < 0 against the positive peak; the row
+        is the negative-time maximum relative to that peak."""
+        pos, est_p = invert(t_pos, contour)
+        peak = max(float(np.max(np.abs(pos))), 1e-300)
+        neg, est_n = invert(t_neg, dataclasses.replace(contour_neg, rtol=rtol, scale=peak))
+        report.zero(check_id, {"t_negative": t_neg}, float(np.max(np.abs(neg))) / peak,
+                    tol["suppression"], est_n / peak)
+        return pos, est_p, peak
 
+    causal("chi_causality", functools.partial(dispersion.susceptibility, model, x))
     probe = spectral.gaussian_probe(grid, x, grid.L / 16)
-    xt_pos, est_p = spectral.x_operator_coefficient(model, grid, probe, probe,
-                                                    t_pos, contour)
-    peak = max(float(np.max(np.abs(xt_pos))), 1e-300)
-    xt_neg, est_n = spectral.x_operator_coefficient(model, grid, probe, probe,
-                                                    t_neg, negative(peak))
-    worst = float(np.max(np.abs(xt_neg))) / peak
-    report.add("x_operator_causality", {"t_negative": t_neg}, worst, 0.0,
-               tol["suppression"], worst <= tol["suppression"], est_n / peak)
+    xt_pos, est_p, peak = causal("x_operator_causality", functools.partial(
+        spectral.x_operator_coefficient, model, grid, probe, probe))
     reality = float(np.max(np.abs(xt_pos.imag)) / peak)
-    report.add("x_operator_reality", {}, reality, 0.0, 1e-6, reality <= 1e-6,
-               est_p / peak)
-
-    field_pos, _ = spectral.time_domain_field(
-        model, grid, src, omega_s, x_index, t_pos, contour, taper=taper,
-    )
-    peak = max(float(np.max(np.abs(field_pos))), 1e-300)
-    field_neg, est_n = spectral.time_domain_field(
-        model, grid, src, omega_s, x_index, t_neg, negative(peak), taper=taper,
-    )
-    worst = float(np.max(np.abs(field_neg))) / peak
-    report.add("field_causality", {"t_negative": t_neg}, worst, 0.0,
-               tol["suppression"], worst <= tol["suppression"], est_n / peak)
+    report.zero("x_operator_reality", {}, reality, 1e-6, est_p / peak)
+    causal("field_causality", functools.partial(
+        spectral.time_domain_field, model, grid, src, omega_s, x_index, taper=taper))
     return report, None
 
 
@@ -373,12 +353,11 @@ def cmd_analyticity(cfg, seed):
     for i, (kind, loop, sampler, expect) in enumerate(loops):
         defect, estimate = transforms.cauchy_loop(sampler, loop)
         if expect == "fail":
-            passed = defect >= tol["witness_min"]
-            report.add(f"analyticity_{kind}", {"loop": i, "expect": "fail"},
-                       defect, tol["witness_min"], tol["witness_min"], passed, estimate)
+            report.add(f"analyticity_{kind}", {"loop": i, "expect": "fail"}, defect,
+                       tol["witness_min"], tol["witness_min"], defect >= tol["witness_min"],
+                       estimate)
         else:
-            report.add(f"analyticity_{kind}", {"loop": i}, defect, 0.0,
-                       tol["defect"], defect <= tol["defect"], estimate)
+            report.zero(f"analyticity_{kind}", {"loop": i}, defect, tol["defect"], estimate)
     return report, None
 
 
@@ -424,8 +403,7 @@ def cmd_asymptotic(cfg, seed):
         report.add("asymptotic_monotone", {"theta": theta}, int(monotone), 1, 1,
                    monotone)
         final_rel = defects[-1] / freespace.norm_sq(phi)
-        report.add("asymptotic_final", {"theta": theta}, final_rel, 0.0,
-                   tol["final_defect_rel"], final_rel <= tol["final_defect_rel"])
+        report.zero("asymptotic_final", {"theta": theta}, final_rel, tol["final_defect_rel"])
 
     if rcfg is not None:
         norms = helmholtz.resolvent_difference_ray(model, rgrid, eta, omegas)

@@ -278,11 +278,11 @@ def chi_dot_at_zero(density, eps0=1.0):
     )
 
 
-def sigma_total_weight(density, eps0=1.0, quad=None):
+def sigma_total_weight(density, eps0=1.0):
     """Quadrature of int sigma dnu (continuous part) plus exact line weights."""
     from scipy import integrate
 
-    quad = quad or QuadratureSpec()
+    quad = QuadratureSpec()
     total = 2.0 * sum(w for _, w in density.lines)
     err = 0.0
     if density.lorentz:

@@ -90,18 +90,19 @@ def free_symbol(k, z):
     return _symbol_apply_batch(k, z, np.eye(3)).T
 
 
-def _symbol_apply_batch(k, z, vec, transverse_only=False):
+def _projections(k, vec):
+    """(k^2, longitudinal, transverse) parts of vec along each wavevector k."""
+    k2 = np.sum(k * k, axis=-1)
+    safe_k2 = np.where(k2 > 0, k2, 1.0)
+    longi = (np.sum(k * vec, axis=-1) / safe_k2)[:, None] * k
+    return k2, longi, vec - longi
+
+
+def _symbol_apply_batch(k, z, vec):
     """symbol(k, z) . vec for a batch of wavevectors in normalized units
     (eps0 = mu0 = 1); vec shape (B, 3)."""
     z2 = z * z
-    k2 = np.sum(k * k, axis=-1)
-    kdotv = np.sum(k * vec, axis=-1)
-    safe_k2 = np.where(k2 > 0, k2, 1.0)
-    longi = (kdotv / safe_k2)[:, None] * k
-    trans = vec - longi
-    if transverse_only:
-        out = (k2 / (z2 - k2))[:, None] * trans
-        return np.where(k2[:, None] > 0, out, 0.0)
+    k2, longi, trans = _projections(k, vec)
     out = longi / z2 + trans / (z2 - k2)[:, None]
     return np.where(k2[:, None] > 0, out, vec / z2)
 
@@ -116,8 +117,7 @@ def _sandwich_nodes(phi, psi, quad):
         float(np.linalg.norm(psi.center)) + 12.0 * psi.width,
     )
     k, w = quad.nodes_weights(k_max)
-    amp_psi = psi.envelope(k)[:, None] * np.asarray(psi.polarization)
-    return k_max, k, w, phi.envelope(k), amp_psi
+    return k_max, k, w, phi.envelope(k), psi.amplitude(k)
 
 
 def free_coefficient(phi, psi, z, quad=None):
@@ -141,19 +141,18 @@ def free_coefficient(phi, psi, z, quad=None):
 def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
     """|z^2 eps0 mu0 <phi, H_0^-1 psi> - <phi, psi>| along the ray arg z = theta.
 
-    Computed directly from the transverse remainder integrand (no large-z
-    cancellation). theta must stay away from the real axis.
+    Summed directly from the transverse remainder k^2 / (z^2 - k^2) of the
+    symbol (no large-z cancellation). theta must stay away from the real axis.
     """
     if not 0.05 < theta < math.pi - 0.05:
         raise DomainError("ray angle must be bounded away from the real axis")
     _, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
-    conj_pol = np.conj(np.asarray(phi.polarization))
+    k2, _, trans = _projections(k, amp_psi)
+    sandwich = w * env_phi * (trans @ np.conj(np.asarray(phi.polarization))) * k2
     defects = []
     for mod in z_moduli:
         z = mod * complex(math.cos(theta), math.sin(theta))
         if z.imag <= 0:
             raise DomainError("ray must lie in the upper half-plane")
-        remainder = _symbol_apply_batch(k, z, amp_psi, transverse_only=True)
-        integrand = env_phi * (remainder @ conj_pol)
-        defects.append(abs(complex(np.sum(w * integrand))))
+        defects.append(abs(complex(np.sum(sandwich / (z * z - k2)))))
     return defects

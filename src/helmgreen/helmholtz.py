@@ -17,7 +17,7 @@ sine basis of `sine_modes`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,17 +84,10 @@ class DiscreteHelmholtz:
         return _kernels.tridiag_solve(self.offdiag, self.diag, self.offdiag, source)
 
     def solve_adjoint(self, source):
-        """Solve H^dagger x = source."""
-        b = np.conj(source)
-        if self.grid.boundary == "bloch":
-            # transpose swaps the wrap corners; off-diagonals are equal
-            x = _kernels.cyclic_tridiag_solve(
-                self.offdiag, self.diag, self.offdiag,
-                self.corner_hi, self.corner_lo, b,
-            )
-        else:
-            x = _kernels.tridiag_solve(self.offdiag, self.diag, self.offdiag, b)
-        return np.conj(x)
+        """Solve H^dagger x = source: H^T swaps the wrap corners (the
+        off-diagonals are equal), and H^dagger x = b is H^T conj(x) = conj(b)."""
+        transpose = replace(self, corner_lo=self.corner_hi, corner_hi=self.corner_lo)
+        return np.conj(transpose.solve(np.conj(source)))
 
     def residual(self, x, source):
         ax = self.diag * x

@@ -198,8 +198,8 @@ def direct_coefficient(model, grid, phi, psi, z):
 # causal time-domain quantities
 
 
-def x_operator_coefficient(model, grid, phi, psi, t_grid, contour, reference="vacuum"):
-    """Contour inversion of the relative-resolvent coefficient.
+def x_operator_coefficient(model, grid, phi, psi, t_grid, contour):
+    """Contour inversion of the vacuum-relative resolvent coefficient.
 
     Vanishes for t < 0; real for real probes with phi = psi (selfadjoint).
     Returns (values, truncation_estimate).
@@ -207,7 +207,7 @@ def x_operator_coefficient(model, grid, phi, psi, t_grid, contour, reference="va
 
     def sampler(z):
         # z is one block of contour nodes; the sweep is pointwise in z
-        return _coefficient_sweep(model, grid, phi, psi, z, reference)
+        return _coefficient_sweep(model, grid, phi, psi, z, "vacuum")
 
     return transforms.laplace_invert(sampler, contour, t_grid)
 

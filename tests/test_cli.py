@@ -475,6 +475,7 @@ MALFORMED = [
     ("green", ("z",), 5),
     ("green", ("xi_samples",), "x"),
     ("green", ("grid",), [1, 2]),
+    ("green", ("grid", "bloch_k"), {"re": 3.0, "im": 1.0}),
     ("green", ("norm_grid",), "x"),
     ("modes", ("eps_const",), "x"),
     ("modes", ("truncation_M",), "x"),

@@ -120,6 +120,24 @@ def test_asymptotic_defect_separated_fields():
     assert defects[-1] < 1e-6 * fs.norm_sq(phi)
 
 
+_PHI = fs.TestField3D(polarization=(1.0, 0.5, 0.0), center=(0.3, -0.2, 0.4), width=1.0)
+_PSI = fs.TestField3D(polarization=(0.2, 1.0, -0.4), center=(-0.1, 0.25, 0.0), width=0.8)
+
+
+@pytest.mark.parametrize("psi", [_PHI, _PSI], ids=["phi=psi", "phi!=psi"])
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2])
+def test_asymptotic_defect_matches_its_definition(psi, theta):
+    # |z^2 <phi, H_0^-1 psi> - <phi, psi>| from the full symbol and the
+    # closed-form inner product, against the transverse-remainder sum
+    moduli = [10.0, 100.0]
+    defects = fs.asymptotic_defect(_PHI, psi, moduli, theta)
+    for mod, defect in zip(moduli, defects):
+        z = mod * complex(math.cos(theta), math.sin(theta))
+        value, _ = fs.free_coefficient(_PHI, psi, z)
+        expect = abs(z * z * value - fs.inner_product(_PHI, psi))
+        assert defect == pytest.approx(expect, rel=1e-9)
+
+
 def test_asymptotic_defect_rejects_shallow_ray():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), width=1.0)
     with pytest.raises(DomainError):
