@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -152,10 +153,9 @@ def cmd_kk_eps(cfg, seed):
     n_samples = config.count(n_samples, "passivity_samples")
     report = Report()
     density = model.density_at(x)
-    eps0 = model.units.eps0
 
-    recon, bound = dispersion.kk_reconstruct_permittivity(density, z_grid, eps0=eps0)
-    recon = model.background - eps0 + recon
+    recon, bound = dispersion.kk_reconstruct_permittivity(density, z_grid)
+    recon = model.background - 1.0 + recon
     exact = dispersion.eval_permittivity(model, x, z_grid)
     for z, r, e, b in zip(z_grid, recon, exact, bound):
         rel = float(abs(r - e) / abs(e))
@@ -171,8 +171,8 @@ def cmd_kk_eps(cfg, seed):
                -tol["passivity_floor"], tol["passivity_floor"],
                worst >= -tol["passivity_floor"])
 
-    total, est = dispersion.sigma_total_weight(density, eps0)
-    target = dispersion.chi_dot_at_zero(density, eps0)
+    total, est = dispersion.sigma_total_weight(density)
+    target = dispersion.chi_dot_at_zero(density)
     rel = abs(total - target) / target if target else 0.0
     report.zero("sum_rule", {}, rel, tol["sum_rule_rel"], est)
     return report, None
@@ -253,7 +253,7 @@ def cmd_modes(cfg, seed):
         if isinstance(probe, int):
             probe = modes.modes[:, probe]
         sd = spectral.d_density(model, grid, probe, probe, nu, zeta, reference)
-        recon = spectral.kk_reconstruct_green(sd, model, grid, probe, probe, z)
+        recon = spectral.kk_reconstruct_green(sd, grid, probe, probe, z)
         direct_c = spectral.direct_coefficient(model, grid, probe, probe, z)
         rel = abs(recon - direct_c) / abs(direct_c)
         report.zero("kk_green", {"zeta": zeta, "reference": reference}, rel, tol["kk_rel"])
@@ -319,7 +319,7 @@ def cmd_analyticity(cfg, seed):
         {"probe": {"gaussian": {"center": 0.5, "width": 0.1}}, "tolerances": {}})
     model = dispersion.load_medium(medium)
     grid = _grid_of(grid)
-    probe = _probe_of(probe, grid)
+    probe_cfg, probe = probe, _probe_of(probe, grid)
     tol = _tolerances_of(tol, {"defect": 1e-8, "witness_min": 1e-2})
     loops = []
     for i, lcfg in enumerate(config.items(loop_cfgs, "loops")):
@@ -343,9 +343,10 @@ def cmd_analyticity(cfg, seed):
                                         probe, probe, fixed, "none")
         elif kind == "zk":
             k = config.complex_of(bloch_k, f"{where}.bloch_k")
-            if loop.z_lo.imag - model.units.c * abs(k.imag) < 0.1:
-                raise DomainError("joint-domain loop must keep Im z - c|k''| >= 0.1")
-            sampler = _bloch_sampler(model, grid, probe, k)
+            if loop.z_lo.imag - abs(k.imag) < 0.1:
+                raise DomainError("joint-domain loop must keep Im z - |k''| >= 0.1")
+            bgrid = helmholtz.Grid1D(L=grid.L, N=grid.N, boundary="bloch", bloch_k=k)
+            sampler = _bloch_sampler(model, bgrid, _probe_of(probe_cfg, bgrid))
         else:
             sampler = np.conj
         loops.append((kind, loop, sampler, expect))
@@ -361,10 +362,8 @@ def cmd_analyticity(cfg, seed):
     return report, None
 
 
-def _bloch_sampler(model, grid, probe, k):
-    bgrid = helmholtz.Grid1D(L=grid.L, N=grid.N, boundary="bloch", bloch_k=k)
-    bprobe = spectral.gaussian_probe(bgrid, grid.L / 2, grid.L / 10)
-
+def _bloch_sampler(model, bgrid, bprobe):
+    """<bprobe, H(z)^-1 bprobe> of the Bloch operator on `bgrid`, node by node."""
     def sampler(z_nodes):
         out = np.empty(len(z_nodes), dtype=np.complex128)
         for i, z in enumerate(z_nodes):
@@ -408,9 +407,9 @@ def cmd_asymptotic(cfg, seed):
     if rcfg is not None:
         norms = helmholtz.resolvent_difference_ray(model, rgrid, eta, omegas)
         # dchi/dt(0+) of the strongest layer: the cap holds for every point
-        weight = max((dispersion.chi_dot_at_zero(density, model.units.eps0)
-                      for _, _, density in model.layers), default=0.0)
-        cap = tol["cap_factor"] * weight / (model.units.eps0 * model.units.mu0 * eta) ** 2
+        weight = max((dispersion.chi_dot_at_zero(density) for _, _, density in model.layers),
+                     default=0.0)
+        cap = tol["cap_factor"] * weight / eta**2
         for omega, norm in zip(omegas, norms):
             passed = norm <= cap if omega >= 100 else True
             report.add("resolvent_cap", {"omega": omega, "eta": eta}, norm, cap,
@@ -430,12 +429,30 @@ COMMANDS = {
 }
 
 
+def _seed(text):
+    """A --seed value: an unsigned 64-bit integer."""
+    try:
+        seed = int(text)
+        if 0 <= seed < 2**64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64 - 1], got {text!r}")
+
+
+def _out_path(path):
+    """An --out path: a file in an existing directory, checked before any work."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a file in an existing directory")
+    return path
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="helmgreen", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=_out_path, default=None)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args(argv)
 
     try:
@@ -445,13 +462,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report.write_csv(args.out)
-    if extra is not None and args.out is not None:
-        tag, matrix = extra
-        side = args.out + f".{tag}.csv"
-        with open(side, "w", newline="") as fh:
-            for row in matrix:
-                fh.write(",".join(_fmt(complex(v)) for v in row) + "\n")
+    try:
+        report.write_csv(args.out)
+        if extra is not None and args.out is not None:
+            tag, matrix = extra
+            side = args.out + f".{tag}.csv"
+            with open(side, "w", newline="") as fh:
+                for row in matrix:
+                    fh.write(",".join(_fmt(complex(v)) for v in row) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     report.print_summary()
     return 0 if report.all_pass else 1
 

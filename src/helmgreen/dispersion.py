@@ -18,7 +18,7 @@ and its contribution to the total weight integral is 2 w_j.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,22 +32,6 @@ from .errors import (
 )
 
 POLE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    eps0: float = 1.0
-    mu0: float = 1.0
-
-    @property
-    def c(self):
-        return 1.0 / math.sqrt(self.eps0 * self.mu0)
-
-
-NORMALIZED = UnitSystem(1.0, 1.0)
-SI = UnitSystem(8.8541878128e-12, 1.25663706212e-6)
-
-_UNIT_SYSTEMS = {"normalized": NORMALIZED, "si": SI}
 
 
 @dataclass(frozen=True)
@@ -93,10 +77,9 @@ class PermittivityModel:
 
     background: float = 1.0
     layers: tuple = ()  # tuple of (x0, x1, OscillatorDensity)
-    units: UnitSystem = field(default=NORMALIZED)
 
     def __post_init__(self):
-        if self.background < self.units.eps0:
+        if self.background < 1.0:
             raise ConfigError("background permittivity below the vacuum value")
         for x0, x1, density in self.layers:
             if not x1 > x0:
@@ -120,14 +103,9 @@ class PermittivityModel:
         return min((d.min_gamma for _, _, d in self.layers), default=math.inf)
 
 
-def vacuum_model(units=NORMALIZED):
-    return PermittivityModel(background=units.eps0, units=units)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+# tolerances of the two scipy quadratures (KK reconstruction, sum rule)
+QUAD_REL_TOL = 1e-9
+QUAD_ABS_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +128,7 @@ def _check_domain(density, z):
             raise PoleProximityError("Lorentz denominator below pole floor")
 
 
-def density_eval_array(density, z, eps0):
+def density_eval_array(density, z):
     """Permittivity contribution of one density (background excluded) over
     an ndarray of frequencies; no domain or pole checks."""
     z = np.asarray(z, dtype=np.complex128)
@@ -159,7 +137,7 @@ def density_eval_array(density, z, eps0):
     for nu, w in density.lines:
         out += -2.0 * w / (z2 - nu * nu)
     for wp, w1, gamma in density.lorentz:
-        out += eps0 * wp * wp / (w1 * w1 - z2 - 1j * gamma * z)
+        out += wp * wp / (w1 * w1 - z2 - 1j * gamma * z)
     return out
 
 
@@ -173,12 +151,12 @@ def eval_permittivity(model, x, z):
     z = np.asarray(z, dtype=np.complex128)
     density = model.density_at(x)
     _check_domain(density, z)
-    eps = model.background + density_eval_array(density, z, model.units.eps0)
+    eps = model.background + density_eval_array(density, z)
     return complex(eps) if eps.ndim == 0 else eps
 
 
 def passivity_margin(model, x, z):
-    """Im{ z [eps(x,z) - eps0] }; nonnegative in the upper half-plane.
+    """Im{ z [eps(x,z) - 1] }; nonnegative in the upper half-plane.
 
     `z` is a scalar (a float is returned) or an array (an array of the
     same shape is returned); every Im z must be > 0.
@@ -186,24 +164,18 @@ def passivity_margin(model, x, z):
     z = np.asarray(z, dtype=np.complex128)
     if not np.all(z.imag > 0):
         raise DomainError("passivity margin requires Im z > 0")
-    margin = (z * (eval_permittivity(model, x, z) - model.units.eps0)).imag
+    margin = (z * (eval_permittivity(model, x, z) - 1.0)).imag
     return float(margin) if margin.ndim == 0 else margin
 
 
-def sigma_eval(density, nu, eps0=1.0):
+def sigma_eval(density, nu):
     """Continuous part of sigma at real frequency nu (even, >= 0); discrete
     lines are distributions and are not included."""
     nu = np.asarray(nu, dtype=float)
     nu2 = nu * nu
     out = np.zeros_like(nu2)
     for wp, w1, gamma in density.lorentz:
-        out += (
-            eps0
-            * wp**2
-            * gamma
-            * nu2
-            / (math.pi * ((w1 * w1 - nu2) ** 2 + gamma * gamma * nu2))
-        )
+        out += wp**2 * gamma * nu2 / (math.pi * ((w1 * w1 - nu2) ** 2 + gamma * gamma * nu2))
     return out if out.ndim else float(out)
 
 
@@ -211,8 +183,9 @@ def sigma_eval(density, nu, eps0=1.0):
 # quadratures
 
 
-def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
-    """Permittivity by quadrature of -int sigma(nu)/(z^2-nu^2) dnu.
+def kk_reconstruct_permittivity(density, z):
+    """Permittivity 1 - int sigma(nu)/(z^2-nu^2) dnu of one density on a
+    unit background, by quadrature.
 
     `z` is a scalar (a complex is returned) or an array of frequencies, all
     with Im z > 0 (an array of the same shape is returned). Discrete lines
@@ -222,23 +195,22 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
     resonances and at the distinct |Re z|, and one on [cut, inf).
 
     Each z's integrand is divided by its own scale max(|val|, 1), where val
-    is eps0 plus the line terms, so the max-norm error estimate bounds the
+    is 1 plus the line terms, so the max-norm error estimate bounds the
     error of every z relative to that z's scale. QuadratureError (carrying
     the estimate) is raised when either quadrature reports failure or when
-    the scaled estimate of the result exceeds `quad.rel_tol`.
+    the scaled estimate of the result exceeds QUAD_REL_TOL.
 
     Returns (values, bound), where bound is each z's absolute error bound,
     the scaled estimate times max(|val|, 1) (0 when no quadrature runs).
     """
     from scipy import integrate
 
-    quad = quad or QuadratureSpec()
     z = np.asarray(z, dtype=np.complex128)
     zs = z.reshape(-1)
     if not np.all(zs.imag > 0):
         raise DomainError("Kramers-Kronig reconstruction requires Im z > 0")
     z2 = zs * zs
-    val = np.full(zs.shape, eps0, dtype=np.complex128)
+    val = np.full(zs.shape, 1.0, dtype=np.complex128)
     bound = np.zeros(zs.shape)
     for nu, w in density.lines:
         val += -2.0 * w / (z2 - nu * nu)
@@ -249,19 +221,19 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
         scale = np.maximum(np.abs(val), 1.0)
 
         def integrand(nu):
-            return sigma_eval(density, nu, eps0) / (scale * (z2 - nu * nu))
+            return sigma_eval(density, nu) / (scale * (z2 - nu * nu))
 
         parts = [
-            integrate.quad_vec(integrand, a, b, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
+            integrate.quad_vec(integrand, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
                                norm="max", points=pts, full_output=True)
             for a, b, pts in ((0.0, cut, points), (cut, math.inf, None))
         ]
         est = 2.0 * sum(err for _, err, _ in parts)
         failed = [info.message for _, _, info in parts if not info.success]
-        if failed or est > quad.rel_tol:
+        if failed or est > QUAD_REL_TOL:
             raise QuadratureError(
                 f"KK quadrature scaled error estimate {est:.3e} against rel_tol "
-                f"{quad.rel_tol:.3e}" + "".join(f"; {msg}" for msg in failed),
+                f"{QUAD_REL_TOL:.3e}" + "".join(f"; {msg}" for msg in failed),
                 estimate=est,
             )
         val -= 2.0 * scale * (parts[0][0] + parts[1][0])
@@ -271,30 +243,27 @@ def kk_reconstruct_permittivity(density, z, quad=None, eps0=1.0):
     return val.reshape(z.shape), bound.reshape(z.shape)
 
 
-def chi_dot_at_zero(density, eps0=1.0):
-    """Total weight int sigma dnu = dchi/dt(0+): 2 w_j per line + eps0 wp^2 per Lorentz part."""
-    return 2.0 * sum(w for _, w in density.lines) + eps0 * sum(
-        wp * wp for wp, _, _ in density.lorentz
-    )
+def chi_dot_at_zero(density):
+    """Total weight int sigma dnu = dchi/dt(0+): 2 w_j per line + wp^2 per Lorentz part."""
+    return 2.0 * sum(w for _, w in density.lines) + sum(wp * wp for wp, _, _ in density.lorentz)
 
 
-def sigma_total_weight(density, eps0=1.0):
+def sigma_total_weight(density):
     """Quadrature of int sigma dnu (continuous part) plus exact line weights."""
     from scipy import integrate
 
-    quad = QuadratureSpec()
     total = 2.0 * sum(w for _, w in density.lines)
     err = 0.0
     if density.lorentz:
         resonances = sorted(w1 for _, w1, _ in density.lorentz)
         cut = 50.0 * resonances[-1] + 50.0
         core, e1 = integrate.quad(
-            lambda nu: sigma_eval(density, nu, eps0), 0.0, cut,
-            points=resonances, epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=400,
+            lambda nu: sigma_eval(density, nu), 0.0, cut,
+            points=resonances, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400,
         )
         tail, e2 = integrate.quad(
-            lambda nu: sigma_eval(density, nu, eps0), cut, math.inf,
-            epsabs=quad.abs_tol, epsrel=quad.rel_tol, limit=400,
+            lambda nu: sigma_eval(density, nu), cut, math.inf,
+            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400,
         )
         total += 2.0 * (core + tail)
         err = 2.0 * (e1 + e2)
@@ -320,18 +289,16 @@ def susceptibility(model, x, t_grid, contour):
         t = np.atleast_1d(np.asarray(t_grid, dtype=float))
         return np.zeros_like(t), 0.0
 
-    def sampler(z):
-        return density_eval_array(density, z, model.units.eps0)
-
-    values, est = transforms.laplace_invert(sampler, contour, t_grid)
+    values, est = transforms.laplace_invert(
+        lambda z: density_eval_array(density, z), contour, t_grid)
     return values.real, est + float(np.max(np.abs(values.imag)))
 
 
-def lorentz_susceptibility_exact(wp, w1, gamma, t, eps0=1.0):
+def lorentz_susceptibility_exact(wp, w1, gamma, t):
     """Closed-form damped-sinusoid susceptibility of one Lorentz oscillator."""
     t = np.asarray(t, dtype=float)
     wt = math.sqrt(w1 * w1 - gamma * gamma / 4.0)
-    out = eps0 * wp * wp * np.exp(-gamma * t / 2.0) * np.sin(wt * t) / wt
+    out = wp * wp * np.exp(-gamma * t / 2.0) * np.sin(wt * t) / wt
     return np.where(t >= 0, out, 0.0)
 
 
@@ -339,14 +306,14 @@ def lorentz_susceptibility_exact(wp, w1, gamma, t, eps0=1.0):
 # non-dispersive construction
 
 
-def build_nondispersive(density, omega0, eps0=1.0):
-    """Real dielectric constant eps0 + int_{|nu|>=nu0} sigma/(nu^2 - omega0^2) dnu.
+def build_nondispersive(density, omega0):
+    """Real dielectric constant 1 + int_{|nu|>=nu0} sigma/(nu^2 - omega0^2) dnu.
 
     Requires a spectral gap nu0 > omega0 > 0 with all support above it,
     which in this representation restricts the density to discrete lines.
     """
     if density.is_vacuum:
-        return eps0
+        return 1.0
     nu0 = density.gap_nu0
     if not (nu0 > omega0 > 0):
         raise DomainError(f"need nu0 > omega0 > 0, got nu0 = {nu0}, omega0 = {omega0}")
@@ -357,7 +324,7 @@ def build_nondispersive(density, omega0, eps0=1.0):
     for nu, _ in density.lines:
         if nu < nu0:
             raise GapViolationError(f"line at nu = {nu} lies inside the gap |nu| < {nu0}")
-    value = eps0
+    value = 1.0
     for nu, w in density.lines:
         value += 2.0 * w / (nu * nu - omega0 * omega0)
     return value
@@ -370,14 +337,15 @@ def build_nondispersive(density, omega0, eps0=1.0):
 def load_medium(path):
     """Parse a medium description file (JSON) into a PermittivityModel.
 
-    Layers may touch but not overlap (a model built in code lets its first layer win).
+    Layers may touch but not overlap (a model built in code lets its first
+    layer win). Units are normalized (eps0 = mu0 = c = 1), the only value
+    the optional `unit_system` key accepts.
     """
-    unit_name, background, layers = config.fields(
+    unit_system, background, layers = config.fields(
         config.load(path, "medium file"), "medium file", (),
-        {"unit_system": "normalized", "background_epsilon": None, "layers": []})
-    units = _UNIT_SYSTEMS[config.choice(unit_name, "unit_system", _UNIT_SYSTEMS)]
-    background = (units.eps0 if background is None
-                  else config.number(background, "background_epsilon"))
+        {"unit_system": "normalized", "background_epsilon": 1.0, "layers": []})
+    config.choice(unit_system, "unit_system", ("normalized",))
+    background = config.number(background, "background_epsilon")
     parsed = []
     for i, layer in enumerate(config.items(layers, "layers")):
         where = f"layers[{i}]"
@@ -395,4 +363,4 @@ def load_medium(path):
             gap_nu0=config.number(gap_nu0, f"{where}.gap_nu0"),
         )
         parsed.append((x0, x1, density))
-    return PermittivityModel(background=background, layers=tuple(parsed), units=units)
+    return PermittivityModel(background=background, layers=tuple(parsed))

@@ -1,8 +1,9 @@
 """3D free-space Helmholtz inverse in Fourier space and its |z| -> infinity law.
 
-The inverse symbol splits into longitudinal and transverse projectors:
+In normalized units (eps0 = mu0 = c = 1) the inverse symbol splits into
+longitudinal and transverse projectors:
 
-    symbol(k, z) = (kk/k^2) / (z^2 eps0 mu0) + (1 - kk/k^2) / (z^2 eps0 mu0 - k^2)
+    symbol(k, z) = (kk/k^2) / z^2 + (1 - kk/k^2) / (z^2 - k^2)
 
 Test fields are Gaussian envelopes in k-space with constant polarization,
 so inner products and norms have closed forms and the coefficient needs a
@@ -99,8 +100,7 @@ def _projections(k, vec):
 
 
 def _symbol_apply_batch(k, z, vec):
-    """symbol(k, z) . vec for a batch of wavevectors in normalized units
-    (eps0 = mu0 = 1); vec shape (B, 3)."""
+    """symbol(k, z) . vec for a batch of wavevectors; vec shape (B, 3)."""
     z2 = z * z
     k2, longi, trans = _projections(k, vec)
     out = longi / z2 + trans / (z2 - k2)[:, None]
@@ -139,7 +139,7 @@ def free_coefficient(phi, psi, z, quad=None):
 
 
 def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
-    """|z^2 eps0 mu0 <phi, H_0^-1 psi> - <phi, psi>| along the ray arg z = theta.
+    """|z^2 <phi, H_0^-1 psi> - <phi, psi>| along the ray arg z = theta.
 
     Summed directly from the transverse remainder k^2 / (z^2 - k^2) of the
     symbol (no large-z cancellation). theta must stay away from the real axis.

@@ -5,10 +5,10 @@ discretized with 2nd-order central differences. Dirichlet walls model the
 closed cavity (tridiagonal, complex-symmetric); Bloch boundaries wrap the
 stencil with quasi-periodic phases (cyclic tridiagonal).
 
-Operator kinds:
-  dispersive(z)        diag  z^2 eps(x, z) mu0       - 2/h^2
-  two_freq(z, xi)      diag  z^2 eps0 mu0 + z mu0 xi [eps(x, xi) - eps0] - 2/h^2
-  nondispersive(z, w0) diag  z^2 eps_d(x) mu0        - 2/h^2
+Units are normalized (eps0 = mu0 = c = 1). Operator kinds:
+  dispersive(z)        diag  z^2 eps(x, z)                   - 2/h^2
+  two_freq(z, xi)      diag  z^2 + z xi [eps(x, xi) - 1]     - 2/h^2
+  nondispersive(z, w0) diag  z^2 eps_d(x)                    - 2/h^2
   bloch(z, k)          dispersive diagonal, cyclic wrap entries exp(-+ikL)/h^2
 
 The bloch kind runs on Bloch grids, every other kind on Dirichlet grids.
@@ -131,7 +131,7 @@ def _permittivity_table(model, x_points, z):
     densities, index = _layer_index(model, x_points)
     table = np.zeros((len(densities) + 1, z.size), dtype=np.complex128)
     for k, density in enumerate(densities, 1):
-        table[k] = density_eval_array(density, z, model.units.eps0)
+        table[k] = density_eval_array(density, z)
     table += complex(model.background)
     return table, index
 
@@ -139,10 +139,9 @@ def _permittivity_table(model, x_points, z):
 def _nondispersive_table(model, x_points, omega0):
     """Real eps_d of the gapped non-dispersive construction for each
     `_layer_index` table row, and each point's table row."""
-    eps0 = model.units.eps0
     densities, index = _layer_index(model, x_points)
     values = np.array([
-        model.background + build_nondispersive(density, omega0, eps0) - eps0
+        model.background + build_nondispersive(density, omega0) - 1.0
         for density in (VACUUM_DENSITY, *densities)
     ])
     return values, index
@@ -175,7 +174,6 @@ def uniform_permittivity(model, grid):
 def check_kind_domain(kind, z, xi, model, grid):
     """Domain of each operator kind over arrays of z (and xi), and the
     grid each kind runs on."""
-    c = model.units.c
     if kind in ("dispersive", "nondispersive"):
         if np.any(z.imag < 0):
             raise DomainError(f"{kind} operator requires Im z >= 0")
@@ -186,10 +184,8 @@ def check_kind_domain(kind, z, xi, model, grid):
             raise DomainError("two-frequency operator requires Im z > 0 and Im xi > 0")
     elif kind == "bloch":
         k = complex(grid.bloch_k)
-        if np.any(z.imag <= c * abs(k.imag)):
-            raise DomainError(
-                f"Bloch operator requires Im z > c |Im k| = {c * abs(k.imag)}"
-            )
+        if np.any(z.imag <= abs(k.imag)):
+            raise DomainError(f"Bloch operator requires Im z > |Im k| = {abs(k.imag)}")
     else:
         raise ConfigError(f"unknown operator kind {kind!r}")
     boundary = "bloch" if kind == "bloch" else "dirichlet"
@@ -241,11 +237,10 @@ def coefficient(op, phi, psi):
 
 
 def norm_bound(op):
-    """Proven bound 1 / (|z| eps0 mu0 Im z) on the inverse operator norm."""
-    units = op.model.units
+    """Proven bound 1 / (|z| Im z) on the inverse operator norm."""
     if op.z.imag <= 0:
         return math.inf
-    return 1.0 / (abs(op.z) * units.eps0 * units.mu0 * op.z.imag)
+    return 1.0 / (abs(op.z) * op.z.imag)
 
 
 def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
@@ -271,14 +266,14 @@ def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
 def resolvent_difference_ray(model, grid, eta, omega_ladder):
     """||z^2 (H_e(z)^-1 - H_0(z)^-1)|| along z = omega + i eta.
 
-    Asymptotically capped by dchi/dt(0+) / (eps0 mu0 Im z)^2.
+    Asymptotically capped by dchi/dt(0+) / (Im z)^2.
     """
     if eta <= 0:
         raise DomainError("ray requires eta > 0")
     # Two Thomas solves rather than the closed-form vacuum inverse: their
     # shared rounding cancels in the difference, which is orders of
     # magnitude smaller than either inverse at large omega.
-    vacuum = dispersion.vacuum_model(model.units)
+    vacuum = dispersion.PermittivityModel()
     rhs = np.eye(grid.N, dtype=np.complex128)
     out = []
     for omega in omega_ladder:
@@ -307,20 +302,19 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
             raise ConfigError("two_freq kind requires xi")
         z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
     check_kind_domain(kind, z, xi, model, grid)
-    eps0, mu0 = model.units.eps0, model.units.mu0
     if kind in ("dispersive", "bloch"):
         rows, index = _permittivity_table(model, grid.points, z)
-        np.multiply(z * z * mu0, rows, out=rows)
+        np.multiply(z * z, rows, out=rows)
     elif kind == "two_freq":
         rows, index = _permittivity_table(model, grid.points, xi)
-        np.subtract(rows, eps0, out=rows)
-        np.multiply(z * mu0 * xi, rows, out=rows)
-        np.add(z * z * eps0 * mu0, rows, out=rows)
+        np.subtract(rows, 1.0, out=rows)
+        np.multiply(z * xi, rows, out=rows)
+        np.add(z * z, rows, out=rows)
     else:  # nondispersive
         if omega0 is None:
             raise ConfigError("nondispersive kind requires omega0")
         eps_d, index = _nondispersive_table(model, grid.points, omega0)
-        rows = np.multiply(z * z * mu0, eps_d[:, None])
+        rows = np.multiply(z * z, eps_d[:, None])
     np.subtract(rows, 2.0 / grid.h**2, out=rows)
     return rows, index
 

@@ -3,7 +3,7 @@ reconstruction of Green's coefficients, and causal time-domain quantities.
 
 The mode-expansion scaling is pinned by the M = N identity: the full
 partial sum reproduces the discrete inverse-operator kernel exactly, which
-fixes the (eps mu0) weight bookkeeping left implicit in operator form.
+fixes the eps weight bookkeeping left implicit in operator form.
 
 Constant-eps resolvents (the vacuum reference, and media none of whose
 dispersive layers holds a grid point) are mode sums over the closed-form
@@ -23,7 +23,7 @@ RESONANCE_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Cavity modes, eps-weighted orthonormal: h sum eps mu0 phi_n phi_m = delta_nm."""
+    """Cavity modes, eps-weighted orthonormal: h sum eps phi_n phi_m = delta_nm."""
 
     grid: helmholtz.Grid1D
     omegas: np.ndarray = field(repr=False, default=None)  # strictly increasing
@@ -40,14 +40,14 @@ class SpectralDensity:
     reference: str = "vacuum"  # vacuum | none
 
 
-def cavity_modes(grid, eps_const, mu0=1.0):
-    """All N modes of L = -(eps mu0)^-1 d^2/dx^2 on a Dirichlet grid, from
-    the closed-form sine basis."""
+def cavity_modes(grid, eps_const):
+    """All N modes of L = -eps^-1 d^2/dx^2 on a Dirichlet grid, from the
+    closed-form sine basis."""
     if eps_const <= 0:
         raise DomainError("cavity permittivity must be a positive constant")
     lam, basis = helmholtz.sine_modes(grid)
-    omegas = np.sqrt(lam / (eps_const * mu0))
-    modes = basis / math.sqrt(grid.h * eps_const * mu0)
+    omegas = np.sqrt(lam / eps_const)
+    modes = basis / math.sqrt(grid.h * eps_const)
     return ModeSet(grid=grid, omegas=omegas, modes=modes)
 
 
@@ -120,11 +120,10 @@ def gaussian_probe(grid, center, width):
 # spectral density and KK reconstruction
 
 
-def _vacuum_coefficient(model, grid, phi, psi, z):
+def _vacuum_coefficient(grid, phi, psi, z):
     """<phi, H_0(z)^-1 psi> of the vacuum operator, the reference subtracted
     from a medium's coefficient."""
-    units = model.units
-    return mode_coefficient(cavity_modes(grid, units.eps0, units.mu0), phi, psi, z)
+    return mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
 
 
 def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
@@ -145,14 +144,14 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     eps_const = None if xi is not None else helmholtz.uniform_permittivity(model, grid)
     if eps_const is not None:
         helmholtz.check_kind_domain(kind, z, xi, model, grid)
-        modes = cavity_modes(grid, eps_const, model.units.mu0)
+        modes = cavity_modes(grid, eps_const)
         coeff = mode_coefficient(modes, phi, psi, z)
     else:
         rows, index = helmholtz.diagonal_rows(grid, model, kind, z, xi)
         coeff = grid.h * _kernels.tridiag_bilinear_batch(
             1.0 / grid.h**2, rows, index, np.conj(phi), psi)
     if reference == "vacuum":
-        coeff -= _vacuum_coefficient(model, grid, phi, psi, z)
+        coeff -= _vacuum_coefficient(grid, phi, psi, z)
     return coeff
 
 
@@ -176,7 +175,7 @@ def d_density(model, grid, phi, psi, nu_grid, zeta, reference="vacuum"):
     return SpectralDensity(nu_grid=nu, zeta=zeta, samples=samples, reference=reference)
 
 
-def kk_reconstruct_green(sd, model, grid, phi, psi, z):
+def kk_reconstruct_green(sd, grid, phi, psi, z):
     """Coefficient at z from the broadened density: reference part plus
     -int samples / (z^2 - nu^2) dnu."""
     z = complex(z)
@@ -184,7 +183,7 @@ def kk_reconstruct_green(sd, model, grid, phi, psi, z):
         raise DomainError("reconstruction needs Im z well above the broadening zeta")
     value = transforms.kk_kernel_integral(sd.nu_grid, sd.samples, z)
     if sd.reference == "vacuum":
-        value += _vacuum_coefficient(model, grid, phi, psi, z)
+        value += _vacuum_coefficient(grid, phi, psi, z)
     return value
 
 
@@ -217,12 +216,11 @@ def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, conto
     """E(x_i, t) radiated by a source switched on at t = 0.
 
     Time profile exp(-i omega_s t) step(t) with transform i / (z - omega_s);
-    E = inverse transform of H(z)^-1 (i z mu0) J_hat(z) s(x), whose entry
+    E = inverse transform of H(z)^-1 (i z) J_hat(z) s(x), whose entry
     at x_i is the bilinear form e_i^T H^-1 s of the complex-symmetric H.
     Returns (complex field values, truncation_estimate).
     """
     src = np.asarray(source_space, dtype=np.complex128)
-    mu0 = model.units.mu0
     unit = np.zeros(grid.N)
     unit[x_index] = 1.0
 
@@ -231,6 +229,6 @@ def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, conto
         jhat = 1j / (z - omega_s)
         rows, index = helmholtz.diagonal_rows(grid, model, kind, z, omega0=omega0)
         entry = _kernels.tridiag_bilinear_batch(1.0 / grid.h**2, rows, index, unit, src)
-        return 1j * z * mu0 * jhat * entry
+        return 1j * z * jhat * entry
 
     return transforms.laplace_invert(sampler, contour, t_grid, taper=taper)

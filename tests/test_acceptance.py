@@ -49,7 +49,7 @@ def test_acceptance_01_kk_permittivity_round_trip():
         im_min = 0.1 * model.min_gamma
         zs = [complex(re, im) for im in np.geomspace(im_min, 5.0, 20)
               for re in np.linspace(0.0, 5.0, 20)]
-        recon = (model.background - model.units.eps0
+        recon = (model.background - 1.0
                  + dsp.kk_reconstruct_permittivity(density, np.array(zs))[0])
         for z, r in zip(zs, recon):
             exact = dsp.eval_permittivity(model, x, z)
@@ -68,8 +68,8 @@ def test_acceptance_02_passivity_sweep():
         z = 10.0 ** rng.uniform(-2, 2, n) * np.exp(
             1j * rng.uniform(1e-2, math.pi - 1e-2, n)
         )
-        chi = dsp.density_eval_array(density, z, model.units.eps0)
-        chi += model.background - model.units.eps0
+        chi = dsp.density_eval_array(density, z)
+        chi += model.background - 1.0
         worst = min(worst, float(np.min((z * chi).imag)))
     _verdict(2, "passivity margin >= -1e-12 at 1e4 points/medium", worst,
              worst >= -1e-12)
@@ -80,8 +80,8 @@ def test_acceptance_03_sum_rule():
     for name in ALL_MEDIA:
         model = dsp.load_medium(str(MEDIA / name))
         for _, _, density in model.layers:
-            total, _ = dsp.sigma_total_weight(density, model.units.eps0)
-            target = dsp.chi_dot_at_zero(density, model.units.eps0)
+            total, _ = dsp.sigma_total_weight(density)
+            target = dsp.chi_dot_at_zero(density)
             worst = max(worst, abs(total - target) / target)
     _verdict(3, "sum rule vs dchi/dt(0+)", worst, worst <= 1e-8)
 
@@ -133,7 +133,7 @@ def test_acceptance_05_analyticity_loops():
 
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
     xi_loop = tr.RectangleLoop(z_lo=0.3 + 0.4j, z_hi=1.5 + 1.2j)
-    # joint-domain margin: Im z - c |Im k| = 0.5 - 0.3 = 0.2 >= 0.1
+    # joint-domain margin: Im z - |Im k| = 0.5 - 0.3 = 0.2 >= 0.1
     defects = {
         "z": tr.cauchy_loop(z_sampler, loop)[0],
         "xi": tr.cauchy_loop(xi_sampler, xi_loop)[0],
@@ -165,16 +165,16 @@ def test_acceptance_07_kk_for_green():
     direct = sp.direct_coefficient(model, grid, probe, probe, z)
     nu = np.linspace(-40, 40, 64001)
     sd = sp.d_density(model, grid, probe, probe, nu, 0.01)
-    err = abs(sp.kk_reconstruct_green(sd, model, grid, probe, probe, z) - direct) / abs(direct)
+    err = abs(sp.kk_reconstruct_green(sd, grid, probe, probe, z) - direct) / abs(direct)
     nu4 = np.linspace(-40, 40, 256001)
     sd4 = sp.d_density(model, grid, probe, probe, nu4, 0.0025)
-    err4 = abs(sp.kk_reconstruct_green(sd4, model, grid, probe, probe, z) - direct) / abs(direct)
+    err4 = abs(sp.kk_reconstruct_green(sd4, grid, probe, probe, z) - direct) / abs(direct)
     # absorptive cavity
     lorentz = dsp.load_medium(str(MEDIA / "lorentz_slab.json"))
     gauss = sp.gaussian_probe(grid, 0.5, 0.1)
     direct_a = sp.direct_coefficient(lorentz, grid, gauss, gauss, z)
     sd_a = sp.d_density(lorentz, grid, gauss, gauss, nu, 0.01)
-    err_a = abs(sp.kk_reconstruct_green(sd_a, lorentz, grid, gauss, gauss, z)
+    err_a = abs(sp.kk_reconstruct_green(sd_a, grid, gauss, gauss, z)
                 - direct_a) / abs(direct_a)
     ok = err <= 1e-3 and err4 <= err / 3.0 and err_a <= 1e-2
     _verdict(7, f"kk green reconstruction (zeta/4 -> {err4:.1e}, absorptive {err_a:.1e})",
@@ -242,14 +242,14 @@ def test_acceptance_09_causality():
                                   kind="nondispersive", omega0=1.0, taper=16.0)
     ratios["field_nondispersive"] = np.max(np.abs(f_n)) / np.max(np.abs(f_p))
 
-    # vacuum front speed: quiet before t = d/c - 3 * source FWHM
+    # vacuum front speed (c = 1): quiet before t = d - 3 * source FWHM
     vacuum = dsp.load_medium(str(MEDIA / "vacuum.json"))
     sigma = 0.05
     fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * sigma
     src = sp.gaussian_probe(grid, 0.3, sigma)
     x_index = 47
     dist = grid.points[x_index] - 0.3
-    t_cut = dist / vacuum.units.c - 3.0 * fwhm
+    t_cut = dist - 3.0 * fwhm
     assert t_cut > 0
     t_early = np.linspace(0.02, t_cut, 8)
     t_late = np.linspace(dist, 6.0, 200)
@@ -267,7 +267,6 @@ def test_acceptance_09_causality():
 
 def test_acceptance_10_nondispersive_construction():
     rng = np.random.default_rng(99)
-    units = dsp.NORMALIZED
     worst_speed = 0.0
     for _ in range(200):
         nu0 = rng.uniform(1.0, 5.0)
@@ -277,11 +276,11 @@ def test_acceptance_10_nondispersive_construction():
             for _ in range(rng.integers(1, 5))
         )
         density = dsp.OscillatorDensity(lines=lines, gap_nu0=nu0)
-        eps_d = dsp.build_nondispersive(density, omega0, units.eps0)
+        eps_d = dsp.build_nondispersive(density, omega0)
         assert isinstance(eps_d, float)
-        assert eps_d >= units.eps0
-        speed = 1.0 / math.sqrt(eps_d * units.mu0)
-        worst_speed = max(worst_speed, speed / units.c)
+        assert eps_d >= 1.0
+        # the phase speed in units of c
+        worst_speed = max(worst_speed, 1.0 / math.sqrt(eps_d))
     with pytest.raises(GapViolationError):
         dsp.build_nondispersive(
             dsp.OscillatorDensity(lines=((0.5, 1.0),), gap_nu0=2.0), 1.0
@@ -290,7 +289,7 @@ def test_acceptance_10_nondispersive_construction():
         dsp.build_nondispersive(
             dsp.OscillatorDensity(lines=((3.0, 1.0),), gap_nu0=0.0), 1.0
         )
-    _verdict(10, "non-dispersive: real, >= eps0, v <= c, gap enforced",
+    _verdict(10, "non-dispersive: real, >= 1, v <= c, gap enforced",
              worst_speed, worst_speed <= 1.0)
 
 

@@ -18,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helmgreen
-from helmgreen import cli
+from helmgreen import cli, dispersion
+from helmgreen import spectral as sp
 from helmgreen import transforms as tr
 
 
@@ -261,6 +262,17 @@ def _workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("workload", ["causal_contour", "kk_sweep", "operator_sweep"])
+def test_benchmark_media_load(tmp_path, workload):
+    # the benchmark's generator writes "unit_system": "normalized" into every medium
+    _workloads().generate(workload, 1, tmp_path)
+    media = sorted(tmp_path.glob("*.medium.json"))
+    assert media
+    for path in media:
+        assert json.loads(path.read_text())["unit_system"] == "normalized"
+        assert dispersion.load_medium(str(path)).layers
 
 
 def _causality_config(tmp_path, seed):
@@ -514,6 +526,7 @@ MALFORMED = [
     ("medium", ("layers", 0, "lorentz"), [5]),
     ("medium", ("layers", 0, "lorentz"), {"wp": 1.0}),
     ("medium", ("unit_system",), ["si"]),
+    ("medium", ("unit_system",), "si"),
     ("medium", ("layers",), _TWO_LAYERS),
 ]
 
@@ -548,6 +561,69 @@ def test_nonpositive_width_exits_2_with_one_error_line(tmp_path, capsys, case):
         assert _run_case(tmp_path, *case) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["kk_eps", "green"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, command, seed):
+    cfg = _write(tmp_path, "run.json", SMALL[command])
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", cfg, "--seed", seed])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed" in err and "Traceback" not in err
+
+
+def test_largest_u64_seed_runs(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.json", SMALL["kk_eps"])
+    assert cli.main(["kk_eps", "--config", cfg, "--seed", str(2**64 - 1)]) in (0, 1)
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["missing_dir", "a_directory"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, out):
+    cfg = _write(tmp_path, "run.json", SMALL["kk_eps"])
+
+    def no_work(*args):
+        raise AssertionError("config read before the --out check")
+
+    monkeypatch.setattr(cli.config, "load", no_work)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["kk_eps", "--config", cfg, "--out", str(tmp_path / out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --out" in err and "Traceback" not in err
+
+
+def test_failed_sidecar_write_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.json", SMALL["green"])
+    out = tmp_path / "green.csv"
+    (tmp_path / "green.csv.green.csv").mkdir()
+    assert cli.main(["green", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("probe, expect", [
+    ({"gaussian": {"center": 0.3, "width": 0.05}}, lambda g: sp.gaussian_probe(g, 0.3, 0.05)),
+    ({"point_index": 5}, lambda g: sp.point_probe(g, 5)),
+], ids=["gaussian", "point"])
+def test_zk_loop_uses_configured_probe_on_bloch_grid(tmp_path, capsys, monkeypatch,
+                                                     probe, expect):
+    cfg = {**SMALL["analyticity"], "probe": probe,
+           "loops": [{"kind": "zk", "bloch_k": {"re": 1.0, "im": 0.3},
+                      "z_lo": _LOOP["z_lo"], "z_hi": _LOOP["z_hi"], "n_points": 48}]}
+    seen = []
+    coefficient = cli.helmholtz.coefficient
+
+    def keep_probes(op, phi, psi):
+        seen.append((op.grid, phi, psi))
+        return coefficient(op, phi, psi)
+
+    monkeypatch.setattr(cli.helmholtz, "coefficient", keep_probes)
+    assert cli.main(["analyticity", "--config", _write(tmp_path, "run.json", cfg)]) == 0
+    assert len(seen) == 4 * 48
+    for grid, phi, psi in seen:
+        assert grid.boundary == "bloch"
+        assert np.array_equal(phi, expect(grid)) and np.array_equal(psi, expect(grid))
 
 
 def test_overlapping_layers_error_names_both(tmp_path, capsys):

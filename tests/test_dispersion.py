@@ -35,7 +35,7 @@ def line_model(nu=3.0, w=1.0):
 
 
 def test_vacuum_permittivity_is_background():
-    m = dsp.vacuum_model()
+    m = dsp.PermittivityModel()
     for z in (1j, 2.0 + 0.5j, -3.0 + 1e-3j):
         assert dsp.eval_permittivity(m, 0.3, z) == 1.0
 
@@ -84,21 +84,21 @@ def test_pole_proximity_raises():
                              np.array([2j, 1.0 + 1e-14j]))
 
 
-def _scalar_density_eval(density, z, eps0=1.0):
+def _scalar_density_eval(density, z):
     """The per-point loop that `density_eval_array` replaced, in Python
     complex arithmetic: the reference for the vectorized formula."""
     val = 0.0 + 0.0j
     for nu, w in density.lines:
         val += -2.0 * w / (z * z - nu * nu)
     for wp, w1, gamma in density.lorentz:
-        val += eps0 * wp * wp / (w1 * w1 - z * z - 1j * gamma * z)
+        val += wp * wp / (w1 * w1 - z * z - 1j * gamma * z)
     return val
 
 
 def test_density_eval_array_matches_scalar():
     density = dsp.OscillatorDensity(lines=((3.0, 0.5),), lorentz=((1.0, 2.0, 0.1),))
     zs = np.array([1j, 2.0 + 0.5j, -1.0 + 2.0j])
-    arr = dsp.density_eval_array(density, zs, 1.0)
+    arr = dsp.density_eval_array(density, zs)
     for z, v in zip(zs, arr):
         assert v == pytest.approx(_scalar_density_eval(density, complex(z)), rel=1e-14)
 
@@ -148,7 +148,7 @@ def test_passivity_margin_example():
 
 
 def test_passivity_margin_vacuum_zero():
-    assert dsp.passivity_margin(dsp.vacuum_model(), 0.1, 0.5 + 0.5j) == 0.0
+    assert dsp.passivity_margin(dsp.PermittivityModel(), 0.1, 0.5 + 0.5j) == 0.0
 
 
 def test_passivity_sweep_small():
@@ -178,7 +178,7 @@ def test_sigma_eval_nonnegative_even():
 
 
 def test_sigma_eval_closed_form():
-    # sigma_L(nu) = eps0 wp^2 gamma nu^2 / (pi [(w1^2-nu^2)^2 + gamma^2 nu^2])
+    # sigma_L(nu) = wp^2 gamma nu^2 / (pi [(w1^2-nu^2)^2 + gamma^2 nu^2])
     density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.1),))
     nu = 1.7
     expect = 0.1 * nu**2 / (math.pi * ((4.0 - nu**2) ** 2 + 0.01 * nu**2))
@@ -247,10 +247,11 @@ def test_kk_requires_upper_half_plane():
         dsp.kk_reconstruct_permittivity(density, np.array([1j, 2.0 + 0.5j, 3.0 + 0.0j]))
 
 
-def test_kk_unreachable_tolerance_raises_with_estimate():
-    spec = dsp.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
+def test_kk_unreachable_tolerance_raises_with_estimate(monkeypatch):
+    monkeypatch.setattr(dsp, "QUAD_REL_TOL", 1e-15)
+    monkeypatch.setattr(dsp, "QUAD_ABS_TOL", 1e-300)
     with pytest.raises(QuadratureError) as info:
-        dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), 1.0 + 0.5j, spec)
+        dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), 1.0 + 0.5j)
     assert info.value.estimate is not None and math.isfinite(info.value.estimate)
 
 
@@ -284,7 +285,7 @@ def test_susceptibility_causal():
 
 
 def test_susceptibility_vacuum_zero():
-    chi, est = dsp.susceptibility(dsp.vacuum_model(), 0.5, [1.0, 2.0], None)
+    chi, est = dsp.susceptibility(dsp.PermittivityModel(), 0.5, [1.0, 2.0], None)
     assert np.all(chi == 0.0) and est == 0.0
 
 
@@ -362,6 +363,11 @@ def test_load_medium_bad_number_is_config_error(tmp_path, part):
     path.write_text(json.dumps({"layers": [{"interval": [0.2, 0.8], "lorentz": [part]}]}))
     with pytest.raises(ConfigError):
         dsp.load_medium(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MEDIA.glob("*.json")))
+def test_load_medium_accepts_shipped_media(name):
+    assert dsp.load_medium(str(MEDIA / name)).background >= 1.0
 
 
 def test_load_medium_missing_file():

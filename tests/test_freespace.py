@@ -51,7 +51,7 @@ def test_symbol_even_in_k():
 
 
 def test_symbol_projector_identity():
-    # z^2 eps0 mu0 symbol = I + k^2/(z^2 - k^2) (I - kk/k^2) entry-wise
+    # z^2 symbol = I + k^2/(z^2 - k^2) (I - kk/k^2) entry-wise
     rng = np.random.default_rng(4)
     for _ in range(10):
         k = rng.standard_normal(3)

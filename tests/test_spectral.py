@@ -23,7 +23,7 @@ def cavity():
 
 
 def test_mode_frequencies_match_closed_form(cavity):
-    # oracle: dense eigenvalues of L = -(eps mu0)^-1 d^2/dx^2 with eps = 2
+    # oracle: dense eigenvalues of L = -eps^-1 d^2/dx^2 with eps = 2
     grid, modes = cavity
     lap = (np.diag(np.full(grid.N, -2.0)) + np.diag(np.ones(grid.N - 1), 1)
            + np.diag(np.ones(grid.N - 1), -1)) / grid.h**2
@@ -68,7 +68,7 @@ def test_single_mode_coefficient(cavity):
     phi1 = modes.modes[:, 0]
     got = sp.mode_coefficient(modes, phi1, phi1, z)
     # eps-weighted orthonormality collapses the sum to the n = 1 term; the
-    # plain-L2 overlap h <phi1, phi1> equals 1/(eps mu0), squared here
+    # plain-L2 overlap h <phi1, phi1> equals 1/eps, squared here
     expect = 1.0 / (2.0**2 * (z * z - modes.omegas[0] ** 2))
     assert got == pytest.approx(expect, rel=1e-10)
 
@@ -133,7 +133,7 @@ def test_d_density_even():
 
 def test_d_density_vacuum_reference_is_zero_for_vacuum():
     g = hh.Grid1D(L=1.0, N=64)
-    model = dsp.vacuum_model()
+    model = dsp.PermittivityModel()
     p = sp.gaussian_probe(g, 0.5, 0.1)
     nu = np.linspace(-10, 10, 2001)
     sd = sp.d_density(model, g, p, p, nu, 0.05)
@@ -142,7 +142,7 @@ def test_d_density_vacuum_reference_is_zero_for_vacuum():
 
 def test_d_density_guards():
     g = hh.Grid1D(L=1.0, N=64)
-    model = dsp.vacuum_model()
+    model = dsp.PermittivityModel()
     p = sp.gaussian_probe(g, 0.5, 0.1)
     with pytest.raises(DomainError):
         sp.d_density(model, g, p, p, np.linspace(-1, 1, 11), 0.0)
@@ -157,7 +157,7 @@ def test_kk_reconstruct_green_cavity():
     nu = np.linspace(-40, 40, 32001)
     sd = sp.d_density(model, g, p, p, nu, 0.02)
     z = 5j
-    recon = sp.kk_reconstruct_green(sd, model, g, p, p, z)
+    recon = sp.kk_reconstruct_green(sd, g, p, p, z)
     direct = sp.direct_coefficient(model, g, p, p, z)
     assert abs(recon - direct) / abs(direct) < 5e-3
 
@@ -169,7 +169,7 @@ def test_kk_reconstruct_needs_margin():
     nu = np.linspace(-10, 10, 2001)
     sd = sp.d_density(model, g, p, p, nu, 0.05)
     with pytest.raises(DomainError):
-        sp.kk_reconstruct_green(sd, model, g, p, p, 0.2j)
+        sp.kk_reconstruct_green(sd, g, p, p, 0.2j)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +209,7 @@ def test_under_resolved_contour_estimate_covers_its_error():
 
 def test_time_domain_field_zero_source():
     g = hh.Grid1D(L=1.0, N=48)
-    model = dsp.vacuum_model()
+    model = dsp.PermittivityModel()
     c = tr.ContourSpec(eta=1.0, omega_max=200.0, n_points=50000)
     vals, _ = sp.time_domain_field(model, g, np.zeros(48), 1.0, 10, [0.5, 1.0], c)
     assert np.all(vals == 0.0)
@@ -237,7 +237,7 @@ def test_xi_sweep_matches_per_node_two_freq_solves(reference):
 
 def _mp_coefficient(grid, probe, z, eps, diag=None):
     """40-digit <probe, H(z)^-1 probe> of the constant-eps operator
-    z^2 eps + d^2/dx^2 (mu0 = 1), by the Thomas algorithm in mpmath; given
+    z^2 eps + d^2/dx^2, by the Thomas algorithm in mpmath; given
     a per-point float64 `diag`, of the float64 operator with that diagonal
     and off-diagonal 1.0 / h**2, both taken as exact (z and eps unused)."""
     with mpmath.workdps(40):
@@ -266,7 +266,7 @@ def test_vacuum_reference_matches_mpmath(z):
     grid = hh.Grid1D(L=1.0, N=64)
     probe = sp.gaussian_probe(grid, 0.5, 0.1)
     expect = _mp_coefficient(grid, probe, z, 1.0)
-    got = sp._vacuum_coefficient(dsp.vacuum_model(), grid, probe, probe, z)
+    got = sp._vacuum_coefficient(grid, probe, probe, z)
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
@@ -294,19 +294,16 @@ def test_xi_sweep_accuracy_against_mpmath(z, reference):
 
 @given(
     eps=st.floats(1.0, 12.0),
-    si=st.booleans(),
     center=st.floats(0.2, 0.8),
     width=st.floats(0.03, 0.3),
     re=st.floats(-20.0, 20.0),
     im=st.floats(0.05, 5.0),
 )
-def test_property_constant_eps_sweep_matches_solves(eps, si, center, width, re, im):
-    units = dsp.SI if si else dsp.NORMALIZED
-    model = dsp.PermittivityModel(background=eps * units.eps0, units=units)
+def test_property_constant_eps_sweep_matches_solves(eps, center, width, re, im):
+    model = dsp.PermittivityModel(background=eps)
     grid = hh.Grid1D(L=1.0, N=32)
     probe = sp.gaussian_probe(grid, center, width)
-    # z in units of c, so that z^2 eps mu0 weighs the same in both systems
-    z = units.c * np.array([complex(re, im), complex(-re, 2.0 * im), complex(0.5 * re, im)])
+    z = np.array([complex(re, im), complex(-re, 2.0 * im), complex(0.5 * re, im)])
     got = sp._coefficient_sweep(model, grid, probe, probe, z, "none")
     for zi, g in zip(z, got):
         expect = hh.coefficient(hh.assemble(grid, model, "dispersive", zi), probe, probe)
@@ -338,7 +335,7 @@ def test_constant_eps_sweep_makes_no_batched_solve(monkeypatch):
         sp._coefficient_sweep(model, grid, probe, probe, np.array([1j, 1.0 - 0.1j]), "none")
 
 
-@pytest.mark.parametrize("model", [dsp.vacuum_model(), dsp.PermittivityModel(
+@pytest.mark.parametrize("model", [dsp.PermittivityModel(), dsp.PermittivityModel(
     layers=((0.25, 0.75, dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))),))])
 def test_coefficient_sweep_rejects_bloch_grid(model):
     grid = hh.Grid1D(L=1.0, N=32, boundary="bloch", bloch_k=1.0)
@@ -434,7 +431,7 @@ def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
         z = np.linspace(-400.0, 400.0, 2001) + 1j * eta
         got = samplers[0](z)
         diag = hh.diagonal_batch(grid, model, kind, z, omega0=omega0)
-        rhs = (1j * z * model.units.mu0 * (1j / (z - omega_s)))[:, None] * src[None, :]
+        rhs = (1j * z * (1j / (z - omega_s)))[:, None] * src[None, :]
         fields = _thomas_fields(grid, diag, rhs)
         # the entry is exponentially small against the field near |Re z| = 140,
         # where both solvers carry an error of order eps |field|
