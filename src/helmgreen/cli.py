@@ -166,14 +166,17 @@ def cmd_kk_eps(cfg, seed):
     zs = 10.0 ** rng.uniform(-2, 2, n_samples) * np.exp(
         1j * rng.uniform(0.01, math.pi - 0.01, n_samples)
     )
-    worst = float(np.min(dispersion.passivity_margin(model, x, zs)))
+    margins = dispersion.passivity_margin(model, x, zs)
+    at = int(np.argmin(margins))
+    worst = float(margins[at])
     report.add("passivity_sweep", {"n": n_samples, "seed": seed}, worst,
                -tol["passivity_floor"], tol["passivity_floor"],
-               worst >= -tol["passivity_floor"])
+               worst >= -tol["passivity_floor"],
+               dispersion.passivity_rounding(model, x, zs[at]))
 
     total, est = dispersion.sigma_total_weight(density)
     target = dispersion.chi_dot_at_zero(density)
-    rel = abs(total - target) / target if target else 0.0
+    rel, est = (abs(total - target) / target, est / target) if target else (0.0, 0.0)
     report.zero("sum_rule", {}, rel, tol["sum_rule_rel"], est)
     return report, None
 

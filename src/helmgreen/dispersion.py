@@ -9,8 +9,8 @@ Lorentz continuous parts. The permittivity is the superposition
 evaluable at any complex frequency z in the closed upper half-plane.
 This module also provides the passivity margin, the time-domain
 susceptibility (contour inversion), the sum rule weight and the
-non-dispersive (gapped) construction. scipy is imported inside the two
-quadratures that use it, so evaluating a permittivity never pays its import.
+non-dispersive (gapped) construction. Both quadratures (KK round trip, sum
+rule) run one numpy adaptive Gauss-Kronrod rule; nothing here imports scipy.
 
 Convention: a stored line (nu_j, w_j) carries weight w_j at +nu_j *and*
 at -nu_j, so its permittivity contribution is -2 w_j / (z^2 - nu_j^2)
@@ -103,7 +103,8 @@ class PermittivityModel:
         return min((d.min_gamma for _, _, d in self.layers), default=math.inf)
 
 
-# tolerances of the two scipy quadratures (KK reconstruction, sum rule)
+# tolerances of the two quadratures: the KK reconstruction's scaled estimate
+# and the sum rule's estimate relative to its weight (QUAD_ABS_TOL its floor)
 QUAD_REL_TOL = 1e-9
 QUAD_ABS_TOL = 1e-12
 
@@ -168,6 +169,24 @@ def passivity_margin(model, x, z):
     return float(margin) if margin.ndim == 0 else margin
 
 
+def passivity_rounding(model, x, z):
+    """Rounding bound of `passivity_margin` at one frequency z:
+    gamma_n |z| (|eps_b| + 1 + sum_k |t_k| (1 + s_k / |d_k|)), where t_k =
+    a_k / d_k is the term of the k-th line or Lorentz part, s_k the sum of the
+    magnitudes that make up its denominator d_k (their cancellation near a
+    pole) and n = 8 + the number of terms."""
+    z = complex(z)
+    density = model.density_at(x)
+    az = abs(z)
+    parts = [(2.0 * w, z * z - nu * nu, az * az + nu * nu) for nu, w in density.lines]
+    parts += [(wp * wp, w1 * w1 - z * z - 1j * gamma * z, w1 * w1 + az * az + gamma * az)
+              for wp, w1, gamma in density.lorentz]
+    terms = sum(a / abs(d) * (1.0 + s / abs(d)) for a, d, s in parts)
+    n_u = (8 + len(parts)) * np.finfo(float).eps / 2
+    gamma_n = n_u / (1.0 - n_u)
+    return gamma_n * az * (abs(model.background) + 1.0 + terms)
+
+
 def sigma_eval(density, nu):
     """Continuous part of sigma at real frequency nu (even, >= 0); discrete
     lines are distributions and are not included."""
@@ -182,6 +201,81 @@ def sigma_eval(density, nu):
 # ---------------------------------------------------------------------------
 # quadratures
 
+# QUADPACK's qk15 pair on [-1, 1] (Piessens et al., QUADPACK, 1983): the 15
+# Kronrod nodes, whose odd-indexed ones are the 7 Gauss nodes, the Kronrod
+# weights and the Gauss weights (0 at the Kronrod-only nodes).
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))
+_GK_KRONROD = np.array(_WK + _WK[-2::-1])
+_GK_GAUSS = np.array(_WG + _WG[-2::-1])
+# caps of one adaptive run: refinement rounds, and intervals in the partition
+# (scipy quad_vec's default limit); f receives at most _GK_BLOCK node-column
+# values per call, so memory does not grow with the number of live intervals
+_GK_ROUNDS = 40
+_GK_LIMIT = 10000
+_GK_BLOCK = 2**20
+
+
+def _gauss_kronrod(f, breakpoints, tol, columns=1):
+    """Globally adaptive G7K15 integral of f over [breakpoints[0], breakpoints[-1]].
+
+    f maps a (k,) array of nodes to a (k, columns) array. Each round evaluates
+    f on the 15 nodes of every live interval, in as few calls as _GK_BLOCK
+    allows (one on the shipped configs). An interval's estimate is the max
+    over the columns of |K15 - G7|, floored at qk15's rounding bound
+    50 eps h sum w|f|. The run stops when the estimates of all intervals sum
+    to at most `tol`; otherwise it retires the live intervals whose estimate
+    is within their share of the tolerance left (tol minus the retired
+    estimates, split by width over the live intervals) and bisects the rest.
+    Returns (integral (columns,), estimate); QuadratureError (with the
+    estimate) when the rounds run out or the partition exceeds _GK_LIMIT.
+    """
+    a, b = np.asarray(breakpoints[:-1], float), np.asarray(breakpoints[1:], float)
+    done, done_err, n_done, err = 0.0, 0.0, 0, math.inf
+    step = max(1, _GK_BLOCK // (_GK_NODES.size * columns))
+    for _ in range(_GK_ROUNDS):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        share = (tol - done_err) * half / np.sum(half)
+        err_i, every, kept = np.empty(a.size), 0.0, 0.0
+        for block in (slice(i, i + step) for i in range(0, a.size, step)):
+            h = half[block, None]
+            fx = f((mid[block, None] + h * _GK_NODES).ravel()).reshape(-1, _GK_NODES.size, columns)
+            kronrod = h * (_GK_KRONROD @ fx)
+            gauss = h * (_GK_GAUSS @ fx)
+            floor = (50.0 * np.finfo(float).eps) * h * (_GK_KRONROD @ np.abs(fx))
+            err_i[block] = np.max(np.maximum(np.abs(kronrod - gauss), floor), axis=1)
+            every = every + np.sum(kronrod, axis=0)
+            kept = kept + np.sum(kronrod[err_i[block] <= share[block]], axis=0)
+        err = done_err + float(np.sum(err_i))
+        if err <= tol:
+            return done + every, err
+        keep = err_i <= share
+        done = done + kept
+        done_err += float(np.sum(err_i[keep]))
+        n_done += int(np.count_nonzero(keep))
+        split = ~keep
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        if n_done + a.size > _GK_LIMIT:
+            break
+    raise QuadratureError(
+        f"Gauss-Kronrod estimate {err:.3e} above tolerance {tol:.3e} at the cap of "
+        f"{_GK_ROUNDS} rounds or {_GK_LIMIT} intervals", estimate=err)
+
+
+def _gauss_kronrod_tail(f, cut, tol, columns=1):
+    """`_gauss_kronrod` of f over [cut, inf), mapped onto (0, 1] by nu = cut / t."""
+    return _gauss_kronrod(lambda t: f(cut / t) * (cut / (t * t))[:, None], (0.0, 1.0), tol,
+                          columns)
+
 
 def kk_reconstruct_permittivity(density, z):
     """Permittivity 1 - int sigma(nu)/(z^2-nu^2) dnu of one density on a
@@ -190,21 +284,22 @@ def kk_reconstruct_permittivity(density, z):
     `z` is a scalar (a complex is returned) or an array of frequencies, all
     with Im z > 0 (an array of the same shape is returned). Discrete lines
     enter exactly. The Lorentz continuous parts are integrated numerically
-    (even symmetry halves the range) by one adaptive Gauss-Kronrod vector
-    quadrature over the whole array on [0, cut], with breakpoints at the
-    resonances and at the distinct |Re z|, and one on [cut, inf).
+    (even symmetry halves the range) by the globally adaptive G7K15 rule
+    `_gauss_kronrod`, run over the whole array at once: on [0, cut], with
+    breakpoints at the resonances and at the distinct |Re z|, and on
+    [cut, inf) mapped onto (0, 1].
 
     Each z's integrand is divided by its own scale max(|val|, 1), where val
-    is 1 plus the line terms, so the max-norm error estimate bounds the
-    error of every z relative to that z's scale. QuadratureError (carrying
-    the estimate) is raised when either quadrature reports failure or when
-    the scaled estimate of the result exceeds QUAD_REL_TOL.
+    is 1 plus the line terms, so the rule's max-norm estimate (the summed
+    |K15 - G7| of its intervals, floored at their rounding bound) bounds the
+    error of every z relative to that z's scale. Each part refines until its
+    estimate is at most QUAD_REL_TOL / 4, so the scaled estimate of the
+    result, twice their sum, is at most QUAD_REL_TOL / 2. QuadratureError
+    (carrying the estimate) is raised when a part hits the rule's caps.
 
     Returns (values, bound), where bound is each z's absolute error bound,
     the scaled estimate times max(|val|, 1) (0 when no quadrature runs).
     """
-    from scipy import integrate
-
     z = np.asarray(z, dtype=np.complex128)
     zs = z.reshape(-1)
     if not np.all(zs.imag > 0):
@@ -217,26 +312,18 @@ def kk_reconstruct_permittivity(density, z):
     if density.lorentz and zs.size:
         resonances = [w1 for _, w1, _ in density.lorentz]
         cut = 10.0 * max(max(resonances), float(np.max(np.abs(zs)))) + 10.0
-        points = sorted(set(resonances) | set(np.abs(zs.real).tolist()))
+        points = sorted({0.0, cut} | set(resonances) | set(np.abs(zs.real).tolist()))
         scale = np.maximum(np.abs(val), 1.0)
 
         def integrand(nu):
-            return sigma_eval(density, nu) / (scale * (z2 - nu * nu))
+            den = z2 - (nu * nu)[:, None]
+            den *= scale
+            return np.divide(sigma_eval(density, nu)[:, None], den, out=den)
 
-        parts = [
-            integrate.quad_vec(integrand, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                               norm="max", points=pts, full_output=True)
-            for a, b, pts in ((0.0, cut, points), (cut, math.inf, None))
-        ]
-        est = 2.0 * sum(err for _, err, _ in parts)
-        failed = [info.message for _, _, info in parts if not info.success]
-        if failed or est > QUAD_REL_TOL:
-            raise QuadratureError(
-                f"KK quadrature scaled error estimate {est:.3e} against rel_tol "
-                f"{QUAD_REL_TOL:.3e}" + "".join(f"; {msg}" for msg in failed),
-                estimate=est,
-            )
-        val -= 2.0 * scale * (parts[0][0] + parts[1][0])
+        core, e1 = _gauss_kronrod(integrand, points, QUAD_REL_TOL / 4, zs.size)
+        tail, e2 = _gauss_kronrod_tail(integrand, cut, QUAD_REL_TOL / 4, zs.size)
+        est = 2.0 * (e1 + e2)
+        val -= 2.0 * scale * (core + tail)
         bound = est * scale
     if z.ndim == 0:
         return complex(val[0]), float(bound[0])
@@ -249,23 +336,26 @@ def chi_dot_at_zero(density):
 
 
 def sigma_total_weight(density):
-    """Quadrature of int sigma dnu (continuous part) plus exact line weights."""
-    from scipy import integrate
+    """Quadrature of int sigma dnu (continuous part) plus exact line weights.
 
+    Returns (total, estimate): the continuous part runs `_gauss_kronrod` on
+    [0, cut] (breakpoints at the resonances) and on [cut, inf), each part
+    to max(QUAD_ABS_TOL, QUAD_REL_TOL * sum wp^2) / 4; the estimate is the
+    absolute error bound of the total.
+    """
     total = 2.0 * sum(w for _, w in density.lines)
     err = 0.0
     if density.lorentz:
-        resonances = sorted(w1 for _, w1, _ in density.lorentz)
+        resonances = sorted({w1 for _, w1, _ in density.lorentz})
         cut = 50.0 * resonances[-1] + 50.0
-        core, e1 = integrate.quad(
-            lambda nu: sigma_eval(density, nu), 0.0, cut,
-            points=resonances, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400,
-        )
-        tail, e2 = integrate.quad(
-            lambda nu: sigma_eval(density, nu), cut, math.inf,
-            epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400,
-        )
-        total += 2.0 * (core + tail)
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * sum(wp * wp for wp, _, _ in density.lorentz)) / 4
+
+        def integrand(nu):
+            return sigma_eval(density, nu)[:, None]
+
+        core, e1 = _gauss_kronrod(integrand, [0.0, *resonances, cut], tol)
+        tail, e2 = _gauss_kronrod_tail(integrand, cut, tol)
+        total += 2.0 * float(core[0] + tail[0])
         err = 2.0 * (e1 + e2)
     return total, err
 

@@ -275,18 +275,20 @@ def test_benchmark_media_load(tmp_path, workload):
         assert dispersion.load_medium(str(path)).layers
 
 
-def _causality_config(tmp_path, seed):
-    """The shipped causality config (seed None) or the benchmark's generated
-    one for `seed`, with its medium path made absolute."""
+def _bench_config(tmp_path, workload, seed):
+    """The shipped config of the single-command `workload` (seed None) or the
+    benchmark's generated one for `seed`, with its medium path made absolute."""
     if seed is None:
         base = ROOT
-        cfg = json.loads((base / "configs" / "causality.json").read_text())
+        (command,) = _workloads().WORKLOADS[workload]
+        cfg = json.loads((base / "configs" / f"{command}.json").read_text())
     else:
         base = tmp_path
-        (job,) = _workloads().generate("causal_contour", seed, tmp_path)
+        (job,) = _workloads().generate(workload, seed, tmp_path)
+        command = job.command
         cfg = json.loads((tmp_path / job.config).read_text())
     cfg["medium"] = str(base / cfg["medium"])
-    return _write(tmp_path, "causality.json", cfg)
+    return _write(tmp_path, f"{command}.json", cfg)
 
 
 def _rows(path):
@@ -299,13 +301,47 @@ def test_causality_estimates_cover_measured_errors(tmp_path, capsys, seed):
     # every row measures an error: the negative-time values and the
     # imaginary part of the x-operator coefficient are 0 in exact arithmetic
     out = tmp_path / "report.csv"
-    assert cli.main(["causality", "--config", _causality_config(tmp_path, seed),
+    assert cli.main(["causality", "--config", _bench_config(tmp_path, "causal_contour", seed),
                      "--out", str(out)]) == 0
     rows = _rows(out)
     assert len(rows) == 4
     for row in rows:
         assert row["pass"] == "true"
         assert float(row["error_estimate"]) >= float(row["measured"])
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_kk_eps_estimates_cover_closed_form_errors(tmp_path, capsys, seed):
+    # kk_round_trip measures the error against the closed-form eps, and
+    # sum_rule the error against chi_dot_at_zero, both relative
+    out = tmp_path / "report.csv"
+    assert cli.main(["kk_eps", "--config", _bench_config(tmp_path, "kk_sweep", seed),
+                     "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert len(rows) == 402
+    for row in rows:
+        assert row["pass"] == "true"
+        if row["check_id"] == "passivity_sweep":
+            assert float(row["error_estimate"]) > 0.0
+        else:
+            assert float(row["error_estimate"]) >= float(row["measured"])
+
+
+def test_kk_eps_wide_grid_many_breakpoints(tmp_path, capsys):
+    # 200 distinct Re z, each a breakpoint beside a near-pole 0.02 off the
+    # axis: about 800 live intervals in the KK rule's third round
+    cfg = dict(json.loads((ROOT / "configs" / "kk_eps.json").read_text()),
+               medium=str(SLAB_PATH), passivity_samples=100)
+    cfg["z_grid"] = dict(cfg["z_grid"], re_max=20.0, n_re=200, n_im=2)
+    out = tmp_path / "report.csv"
+    assert cli.main(["kk_eps", "--config", _write(tmp_path, "kk_eps.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert len(rows) == 402
+    for row in rows:
+        assert row["pass"] == "true"
+        if row["check_id"] != "passivity_sweep":
+            assert float(row["error_estimate"]) >= float(row["measured"])
 
 
 def test_causality_contours_sample_each_node_once_and_stop_early(tmp_path, capsys,
@@ -326,7 +362,8 @@ def test_causality_contours_sample_each_node_once_and_stop_early(tmp_path, capsy
         return values, est
 
     monkeypatch.setattr(tr, "laplace_invert", counted)
-    assert cli.main(["causality", "--config", _causality_config(tmp_path, None)]) == 0
+    cfg = _bench_config(tmp_path, "causal_contour", None)
+    assert cli.main(["causality", "--config", cfg]) == 0
     assert len(runs) == 6
     for contour, blocks, values, est, fixed in runs:
         z = np.concatenate(blocks)
@@ -677,24 +714,25 @@ seen = [loaded()]
 for command, cfg in json.loads(sys.argv[1]):
     code = cli.main([command, "--config", cfg, "--out", cfg + ".csv"])
     seen.append([code, loaded()])
+import scipy.integrate
+seen.append(loaded())
 print(json.dumps(seen))
 """
 
 
-def test_scipy_is_imported_only_by_quadrature_commands(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests
-    runs = [(command, _write(tmp_path, f"{command}.json", SMALL[command]))
-            for command in ("analyticity", "modes", "kk_eps")]
+    runs = [(command, _write(tmp_path, f"{command}.json", cfg)) for command, cfg in SMALL.items()]
     env = dict(os.environ)
     src = str(Path(helmgreen.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    after_import, (ana_code, after_ana), (modes_code, after_modes), (kk_code, after_kk) = \
-        json.loads(out)
+    after_import, *after_commands, after_scipy = json.loads(out)
+    # the probe sees scipy once it is imported (scipy is in the test extra)
+    assert "scipy.integrate" in after_scipy
     assert after_import == []
-    assert ana_code in (0, 1) and after_ana == []
-    # the KK reconstruction of the Green's coefficient runs its own Simpson rule
-    assert modes_code in (0, 1) and after_modes == []
-    # the KK quadrature of kk_eps loads it, which shows the probe can see it
-    assert kk_code in (0, 1) and "scipy.integrate" in after_kk
+    assert len(after_commands) == len(SMALL) == 6
+    for (command, _), (code, loaded) in zip(runs, after_commands):
+        assert code in (0, 1), command
+        assert loaded == [], command

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,46 @@ def test_passivity_sweep_small():
     assert dsp.passivity_margin(m, 0.5, z[7]) == margins[7]
 
 
+def _exact_margin(model, x, z):
+    """Im{z (eps - 1)} in exact rational arithmetic on the float inputs."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def div(a, b):
+        d = b[0] ** 2 + b[1] ** 2
+        return (a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d
+
+    z = (Fraction(z.real), Fraction(z.imag))
+    z2 = mul(z, z)
+    re, im = Fraction(model.background) - 1, Fraction(0)
+    density = model.density_at(x)
+    for nu, w in density.lines:
+        t = div((-2 * Fraction(w), Fraction(0)), (z2[0] - Fraction(nu) ** 2, z2[1]))
+        re, im = re + t[0], im + t[1]
+    for wp, w1, gamma in density.lorentz:
+        g = Fraction(gamma)
+        t = div((Fraction(wp) ** 2, Fraction(0)),
+                (Fraction(w1) ** 2 - z2[0] + g * z[1], -z2[1] - g * z[0]))
+        re, im = re + t[0], im + t[1]
+    return mul(z, (re, im))[1]
+
+
+@pytest.mark.parametrize("background", [1.0, 2.5])
+def test_passivity_rounding_bounds_margin_error(background):
+    # the kk_eps sample distribution: |z| over 1e-2..1e2, every direction
+    density = dsp.OscillatorDensity(lines=((3.0, 0.25),),
+                                    lorentz=((1.0, 2.0, 0.1), (0.7, 4.0, 0.5)))
+    m = dsp.PermittivityModel(background=background, layers=((0.0, 1.0, density),))
+    rng = np.random.default_rng(11)
+    zs = 10.0 ** rng.uniform(-2, 2, 300) * np.exp(1j * rng.uniform(0.01, math.pi - 0.01, 300))
+    # and beside the line and the resonances, where the denominators cancel
+    zs = np.concatenate([zs, [c + d + 1j * e for c in (3.0, -3.0, 2.0, -2.0, 4.0, -4.0)
+                              for d in (1e-7, -1e-7, 1e-5, -1e-5) for e in (1e-9, 1e-7)]])
+    for z in zs:
+        error = abs(Fraction(dsp.passivity_margin(m, 0.5, z)) - _exact_margin(m, 0.5, z))
+        assert error <= dsp.passivity_rounding(m, 0.5, z), z
+
+
 def test_passivity_margin_rejects_real_point_in_array():
     with pytest.raises(DomainError):
         dsp.passivity_margin(lorentz_model(), 0.5, np.array([1j, 2.0 + 0.0j]))
@@ -255,6 +296,80 @@ def test_kk_unreachable_tolerance_raises_with_estimate(monkeypatch):
     assert info.value.estimate is not None and math.isfinite(info.value.estimate)
 
 
+def test_gauss_kronrod_gauss_nodes_match_leggauss():
+    x, w = np.polynomial.legendre.leggauss(7)
+    gauss = dsp._GK_GAUSS != 0
+    assert np.count_nonzero(gauss) == 7
+    np.testing.assert_allclose(dsp._GK_NODES[gauss], x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dsp._GK_GAUSS[gauss], w, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("weights, exact_degree", [("_GK_KRONROD", 22), ("_GK_GAUSS", 13)])
+def test_gauss_kronrod_polynomial_exactness(weights, exact_degree):
+    w, x = getattr(dsp, weights), dsp._GK_NODES
+    rng = np.random.default_rng(5)
+    for degree in range(exact_degree + 1):
+        p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, degree + 1))
+        exact = p.integ()(1.0) - p.integ()(-1.0)
+        assert abs(w @ p(x) - exact) <= 1e-14 * max(1.0, abs(exact))
+    # and not beyond: the next even power (odd ones integrate to 0 by symmetry)
+    d = exact_degree + 2 - exact_degree % 2
+    assert abs(w @ x**d - 2.0 / (d + 1)) > 1e-10
+
+
+@pytest.mark.parametrize("f, tol", [
+    (np.exp, 1e-30),                       # every interval bisects: the interval cap
+    (lambda x: 1.0 / np.sqrt(x), 1e-12),   # one shrinking interval at 0: the round cap
+])
+def test_gauss_kronrod_unreachable_tolerance_raises_in_bounded_work(f, tol):
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return f(x)[:, None]
+
+    with pytest.raises(QuadratureError) as info:
+        dsp._gauss_kronrod(counted, (0.0, 1.0), tol)
+    assert math.isfinite(info.value.estimate) and info.value.estimate > tol
+    # one call per round; each bisection evaluates two intervals, so a
+    # partition of at most _GK_LIMIT intervals evaluates fewer than twice that
+    assert len(sizes) <= dsp._GK_ROUNDS
+    assert max(sizes) <= dsp._GK_BLOCK
+    assert sum(sizes) < 2 * dsp._GK_NODES.size * dsp._GK_LIMIT
+
+
+def test_gauss_kronrod_blocks_bound_each_call(monkeypatch):
+    # near-poles at 0.3 and 0.7 refine many intervals; with a block of two
+    # intervals the run makes more calls, none larger, and the same partition
+    def f(x):
+        return np.stack([1.0 / ((x - 0.3) ** 2 + 1e-4), 1.0 / ((x - 0.7) ** 2 + 1e-6)], axis=1)
+
+    def run():
+        sizes = []
+        value, est = dsp._gauss_kronrod(lambda x: sizes.append(x.size) or f(x),
+                                        (0.0, 0.5, 1.0), 1e-10, columns=2)
+        return value, est, sizes
+
+    whole = run()
+    monkeypatch.setattr(dsp, "_GK_BLOCK", 2 * dsp._GK_NODES.size * 2)
+    blocked = run()
+    assert max(blocked[2]) <= 2 * dsp._GK_NODES.size < max(whole[2])
+    assert sum(blocked[2]) == sum(whole[2])
+    np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-14, atol=0)
+    assert blocked[1] == pytest.approx(whole[1], rel=1e-12)
+    exact = [100.0 * (np.arctan(70.0) + np.arctan(30.0)),
+             1000.0 * (np.arctan(300.0) + np.arctan(700.0))]
+    np.testing.assert_allclose(whole[0], exact, rtol=1e-12, atol=0)
+
+
+def test_gauss_kronrod_infinite_tail():
+    # int_2^inf dnu / nu^2 = 1/2, on (k, 2) columns at once
+    value, est = dsp._gauss_kronrod_tail(
+        lambda nu: np.stack([1.0 / nu**2, 2.0 / nu**2], axis=1), 2.0, 1e-12, columns=2)
+    np.testing.assert_allclose(value, [0.5, 1.0], rtol=0, atol=1e-12)
+    assert est <= 1e-12
+
+
 def test_sum_rule():
     density = dsp.OscillatorDensity(
         lines=((3.0, 0.25),), lorentz=((1.0, 2.0, 0.1), (0.7, 4.0, 0.5))
@@ -263,6 +378,7 @@ def test_sum_rule():
     expect = dsp.chi_dot_at_zero(density)
     assert expect == pytest.approx(2.0 * 0.25 + 1.0 + 0.49, rel=1e-14)
     assert abs(total - expect) / expect < 1e-8
+    assert abs(total - expect) <= err <= dsp.QUAD_REL_TOL * expect
 
 
 # ---------------------------------------------------------------------------
