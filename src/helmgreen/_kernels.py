@@ -131,27 +131,21 @@ def tridiag_bilinear_batch(off, rows, index, phi, psi):
 
 
 def cyclic_tridiag_solve(dl, d, du, corner_lo, corner_hi, b):
-    """Cyclic tridiagonal solve (Sherman-Morrison on the wrap entries)."""
+    """`tridiag_solve` with wrap entries A[N-1, 0] = corner_lo, A[0, N-1] =
+    corner_hi, and its shapes: d (N,) with b (N,) or (N, nrhs), or d and b
+    (N, B). Sherman-Morrison (Numerical Recipes, sec. 2.7) with gamma = -d[0]
+    per system (1 where d[0] vanishes): Thomas solves for b and the wrap u."""
     d = np.asarray(d, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    n = d.shape[0]
-    gamma = -d[0] if abs(d[0]) > 1e-300 else 1.0 + 0.0j
+    gamma = np.where(np.abs(d[0]) > _PIVOT_FLOOR, -d[0], 1.0)
     dmod = d.copy()
     dmod[0] -= gamma
     dmod[-1] -= corner_lo * corner_hi / gamma
-    u = np.zeros(n, dtype=np.complex128)
+    u = np.zeros(d.shape + (1,) * (b.ndim - d.ndim), dtype=np.complex128)
     u[0] = gamma
     u[-1] = corner_lo
-    if b.ndim == 1:
-        rhs = np.stack([b, u], axis=-1)
-        sol = tridiag_solve(dl, dmod, du, rhs)
-        y, q = sol[:, 0], sol[:, 1]
-        vy = y[0] + corner_hi / gamma * y[-1]
-        vq = q[0] + corner_hi / gamma * q[-1]
-        return y - q * (vy / (1.0 + vq))
-    rhs = np.concatenate([b, u[:, None]], axis=1)
-    sol = tridiag_solve(dl, dmod, du, rhs)
-    y, q = sol[:, :-1], sol[:, -1]
+    y = tridiag_solve(dl, dmod, du, b)
+    q = tridiag_solve(dl, dmod, du, u)
     vy = y[0] + corner_hi / gamma * y[-1]
     vq = q[0] + corner_hi / gamma * q[-1]
-    return y - q[:, None] * (vy / (1.0 + vq))[None, :]
+    return y - q * (vy / (1.0 + vq))

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import config, dispersion, freespace, helmholtz, spectral, transforms
+from . import _kernels, config, dispersion, freespace, helmholtz, spectral, transforms
 from .errors import ConfigError, DomainError, HelmgreenError
 
 CSV_HEADER = "check_id,param_json,measured,bound,tolerance,pass,error_estimate"
@@ -366,13 +366,14 @@ def cmd_analyticity(cfg, seed):
 
 
 def _bloch_sampler(model, bgrid, bprobe):
-    """<bprobe, H(z)^-1 bprobe> of the Bloch operator on `bgrid`, node by node."""
+    """<bprobe, H(z)^-1 bprobe> of the Bloch operator on `bgrid`, one cyclic solve per call."""
+    corner_lo, corner_hi = helmholtz._bloch_corners(model, bgrid)
+    off = np.full(bgrid.N - 1, 1.0 / bgrid.h**2, dtype=np.complex128)
     def sampler(z_nodes):
-        out = np.empty(len(z_nodes), dtype=np.complex128)
-        for i, z in enumerate(z_nodes):
-            op = helmholtz.assemble(bgrid, model, "bloch", z)
-            out[i] = helmholtz.coefficient(op, bprobe, bprobe)
-        return out
+        diags = helmholtz.diagonal_batch(bgrid, model, "bloch", z_nodes).T
+        rhs = np.broadcast_to(bprobe[:, None], diags.shape)
+        x = _kernels.cyclic_tridiag_solve(off, diags, off, corner_lo, corner_hi, rhs)
+        return bgrid.h * (np.conj(bprobe) @ x)
     return sampler
 
 

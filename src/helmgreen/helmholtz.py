@@ -26,6 +26,8 @@ from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
 from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
 
 KINDS = ("dispersive", "two_freq", "nondispersive", "bloch")
+# The relative step that stops the power iteration of `inverse_norm`, and its seed.
+_POWER_TOL, _POWER_SEED = 1e-10, 0
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class Grid1D:
 @dataclass(frozen=True)
 class DiscreteHelmholtz:
     grid: Grid1D
-    model: dispersion.PermittivityModel
     z: complex
     diag: np.ndarray = field(repr=False, default=None)
     offdiag: np.ndarray = field(repr=False, default=None)  # shared sub/super diag
@@ -201,26 +202,23 @@ def assemble(grid, model, kind, z, xi=None, omega0=None):
     """
     z = complex(z)
     diag = diagonal_batch(grid, model, kind, [z], xi, omega0)[0]
-    h = grid.h
-    offdiag = np.full(grid.N - 1, 1.0 / h**2, dtype=np.complex128)
-    corner_lo = corner_hi = 0.0
-    if kind == "bloch":
-        _check_periodic(model, grid)
-        k = complex(grid.bloch_k)
-        corner_lo = np.exp(1j * k * grid.L) / h**2
-        corner_hi = np.exp(-1j * k * grid.L) / h**2
+    offdiag = np.full(grid.N - 1, 1.0 / grid.h**2, dtype=np.complex128)
+    corner_lo, corner_hi = _bloch_corners(model, grid) if kind == "bloch" else (0.0, 0.0)
     return DiscreteHelmholtz(
-        grid=grid, model=model, z=z, diag=diag, offdiag=offdiag,
-        corner_lo=corner_lo, corner_hi=corner_hi,
+        grid=grid, z=z, diag=diag, offdiag=offdiag, corner_lo=corner_lo, corner_hi=corner_hi,
     )
 
 
-def _check_periodic(model, grid):
+def _bloch_corners(model, grid):
+    """The Bloch wrap entries (A[N-1, 0], A[0, N-1]) = exp(+-ikL) / h^2 on
+    `grid`; raises when a layer of `model` leaves the unit cell [0, L]."""
     for x0, x1, _ in model.layers:
         if x0 < 0 or x1 > grid.L:
             raise PeriodicityError(
                 f"layer [{x0}, {x1}] extends outside the unit cell [0, {grid.L}]"
             )
+    k = complex(grid.bloch_k)
+    return np.exp(1j * k * grid.L) / grid.h**2, np.exp(-1j * k * grid.L) / grid.h**2
 
 
 def green_matrix(op):
@@ -243,13 +241,13 @@ def norm_bound(op):
     return 1.0 / (abs(op.z) * op.z.imag)
 
 
-def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
+def inverse_norm(op, dense_cutoff=512, max_iter=10_000):
     """Largest singular value of H^-1 (dense SVD below the cutoff, else power iteration)."""
     n = op.grid.N
     if n <= dense_cutoff:
         sv = np.linalg.svd(op.dense(), compute_uv=False)
         return float(1.0 / sv[-1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -257,7 +255,7 @@ def inverse_norm(op, dense_cutoff=512, tol=1e-10, max_iter=10_000, seed=0):
         w = op.solve(op.solve_adjoint(v))
         new_lam = float(np.linalg.norm(w))
         v = w / new_lam
-        if abs(new_lam - lam) <= tol * new_lam:
+        if abs(new_lam - lam) <= _POWER_TOL * new_lam:
             return math.sqrt(new_lam)
         lam = new_lam
     raise ConvergenceError("power iteration did not converge within the iteration cap")

@@ -18,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helmgreen
-from helmgreen import cli, dispersion
+from helmgreen import _kernels, cli, dispersion
+from helmgreen import helmholtz as hh
 from helmgreen import spectral as sp
 from helmgreen import transforms as tr
 
@@ -645,22 +646,66 @@ def test_failed_sidecar_write_exits_2(tmp_path, capsys):
 ], ids=["gaussian", "point"])
 def test_zk_loop_uses_configured_probe_on_bloch_grid(tmp_path, capsys, monkeypatch,
                                                      probe, expect):
+    k = 1.0 + 0.3j
     cfg = {**SMALL["analyticity"], "probe": probe,
-           "loops": [{"kind": "zk", "bloch_k": {"re": 1.0, "im": 0.3},
+           "loops": [{"kind": "zk", "bloch_k": {"re": k.real, "im": k.imag},
                       "z_lo": _LOOP["z_lo"], "z_hi": _LOOP["z_hi"], "n_points": 48}]}
     seen = []
-    coefficient = cli.helmholtz.coefficient
+    solve = _kernels.cyclic_tridiag_solve
 
-    def keep_probes(op, phi, psi):
-        seen.append((op.grid, phi, psi))
-        return coefficient(op, phi, psi)
+    def keep_systems(dl, d, du, corner_lo, corner_hi, b):
+        seen.append((d.shape, corner_lo, corner_hi, np.array(b)))
+        return solve(dl, d, du, corner_lo, corner_hi, b)
 
-    monkeypatch.setattr(cli.helmholtz, "coefficient", keep_probes)
+    monkeypatch.setattr(_kernels, "cyclic_tridiag_solve", keep_systems)
     assert cli.main(["analyticity", "--config", _write(tmp_path, "run.json", cfg)]) == 0
-    assert len(seen) == 4 * 48
-    for grid, phi, psi in seen:
-        assert grid.boundary == "bloch"
-        assert np.array_equal(phi, expect(grid)) and np.array_equal(psi, expect(grid))
+    # one solve per loop edge, each over the edge's 48 nodes
+    bgrid = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=k)
+    assert [shape for shape, *_ in seen] == [(bgrid.N, 48)] * 4
+    for _, corner_lo, corner_hi, b in seen:
+        # the wrap entries and the probe of the Bloch grid, whose h is L/N
+        assert corner_lo == pytest.approx(np.exp(1j * k * bgrid.L) / bgrid.h**2, rel=1e-15)
+        assert corner_hi == pytest.approx(np.exp(-1j * k * bgrid.L) / bgrid.h**2, rel=1e-15)
+        assert np.array_equal(b, np.repeat(expect(bgrid)[:, None], 48, axis=1))
+
+
+def test_batched_zk_sampler_matches_per_node_reference(tmp_path, capsys, monkeypatch):
+    """The shipped zk loop's one-solve-per-edge sampler against the per-node
+    Bloch operator and its coefficient, node by node."""
+    worst = []
+    build = cli._bloch_sampler
+
+    def compared(model, bgrid, bprobe):
+        batched = build(model, bgrid, bprobe)
+
+        def sampler(z_nodes):
+            got = batched(z_nodes)
+            ref = np.array([hh.coefficient(
+                hh.assemble(bgrid, model, "bloch", z), bprobe, bprobe) for z in z_nodes])
+            worst.append(float(np.max(np.abs(got - ref) / np.abs(ref))))
+            return got
+        return sampler
+
+    monkeypatch.setattr(cli, "_bloch_sampler", compared)
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "analyticity.csv"
+    assert cli.main(["analyticity", "--config", "configs/analyticity.json",
+                     "--out", str(out)]) == 0
+    assert len(worst) == 4 and max(worst) <= 1e-13
+
+
+def test_zk_periodicity_checked_before_any_loop_samples(tmp_path, capsys, monkeypatch):
+    medium = {**SLAB, "layers": [{**SLAB["layers"][0], "interval": [0.2, 1.2]}]}
+    cfg = {**SMALL["analyticity"], "medium": _write(tmp_path, "medium.json", medium),
+           "loops": [{"kind": "z", **_LOOP},
+                     {"kind": "zk", "bloch_k": {"re": 1.0, "im": 0.3}, **_LOOP}]}
+    sweeps = []
+    sweep = _kernels.tridiag_bilinear_batch
+    monkeypatch.setattr(_kernels, "tridiag_bilinear_batch",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    assert cli.main(["analyticity", "--config", _write(tmp_path, "run.json", cfg)]) == 2
+    assert "unit cell" in capsys.readouterr().err
+    assert sweeps == []
 
 
 def test_overlapping_layers_error_names_both(tmp_path, capsys):

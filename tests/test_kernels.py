@@ -82,6 +82,44 @@ def test_cyclic_solve_matches_dense_oracle():
     assert np.max(np.abs(x - oracle)) < 1e-11
 
 
+@given(n=st.integers(3, 24), batch=st.integers(1, 8),
+       case=st.sampled_from(["one", "one_many_rhs", "batch"]), zero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_cyclic_solve_matches_dense_solve(n, batch, case, zero, seed):
+    # |d| >= 6 dominates the off-diagonals (<= 1) and corners (<= 0.1); with
+    # d[0] = 0 the wrap falls back to gamma = 1 and the matrix stays regular
+    rng = np.random.default_rng(seed)
+
+    def phases(shape):
+        return np.exp(2j * np.pi * rng.random(shape))
+
+    dl, du = rng.uniform(0.5, 1.0, (2, n - 1)) * phases((2, n - 1))
+    lo, hi = rng.uniform(0.0, 0.1, 2) * phases(2)
+    d = rng.uniform(6.0, 8.0, (n, batch)) * phases((n, batch))
+    if zero:
+        d[0, 0] = 0.0
+    b = rng.standard_normal((n, batch)) + 1j * rng.standard_normal((n, batch))
+    if case == "one":
+        d, b = d[:, 0], b[:, 0]
+    elif case == "one_many_rhs":
+        d = d[:, 0]
+    x = _kernels.cyclic_tridiag_solve(dl, d, du, lo, hi, b)
+
+    def dense(diag):
+        m = _dense(dl, du, diag)
+        m[n - 1, 0] += lo
+        m[0, n - 1] += hi
+        return m
+
+    if case == "batch":
+        oracle = np.stack([np.linalg.solve(dense(d[:, i]), b[:, i]) for i in range(batch)],
+                          axis=1)
+    else:
+        oracle = np.linalg.solve(dense(d), b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 def test_singular_pivot_raises():
     n = 8
     dl = np.zeros(n - 1, dtype=complex)
