@@ -384,14 +384,6 @@ def susceptibility(model, x, t_grid, contour):
     return values.real, est + float(np.max(np.abs(values.imag)))
 
 
-def lorentz_susceptibility_exact(wp, w1, gamma, t):
-    """Closed-form damped-sinusoid susceptibility of one Lorentz oscillator."""
-    t = np.asarray(t, dtype=float)
-    wt = math.sqrt(w1 * w1 - gamma * gamma / 4.0)
-    out = wp * wp * np.exp(-gamma * t / 2.0) * np.sin(wt * t) / wt
-    return np.where(t >= 0, out, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # non-dispersive construction
 

@@ -17,7 +17,7 @@ sine basis of `sine_modes`.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class DiscreteHelmholtz:
                 self.corner_lo, self.corner_hi, source,
             )
         return _kernels.tridiag_solve(self.offdiag, self.diag, self.offdiag, source)
-
-    def solve_adjoint(self, source):
-        """Solve H^dagger x = source: H^T swaps the wrap corners (the
-        off-diagonals are equal), and H^dagger x = b is H^T conj(x) = conj(b)."""
-        transpose = replace(self, corner_lo=self.corner_hi, corner_hi=self.corner_lo)
-        return np.conj(transpose.solve(np.conj(source)))
 
     def residual(self, x, source):
         ax = self.diag * x
@@ -234,25 +228,64 @@ def coefficient(op, phi, psi):
     return complex(op.grid.h * np.vdot(phi, field_))
 
 
-def norm_bound(op):
-    """Proven bound 1 / (|z| Im z) on the inverse operator norm."""
-    if op.z.imag <= 0:
-        return math.inf
-    return 1.0 / (abs(op.z) * op.z.imag)
+def norm_bound(z):
+    """Proven bound 1 / (|z| Im z) on the inverse operator norm at each z
+    of an array; inf where Im z <= 0."""
+    z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(divide="ignore"):
+        return np.where(z.imag > 0, 1.0 / (np.hypot(z.real, z.imag) * z.imag), math.inf)
 
 
-def inverse_norm(op, dense_cutoff=512, max_iter=10_000):
-    """Largest singular value of H^-1 (dense SVD below the cutoff, else power iteration)."""
-    n = op.grid.N
+def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
+    """||H_b^-1|| = 1 / sigma_min for each Dirichlet operator whose diagonal
+    is rows[index, b] (the form of `diagonal_rows`), and its rounding estimate.
+
+    Up to the cutoff, each operator is written into one reused dense (N, N)
+    buffer, whose constant off-diagonals are set once, and its singular
+    values come from one SVD. The estimate gamma_N (sigma_max / sigma_min)
+    ||H^-1|| takes sigma_max from the same call; it follows from the SVD's
+    backward stability and Weyl's bound (Golub & Van Loan, ch. 8). Above
+    the cutoff each operator runs a power iteration on H^-1 H^-H, whose
+    estimate bounds sigma_max by ||H||_inf and adds the stopping step.
+
+    Returns (norms, estimates), arrays of shape (B,).
+    """
+    n = grid.N
+    diags = rows[index]
+    off = 1.0 / grid.h**2
+    n_u = n * np.finfo(float).eps / 2
+    gamma_n = n_u / (1.0 - n_u)
+    norms = np.empty(diags.shape[1])
     if n <= dense_cutoff:
-        sv = np.linalg.svd(op.dense(), compute_uv=False)
-        return float(1.0 / sv[-1])
+        buf = np.diag(np.full(n - 1, off, dtype=np.complex128), 1)
+        buf += buf.T
+        diagonal = buf.reshape(-1)[::n + 1]
+        kappa = np.empty_like(norms)
+        for b in range(norms.size):
+            diagonal[:] = diags[:, b]
+            sv = np.linalg.svd(buf, compute_uv=False)
+            norms[b] = 1.0 / sv[-1]
+            kappa[b] = sv[0] / sv[-1]
+        return norms, gamma_n * kappa * norms
+    offdiag = np.full(n - 1, off, dtype=np.complex128)
+    for b in range(norms.size):
+        norms[b] = _power_norm(offdiag, np.ascontiguousarray(diags[:, b]), max_iter)
+    kappa = (np.max(np.abs(diags), axis=0) + 2.0 * off) * norms
+    return norms, (gamma_n * kappa + _POWER_TOL) * norms
+
+
+def _power_norm(offdiag, diag, max_iter):
+    """sqrt of the largest eigenvalue of H^-1 H^-H by power iteration; H is
+    complex-symmetric, so H^-H b = conj(H^-1 conj(b))."""
+    def solve(b):
+        return _kernels.tridiag_solve(offdiag, diag, offdiag, b)
+
     rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = op.solve(op.solve_adjoint(v))
+        w = solve(np.conj(solve(np.conj(v))))
         new_lam = float(np.linalg.norm(w))
         v = w / new_lam
         if abs(new_lam - lam) <= _POWER_TOL * new_lam:

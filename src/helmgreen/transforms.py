@@ -1,5 +1,5 @@
-"""Contour machinery: Laplace inversion, Cauchy-loop analyticity defects,
-broadened deltas and grid-based Kramers-Kronig kernels.
+"""Contour machinery: Laplace inversion, Cauchy-loop analyticity defects
+and grid-based Kramers-Kronig kernels.
 
 All quadratures return (value, error_estimate); callers decide pass/fail.
 The module imports no scipy: its composite Simpson rule is written out.
@@ -197,17 +197,6 @@ def cauchy_loop(sampler, loop):
     scale = perimeter * maxabs
     rounding = 4 * loop.n_points * _UNIT_ROUNDOFF * abs_sum
     return abs(total) / scale, rounding / scale
-
-
-def broadened_delta(nu, omega_n, zeta):
-    """Pair of Lorentzians of half weight at +-omega_n, width zeta."""
-    if zeta <= 0:
-        raise DomainError("broadening zeta must be > 0")
-    nu = np.asarray(nu, dtype=float)
-    out = (
-        zeta / ((nu - omega_n) ** 2 + zeta**2) + zeta / ((nu + omega_n) ** 2 + zeta**2)
-    ) / (2.0 * math.pi)
-    return out if out.ndim else float(out)
 
 
 def kk_kernel_integral(nu_grid, samples, z):

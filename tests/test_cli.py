@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -389,6 +390,72 @@ def test_analyticity_estimates_cover_shipped_defects(tmp_path, capsys):
     for row in rows:
         estimate = float(row["error_estimate"])
         assert estimate > 0.0 and estimate >= float(row["measured"])
+
+
+def _mp_inverse_norm(diag, off, dps=40):
+    """||H^-1|| of the complex-symmetric tridiagonal H with the float64
+    diagonal `diag` and off-diagonal `off`, both taken as exact: inverse
+    iteration on H^H H in mpmath, from float64's last right singular vector."""
+    n = len(diag)
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    start = np.conj(np.linalg.svd(dense)[2][-1])
+    with mpmath.workdps(dps):
+        d = [mpmath.mpc(complex(v)) for v in diag]
+        o = mpmath.mpf(off)
+
+        def solve(b):  # Thomas on H x = b
+            x, cp = list(b), [mpmath.mpf(0)] * n
+            piv = d[0]
+            cp[0], x[0] = o / piv, x[0] / piv
+            for i in range(1, n):
+                piv = d[i] - o * cp[i - 1]
+                cp[i] = o / piv
+                x[i] = (x[i] - o * x[i - 1]) / piv
+            for i in range(n - 2, -1, -1):
+                x[i] -= cp[i] * x[i + 1]
+            return x
+
+        def norm(v):
+            return mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in v))
+
+        x = [mpmath.mpc(complex(v)) for v in start]
+        rho = 0
+        for _ in range(40):
+            # H^-H x = conj(H^-1 conj(x)), since H^T = H
+            y = [mpmath.conj(a) for a in solve([mpmath.conj(a) for a in x])]
+            new_rho = norm(y) / norm(x)
+            x = solve(y)
+            scale = norm(x)
+            x = [a / scale for a in x]
+            if abs(new_rho - rho) <= mpmath.mpf(10) ** (8 - dps) * new_rho:
+                return float(new_rho)
+            rho = new_rho
+    raise AssertionError("inverse iteration did not converge")
+
+
+def test_norm_bound_estimates_cover_an_mpmath_norm(tmp_path, capsys):
+    # the SVD rounding estimate gamma_N kappa ||H^-1|| of every norm_bound
+    # row is > 0, and at the worst-conditioned operator of the shipped
+    # config it covers the distance to a 40-digit norm
+    cfg = json.loads((ROOT / "configs" / "green.json").read_text())
+    cfg["medium"] = str(ROOT / cfg["medium"])
+    out = tmp_path / "report.csv"
+    assert cli.main(["green", "--config", _write(tmp_path, "green.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = [r for r in _rows(out) if r["check_id"].startswith("norm_bound_")]
+    assert len(rows) == 2400
+    assert all(float(r["error_estimate"]) > 0.0 for r in rows)
+    worst = max(rows, key=lambda r: float(r["error_estimate"]) / float(r["measured"]))
+    params = json.loads(worst["param_json"])
+    kind = worst["check_id"].removeprefix("norm_bound_")
+    xi = [complex(*params["xi"])] if "xi" in params else None
+    grid = hh.Grid1D(L=1.0, N=64)
+    model = dispersion.load_medium(cfg["medium"])
+    rows_, index = hh.diagonal_rows(grid, model, kind, [complex(*params["z"])], xi=xi)
+    (measured,), (estimate,) = hh.inverse_norm(grid, rows_, index)
+    assert f"{measured:.12g}" == worst["measured"]
+    reference = _mp_inverse_norm(rows_[index, 0], 1.0 / grid.h**2)
+    assert abs(measured - reference) <= estimate
 
 
 def test_asymptotic_command(tmp_path, medium, capsys):

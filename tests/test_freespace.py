@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helmgreen import freespace as fs
 from helmgreen.errors import DomainError
+
+import oracles
 
 
 def test_norm_sq_closed_form():
@@ -100,15 +105,15 @@ def test_coefficient_schwarz_reflection():
 
 def test_asymptotic_defect_monotone():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), width=1.0)
-    defects = fs.asymptotic_defect(phi, phi, [10.0, 100.0, 1000.0], math.pi / 2)
+    defects, _ = fs.asymptotic_defect(phi, phi, [10.0, 100.0, 1000.0], math.pi / 2)
     assert defects[0] > defects[1] > defects[2]
     assert defects[2] <= 1e-3 * fs.norm_sq(phi)
 
 
 def test_asymptotic_defect_angle_dependence():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), width=1.0)
-    d45 = fs.asymptotic_defect(phi, phi, [10.0], math.pi / 4)
-    d90 = fs.asymptotic_defect(phi, phi, [10.0], math.pi / 2)
+    d45, _ = fs.asymptotic_defect(phi, phi, [10.0], math.pi / 4)
+    d90, _ = fs.asymptotic_defect(phi, phi, [10.0], math.pi / 2)
     assert d45[0] > d90[0]
 
 
@@ -116,7 +121,7 @@ def test_asymptotic_defect_separated_fields():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), center=(8.0, 0.0, 0.0), width=0.5)
     psi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), center=(-8.0, 0.0, 0.0), width=0.5)
     assert abs(fs.inner_product(phi, psi)) < 1e-12
-    defects = fs.asymptotic_defect(phi, psi, [10.0, 100.0], math.pi / 2)
+    defects, _ = fs.asymptotic_defect(phi, psi, [10.0, 100.0], math.pi / 2)
     assert defects[-1] < 1e-6 * fs.norm_sq(phi)
 
 
@@ -130,12 +135,72 @@ def test_asymptotic_defect_matches_its_definition(psi, theta):
     # |z^2 <phi, H_0^-1 psi> - <phi, psi>| from the full symbol and the
     # closed-form inner product, against the transverse-remainder sum
     moduli = [10.0, 100.0]
-    defects = fs.asymptotic_defect(_PHI, psi, moduli, theta)
+    defects, _ = fs.asymptotic_defect(_PHI, psi, moduli, theta)
     for mod, defect in zip(moduli, defects):
         z = mod * complex(math.cos(theta), math.sin(theta))
         value, _ = fs.free_coefficient(_PHI, psi, z)
         expect = abs(z * z * value - fs.inner_product(_PHI, psi))
         assert defect == pytest.approx(expect, rel=1e-9)
+
+
+def test_angular_moments_match_mpmath():
+    # e^-a I0 and e^-a I2 on both sides of the series/closed-form switch,
+    # against 40-digit hypergeometric series that do not cancel
+    a = np.array([0.0, 1e-8, 1e-3, 1e-2, 0.1, 0.5, 0.999, 1.0, 1.001, 2.0, 30.0, 700.0])
+    i0, i2 = fs._angular_moments(a)
+    with mpmath.workdps(40):
+        for x, got0, got2 in zip(a, i0, i2):
+            x = mpmath.mpf(x)
+            scale = mpmath.exp(-x)
+            want0 = 2 * mpmath.hyp0f1(1.5, x * x / 4) * scale
+            want2 = 2 * mpmath.hyper([1.5], [0.5, 2.5], x * x / 4) * scale / 3
+            assert abs(got0 - want0) <= 1e-15 * want0
+            assert abs(got2 - want2) <= 1e-15 * want2
+
+
+_COMPLEX = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+# centers at 0 and at |c| ~ 1e-3 run the small-a series of the angular moments
+_CENTER = st.one_of(
+    st.just((0.0, 0.0, 0.0)),
+    st.tuples(*[st.floats(-6e-4, 6e-4)] * 3),
+    st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+)
+_FIELD = st.builds(fs.TestField3D, st.tuples(_COMPLEX, _COMPLEX, _COMPLEX), _CENTER,
+                   st.floats(0.7, 1.5))
+
+
+@settings(max_examples=20)
+@given(phi=_FIELD, psi=st.one_of(st.none(), _FIELD), theta=st.floats(0.3, math.pi - 0.3))
+def test_radial_rule_matches_the_tensor_rule(phi, psi, theta):
+    # the closed-form angular integral on the radial nodes of a spherical
+    # tensor rule, against that tensor rule's full sum (psi None: phi = psi)
+    psi = phi if psi is None else psi
+    p, q = np.asarray(phi.polarization), np.asarray(psi.polarization)
+    assume(abs(np.vdot(p, q)) >= 0.2 * np.linalg.norm(p) * np.linalg.norm(q))
+    quad = fs.SphericalQuadrature(n_radial=40, n_polar=40, n_azimuth=64)
+    moduli = [3.0, 10.0, 100.0]
+    defects, _ = fs.asymptotic_defect(phi, psi, moduli, theta, quad)
+    expect = oracles.tensor_defects(phi, psi, moduli, theta, quad)
+    for got, want in zip(defects, expect):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("psi, theta, moduli", [
+    (_PSI, math.pi / 4, [10.0, 100.0]),
+    (_PHI, math.pi / 2, [10.0, 1000.0]),
+    # the pole r = |z| near the real axis: the 80-node rule is short of
+    # converged at small |z|, and the nested difference shows it
+    (_PHI, 0.06, [2.0, 5.0, 10.0]),
+], ids=["phi!=psi", "phi=psi", "near-real-pole"])
+def test_asymptotic_estimates_cover_an_mpmath_reference(psi, theta, moduli):
+    defects, estimates = fs.asymptotic_defect(_PHI, psi, moduli, theta)
+    for mod, defect, estimate in zip(moduli, defects, estimates):
+        reference = oracles.radial_defect_mp(_PHI, psi, mod, theta)
+        assert 0.0 < estimate
+        assert abs(defect - reference) <= estimate
+    if theta < 0.1:
+        assert estimates[0] > 1e-6 * defects[0]
+        assert estimates[-1] < 1e-13 * defects[-1]
 
 
 def test_asymptotic_defect_rejects_shallow_ray():

