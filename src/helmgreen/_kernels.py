@@ -130,9 +130,9 @@ def tridiag_bilinear_batch(off, rows, index, phi, psi):
     return acc
 
 
-def cyclic_tridiag_solve(dl, d, du, corner_lo, corner_hi, b):
-    """`tridiag_solve` with wrap entries A[N-1, 0] = corner_lo, A[0, N-1] =
-    corner_hi, and its shapes: d (N,) with b (N,) or (N, nrhs), or d and b
+def cyclic_tridiag_solve(dl, d, du, wrap_lo, wrap_hi, b):
+    """`tridiag_solve` with wrap entries A[N-1, 0] = wrap_lo, A[0, N-1] =
+    wrap_hi, and its shapes: d (N,) with b (N,) or (N, nrhs), or d and b
     (N, B). Sherman-Morrison (Numerical Recipes, sec. 2.7) with gamma = -d[0]
     per system (1 where d[0] vanishes): Thomas solves for b and the wrap u."""
     d = np.asarray(d, dtype=np.complex128)
@@ -140,12 +140,12 @@ def cyclic_tridiag_solve(dl, d, du, corner_lo, corner_hi, b):
     gamma = np.where(np.abs(d[0]) > _PIVOT_FLOOR, -d[0], 1.0)
     dmod = d.copy()
     dmod[0] -= gamma
-    dmod[-1] -= corner_lo * corner_hi / gamma
+    dmod[-1] -= wrap_lo * wrap_hi / gamma
     u = np.zeros(d.shape + (1,) * (b.ndim - d.ndim), dtype=np.complex128)
     u[0] = gamma
-    u[-1] = corner_lo
+    u[-1] = wrap_lo
     y = tridiag_solve(dl, dmod, du, b)
     q = tridiag_solve(dl, dmod, du, u)
-    vy = y[0] + corner_hi / gamma * y[-1]
-    vq = q[0] + corner_hi / gamma * q[-1]
+    vy = y[0] + wrap_hi / gamma * y[-1]
+    vq = q[0] + wrap_hi / gamma * q[-1]
     return y - q * (vy / (1.0 + vq))

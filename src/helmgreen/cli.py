@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, config, dispersion, freespace, helmholtz, spectral, transforms
+from . import config, dispersion, freespace, helmholtz, spectral, transforms
 from .errors import ConfigError, DomainError, HelmgreenError
 
 CSV_HEADER = "check_id,param_json,measured,bound,tolerance,pass,error_estimate"
@@ -192,13 +192,12 @@ def cmd_green(cfg, seed):
     xi_samples = config.count(xi_samples, "xi_samples", 0)
     tol = _tolerances_of(tol, {"reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8})
     report = Report()
-    g = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
+    g = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, "dispersive", z))
     recip = float(np.max(np.abs(g - g.T)) / np.max(np.abs(g)))
     report.zero("reciprocity", {"z": [z.real, z.imag]}, recip, tol["reciprocity"])
 
     mirror = helmholtz.green_matrix(
-        helmholtz.assemble(grid, model, "dispersive", -z.conjugate())
-    )
+        grid, helmholtz.assemble(grid, model, "dispersive", -z.conjugate()))
     schwarz = float(np.max(np.abs(mirror - np.conj(g))) / np.max(np.abs(g)))
     report.zero("schwarz", {"z": [z.real, z.imag]}, schwarz, tol["schwarz"])
 
@@ -251,7 +250,7 @@ def cmd_modes(cfg, seed):
     model = dispersion.PermittivityModel(background=eps_const)
 
     expansion, _ = spectral.mode_expansion_green(modes, z)
-    direct = helmholtz.green_matrix(helmholtz.assemble(grid, model, "dispersive", z))
+    direct = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, "dispersive", z))
     identity_err = float(np.max(np.abs(expansion - direct)) / np.max(np.abs(direct)))
     report.zero("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]}, identity_err,
                 tol["identity"])
@@ -358,7 +357,7 @@ def cmd_analyticity(cfg, seed):
             if loop.z_lo.imag - abs(k.imag) < 0.1:
                 raise DomainError("joint-domain loop must keep Im z - |k''| >= 0.1")
             bgrid = helmholtz.Grid1D(L=grid.L, N=grid.N, boundary="bloch", bloch_k=k)
-            sampler = _bloch_sampler(model, bgrid, _probe_of(probe_cfg, bgrid))
+            sampler = spectral._bloch_sampler(model, bgrid, _probe_of(probe_cfg, bgrid))
         else:
             sampler = np.conj
         loops.append((kind, loop, sampler, expect))
@@ -372,18 +371,6 @@ def cmd_analyticity(cfg, seed):
         else:
             report.zero(f"analyticity_{kind}", {"loop": i}, defect, tol["defect"], estimate)
     return report, None
-
-
-def _bloch_sampler(model, bgrid, bprobe):
-    """<bprobe, H(z)^-1 bprobe> of the Bloch operator on `bgrid`, one cyclic solve per call."""
-    corner_lo, corner_hi = helmholtz._bloch_corners(model, bgrid)
-    off = np.full(bgrid.N - 1, 1.0 / bgrid.h**2, dtype=np.complex128)
-    def sampler(z_nodes):
-        diags = helmholtz.diagonal_batch(bgrid, model, "bloch", z_nodes).T
-        rhs = np.broadcast_to(bprobe[:, None], diags.shape)
-        x = _kernels.cyclic_tridiag_solve(off, diags, off, corner_lo, corner_hi, rhs)
-        return bgrid.h * (np.conj(bprobe) @ x)
-    return sampler
 
 
 def cmd_asymptotic(cfg, seed):

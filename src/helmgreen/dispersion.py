@@ -63,10 +63,6 @@ class OscillatorDensity:
     def is_vacuum(self):
         return not self.lines and not self.lorentz
 
-    @property
-    def min_gamma(self):
-        return min((g for _, _, g in self.lorentz), default=math.inf)
-
 
 VACUUM_DENSITY = OscillatorDensity()
 
@@ -97,10 +93,6 @@ class PermittivityModel:
     def damped(self):
         """True when every resonance has damping (real-axis evaluation allowed)."""
         return all(not d.lines for _, _, d in self.layers)
-
-    @property
-    def min_gamma(self):
-        return min((d.min_gamma for _, _, d in self.layers), default=math.inf)
 
 
 # tolerances of the two quadratures: the KK reconstruction's scaled estimate

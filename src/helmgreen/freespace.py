@@ -82,16 +82,6 @@ class SphericalQuadrature:
         return k, w.reshape(-1)
 
 
-def free_symbol(k, z):
-    """3x3 inverse symbol at one real wavevector: `_symbol_apply_batch` on
-    the unit vectors, one per column; removable limit at k = 0."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("free symbol requires Im z > 0")
-    k = np.broadcast_to(np.asarray(k, dtype=float), (3, 3))
-    return _symbol_apply_batch(k, z, np.eye(3)).T
-
-
 def _projections(k, vec):
     """(k^2, longitudinal, transverse) parts of vec along each wavevector k."""
     k2 = np.sum(k * k, axis=-1)

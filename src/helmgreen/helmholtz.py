@@ -12,12 +12,15 @@ Units are normalized (eps0 = mu0 = c = 1). Operator kinds:
   bloch(z, k)          dispersive diagonal, cyclic wrap entries exp(-+ikL)/h^2
 
 The bloch kind runs on Bloch grids, every other kind on Dirichlet grids.
+An operator is its length-N diagonal (`assemble`; `diagonal_rows` and
+`diagonal_batch` for many): the off-diagonal is the constant 1/h^2, and
+the Bloch wrap entries are `_bloch_corners`.
 With constant eps the Dirichlet operator is diagonal in the closed-form
 sine basis of `sine_modes`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from . import _kernels, dispersion
 from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
 from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
 
-KINDS = ("dispersive", "two_freq", "nondispersive", "bloch")
 # The relative step that stops the power iteration of `inverse_norm`, and its seed.
 _POWER_TOL, _POWER_SEED = 1e-10, 0
 
@@ -56,43 +58,6 @@ class Grid1D:
         if self.boundary == "dirichlet":
             return self.h * np.arange(1, self.N + 1)
         return self.h * np.arange(self.N)
-
-
-@dataclass(frozen=True)
-class DiscreteHelmholtz:
-    grid: Grid1D
-    z: complex
-    diag: np.ndarray = field(repr=False, default=None)
-    offdiag: np.ndarray = field(repr=False, default=None)  # shared sub/super diag
-    corner_lo: complex = 0.0  # A[N-1, 0] (bloch only)
-    corner_hi: complex = 0.0  # A[0, N-1] (bloch only)
-
-    def dense(self):
-        n = self.grid.N
-        m = np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        if self.grid.boundary == "bloch":
-            m[n - 1, 0] += self.corner_lo
-            m[0, n - 1] += self.corner_hi
-        return m
-
-    def solve(self, source):
-        """Banded solve H x = source; source may carry multiple columns."""
-        if self.grid.boundary == "bloch":
-            return _kernels.cyclic_tridiag_solve(
-                self.offdiag, self.diag, self.offdiag,
-                self.corner_lo, self.corner_hi, source,
-            )
-        return _kernels.tridiag_solve(self.offdiag, self.diag, self.offdiag, source)
-
-    def residual(self, x, source):
-        ax = self.diag * x
-        ax[:-1] += self.offdiag * x[1:]
-        ax[1:] += self.offdiag * x[:-1]
-        if self.grid.boundary == "bloch":
-            ax[-1] += self.corner_lo * x[0]
-            ax[0] += self.corner_hi * x[-1]
-        denom = np.linalg.norm(source)
-        return float(np.linalg.norm(ax - source) / denom) if denom else 0.0
 
 
 def permittivity_profile(model, x_points, z):
@@ -189,18 +154,10 @@ def check_kind_domain(kind, z, xi, model, grid):
 
 
 def assemble(grid, model, kind, z, xi=None, omega0=None):
-    """Banded matrix for one operator instance. Deterministic in its inputs.
-
-    The diagonal is the B = 1 case of `diagonal_batch`, which also checks
-    the kind's domain.
-    """
-    z = complex(z)
-    diag = diagonal_batch(grid, model, kind, [z], xi, omega0)[0]
-    offdiag = np.full(grid.N - 1, 1.0 / grid.h**2, dtype=np.complex128)
-    corner_lo, corner_hi = _bloch_corners(model, grid) if kind == "bloch" else (0.0, 0.0)
-    return DiscreteHelmholtz(
-        grid=grid, z=z, diag=diag, offdiag=offdiag, corner_lo=corner_lo, corner_hi=corner_hi,
-    )
+    """The length-N diagonal of one operator instance: the B = 1 case of
+    `diagonal_batch`, which also checks the kind's domain. Every operator
+    shares the constant off-diagonal 1/h^2."""
+    return diagonal_batch(grid, model, kind, [complex(z)], xi, omega0)[0]
 
 
 def _bloch_corners(model, grid):
@@ -215,17 +172,24 @@ def _bloch_corners(model, grid):
     return np.exp(1j * k * grid.L) / grid.h**2, np.exp(-1j * k * grid.L) / grid.h**2
 
 
-def green_matrix(op):
-    """The (N, N) matrix G[i, j] ~= G(x_i, x_j; z), via discrete deltas e_j / h."""
-    rhs = np.eye(op.grid.N, dtype=np.complex128) / op.grid.h
-    return op.solve(rhs)
+def _solve(grid, diag, rhs):
+    """H^-1 rhs for the Dirichlet operator with diagonal `diag`: one Thomas
+    solve with the constant off-diagonal 1/h^2."""
+    off = np.full(grid.N - 1, 1.0 / grid.h**2, dtype=np.complex128)
+    return _kernels.tridiag_solve(off, diag, off, rhs)
 
 
-def coefficient(op, phi, psi):
+def green_matrix(grid, diag):
+    """The (N, N) matrix G[i, j] ~= G(x_i, x_j; z) of the operator with
+    diagonal `diag`, via discrete deltas e_j / h."""
+    return _solve(grid, diag, np.eye(grid.N, dtype=np.complex128) / grid.h)
+
+
+def coefficient(grid, diag, phi, psi):
     """Discrete coefficient h * sum conj(phi_i) (H^-1 psi)_i."""
     phi = np.asarray(phi, dtype=np.complex128)
-    field_ = op.solve(np.asarray(psi, dtype=np.complex128))
-    return complex(op.grid.h * np.vdot(phi, field_))
+    field_ = _solve(grid, diag, np.asarray(psi, dtype=np.complex128))
+    return complex(grid.h * np.vdot(phi, field_))
 
 
 def norm_bound(z):
@@ -267,25 +231,21 @@ def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
             norms[b] = 1.0 / sv[-1]
             kappa[b] = sv[0] / sv[-1]
         return norms, gamma_n * kappa * norms
-    offdiag = np.full(n - 1, off, dtype=np.complex128)
     for b in range(norms.size):
-        norms[b] = _power_norm(offdiag, np.ascontiguousarray(diags[:, b]), max_iter)
+        norms[b] = _power_norm(grid, np.ascontiguousarray(diags[:, b]), max_iter)
     kappa = (np.max(np.abs(diags), axis=0) + 2.0 * off) * norms
     return norms, (gamma_n * kappa + _POWER_TOL) * norms
 
 
-def _power_norm(offdiag, diag, max_iter):
+def _power_norm(grid, diag, max_iter):
     """sqrt of the largest eigenvalue of H^-1 H^-H by power iteration; H is
     complex-symmetric, so H^-H b = conj(H^-1 conj(b))."""
-    def solve(b):
-        return _kernels.tridiag_solve(offdiag, diag, offdiag, b)
-
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = solve(np.conj(solve(np.conj(v))))
+        w = _solve(grid, diag, np.conj(_solve(grid, diag, np.conj(v))))
         new_lam = float(np.linalg.norm(w))
         v = w / new_lam
         if abs(new_lam - lam) <= _POWER_TOL * new_lam:
@@ -309,8 +269,8 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
     out = []
     for omega in omega_ladder:
         z = complex(omega, eta)
-        inv_e = assemble(grid, model, "dispersive", z).solve(rhs)
-        inv_0 = assemble(grid, vacuum, "dispersive", z).solve(rhs)
+        inv_e = _solve(grid, assemble(grid, model, "dispersive", z), rhs)
+        inv_0 = _solve(grid, assemble(grid, vacuum, "dispersive", z), rhs)
         sv = np.linalg.svd(z * z * (inv_e - inv_0), compute_uv=False)
         out.append(float(sv[0]))
     return out

@@ -155,6 +155,21 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     return coeff
 
 
+def _bloch_sampler(model, bgrid, bprobe):
+    """<bprobe, H(z)^-1 bprobe> of the Bloch operator on `bgrid` over an
+    array of z, one cyclic solve per call. The wrap entries, and the
+    periodicity check, are taken when the sampler is built."""
+    wrap_lo, wrap_hi = helmholtz._bloch_corners(model, bgrid)
+    off = np.full(bgrid.N - 1, 1.0 / bgrid.h**2, dtype=np.complex128)
+
+    def sampler(z_nodes):
+        diags = helmholtz.diagonal_batch(bgrid, model, "bloch", z_nodes).T
+        rhs = np.broadcast_to(bprobe[:, None], diags.shape)
+        x = _kernels.cyclic_tridiag_solve(off, diags, off, wrap_lo, wrap_hi, rhs)
+        return bgrid.h * (np.conj(bprobe) @ x)
+    return sampler
+
+
 def d_density(model, grid, phi, psi, nu_grid, zeta, reference="vacuum"):
     """Broadened density D(nu + i zeta) = [xi R(xi) - conj(xi) R(-conj xi)] / (2 i pi)
     evaluated on the probe pair.
@@ -189,8 +204,8 @@ def kk_reconstruct_green(sd, grid, phi, psi, z):
 
 def direct_coefficient(model, grid, phi, psi, z):
     """Directly solved <phi, H_e(z)^-1 psi> (oracle side of the KK round trip)."""
-    op = helmholtz.assemble(grid, model, "dispersive", complex(z))
-    return helmholtz.coefficient(op, phi, psi)
+    return helmholtz.coefficient(
+        grid, helmholtz.assemble(grid, model, "dispersive", z), phi, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,30 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
 def cauchy_loop(sampler, loop):
     """Scale-free analyticity defect |loop integral| / (perimeter * max |f|).
 
-    Gauss-Legendre nodes per edge; exact for polynomials, exponentially
+    n Gauss-Legendre nodes per edge; exact for polynomials, exponentially
     accurate for functions analytic in a neighborhood of the rectangle.
-    Returns (defect, error_estimate). The estimate is the rounding bound
-    gamma_n sum_edges |half| sum w |f| / (perimeter * max |f|) of the n
-    nodes, gamma_n = n u; the sampler's own error is not included.
+    Returns (defect, error_estimate). The estimate adds twice the
+    difference |S_n - S_2n| of the loop sums on n and 2n nodes per edge
+    (a truncation bound whenever doubling the nodes at least halves the
+    error) to the rounding bound gamma_n sum_edges |half| sum w |f| of the
+    n nodes, gamma_n = n u, both over perimeter * max |f| of the n nodes;
+    the sampler's own error is not included.
     """
+    total, abs_sum, maxabs, perimeter = _loop_sum(sampler, loop, loop.n_points)
+    if maxabs == 0.0:
+        return 0.0, 0.0
+    scale = perimeter * maxabs
+    rounding = 4 * loop.n_points * _UNIT_ROUNDOFF * abs_sum
+    truncation = 2.0 * abs(total - _loop_sum(sampler, loop, 2 * loop.n_points)[0])
+    return abs(total) / scale, (rounding + truncation) / scale
+
+
+def _loop_sum(sampler, loop, n):
+    """The loop sum on n Gauss-Legendre nodes per edge, sum_edges half sum
+    w f, with sum_edges |half| sum w |f|, max |f| and the perimeter."""
     a, b = loop.z_lo, loop.z_hi
     corners = [a, complex(b.real, a.imag), b, complex(a.real, b.imag), a]
-    x, wx = np.polynomial.legendre.leggauss(loop.n_points)
+    x, wx = np.polynomial.legendre.leggauss(n)
     total = 0.0 + 0.0j
     abs_sum = 0.0
     maxabs = 0.0
@@ -192,11 +207,7 @@ def cauchy_loop(sampler, loop):
         abs_sum += abs(half) * float(np.sum(wx * np.abs(vals)))
         maxabs = max(maxabs, float(np.max(np.abs(vals))))
         perimeter += abs(z1 - z0)
-    if maxabs == 0.0:
-        return 0.0, 0.0
-    scale = perimeter * maxabs
-    rounding = 4 * loop.n_points * _UNIT_ROUNDOFF * abs_sum
-    return abs(total) / scale, rounding / scale
+    return total, abs_sum, maxabs, perimeter
 
 
 def kk_kernel_integral(nu_grid, samples, z):

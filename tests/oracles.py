@@ -1,4 +1,4 @@
-"""Closed forms and reference sums that only tests read.
+"""Closed forms, dense operators and reference sums that only tests read.
 
 Each is an independent check of a program result, kept out of the package
 so that `src/` holds only what a command runs.
@@ -10,7 +10,50 @@ import mpmath
 import numpy as np
 
 from helmgreen import freespace as fs
+from helmgreen import helmholtz as hh
 from helmgreen.errors import DomainError
+
+
+def min_gamma(model):
+    """The smallest Lorentz damping of any layer of `model`; inf without one."""
+    return min((g for _, _, density in model.layers for _, _, g in density.lorentz),
+               default=math.inf)
+
+
+def dense_operator(grid, diag, corners=(0.0, 0.0)):
+    """The dense (N, N) operator with diagonal `diag`, the constant
+    off-diagonal 1/h^2 and, on a Bloch grid, the wrap entries
+    corners = (A[N-1, 0], A[0, N-1])."""
+    n = grid.N
+    off = np.full(n - 1, 1.0 / grid.h**2, dtype=np.complex128)
+    m = np.diag(np.asarray(diag, dtype=np.complex128)) + np.diag(off, 1) + np.diag(off, -1)
+    m[n - 1, 0] += corners[0]
+    m[0, n - 1] += corners[1]
+    return m
+
+
+def residual(matrix, x, source):
+    """Relative residual ||A x - source|| / ||source||; 0 for a zero source."""
+    denom = np.linalg.norm(source)
+    return float(np.linalg.norm(matrix @ x - source) / denom) if denom else 0.0
+
+
+def bloch_coefficient(model, bgrid, bprobe, z):
+    """<bprobe, H(z)^-1 bprobe> of the Bloch operator at one z, by a dense
+    numpy solve of `dense_operator` with the wrap entries of the grid."""
+    a = dense_operator(bgrid, hh.assemble(bgrid, model, "bloch", z),
+                       hh._bloch_corners(model, bgrid))
+    return complex(bgrid.h * np.vdot(bprobe, np.linalg.solve(a, bprobe)))
+
+
+def free_symbol(k, z):
+    """3x3 inverse symbol at one real wavevector: `_symbol_apply_batch` on
+    the unit vectors, one per column; removable limit at k = 0."""
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError("free symbol requires Im z > 0")
+    k = np.broadcast_to(np.asarray(k, dtype=float), (3, 3))
+    return fs._symbol_apply_batch(k, z, np.eye(3)).T
 
 
 def lorentz_susceptibility_exact(wp, w1, gamma, t):

@@ -16,6 +16,10 @@ from helmgreen.errors import (
     PeriodicityError,
 )
 
+import oracles
+
+KINDS = ("dispersive", "two_freq", "nondispersive", "bloch")
+
 
 def slab_model():
     density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))
@@ -68,42 +72,50 @@ def test_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# assembly and solves
+# assembly and solves (an operator is its diagonal; the off-diagonal is 1/h^2)
 
 
 def test_dispersive_diagonal_values():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=16)
     z = 1j
-    op = hh.assemble(g, m, "dispersive", z)
+    diag = hh.assemble(g, m, "dispersive", z)
+    assert isinstance(diag, np.ndarray) and diag.shape == (g.N,)
     eps = hh.permittivity_profile(m, g.points, z)
     expect = z * z * eps - 2.0 / g.h**2
-    assert np.allclose(op.diag, expect)
-    assert np.allclose(op.offdiag, 1.0 / g.h**2)
+    assert np.allclose(diag, expect)
+    # the solves use the off-diagonal 1/h^2 of the dense oracle
+    dense = oracles.dense_operator(g, diag)
+    assert np.allclose(np.diag(dense, 1), 1.0 / g.h**2)
+    assert np.allclose(hh.green_matrix(g, diag), np.linalg.inv(dense) / g.h)
 
 
 def test_solve_matches_dense_oracle():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=48)
-    op = hh.assemble(g, m, "dispersive", 0.8 + 0.6j)
+    diag = hh.assemble(g, m, "dispersive", 0.8 + 0.6j)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-    x = op.solve(rhs)
-    oracle = np.linalg.solve(op.dense(), rhs)
+    x = hh._solve(g, diag, rhs)
+    dense = oracles.dense_operator(g, diag)
+    oracle = np.linalg.solve(dense, rhs)
     assert np.max(np.abs(x - oracle)) < 1e-10
-    assert op.residual(x, rhs) < 1e-12
+    assert oracles.residual(dense, x, rhs) < 1e-12
 
 
 def test_bloch_solve_matches_dense_oracle():
+    # the cyclic solve of the zk sampler, with the wrap entries of the grid
     m = slab_model()
     k = 1.0 + 0.2j
     g = hh.Grid1D(L=1.0, N=32, boundary="bloch", bloch_k=k)
-    op = hh.assemble(g, m, "bloch", 2.0j)
-    assert op.corner_lo == pytest.approx(np.exp(1j * k * 1.0) / g.h**2)
+    diag = hh.assemble(g, m, "bloch", 2.0j)
+    wrap_lo, wrap_hi = hh._bloch_corners(m, g)
+    assert wrap_lo == pytest.approx(np.exp(1j * k * 1.0) / g.h**2)
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    x = op.solve(rhs)
-    oracle = np.linalg.solve(op.dense(), rhs)
+    off = np.full(g.N - 1, 1.0 / g.h**2, dtype=complex)
+    x = _kernels.cyclic_tridiag_solve(off, diag, off, wrap_lo, wrap_hi, rhs)
+    oracle = np.linalg.solve(oracles.dense_operator(g, diag, (wrap_lo, wrap_hi)), rhs)
     assert np.max(np.abs(x - oracle)) < 1e-10
 
 
@@ -111,21 +123,21 @@ def test_two_freq_diagonal():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=16)
     z, xi = 1.0 + 1.0j, 0.5 + 0.3j
-    op = hh.assemble(g, m, "two_freq", z, xi=xi)
+    diag = hh.assemble(g, m, "two_freq", z, xi=xi)
     eps_xi = hh.permittivity_profile(m, g.points, xi)
     expect = z * z + z * xi * (eps_xi - 1.0) - 2.0 / g.h**2
-    assert np.allclose(op.diag, expect)
+    assert np.allclose(diag, expect)
 
 
 def test_nondispersive_diagonal_real_constant():
     m = line_slab_model()
     g = hh.Grid1D(L=1.0, N=16)
-    op = hh.assemble(g, m, "nondispersive", 1.0 + 0.5j, omega0=1.0)
+    diag = hh.assemble(g, m, "nondispersive", 1.0 + 0.5j, omega0=1.0)
     inside = (g.points >= 0.25) & (g.points <= 0.75)
     eps_in = 1.0 + 2.0 / (16.0 - 1.0)
     z2 = (1.0 + 0.5j) ** 2
-    assert np.allclose(op.diag[inside], z2 * eps_in - 2.0 / g.h**2)
-    assert np.allclose(op.diag[~inside], z2 * 1.0 - 2.0 / g.h**2)
+    assert np.allclose(diag[inside], z2 * eps_in - 2.0 / g.h**2)
+    assert np.allclose(diag[~inside], z2 * 1.0 - 2.0 / g.h**2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +152,10 @@ def test_real_axis_undamped_rejected():
 
 def test_real_axis_damped_allowed():
     g = hh.Grid1D(L=1.0, N=16)
-    op = hh.assemble(g, slab_model(), "dispersive", 2.0 + 0.0j)
-    assert op.z == 2.0 + 0.0j
+    z = 2.0 + 0.0j
+    diag = hh.assemble(g, slab_model(), "dispersive", z)
+    expect = z * z * hh.permittivity_profile(slab_model(), g.points, z) - 2.0 / g.h**2
+    assert np.array_equal(diag, expect)
 
 
 def test_two_freq_requires_upper_half():
@@ -161,7 +175,7 @@ def test_layer_outside_cell_rejected():
     m = dsp.PermittivityModel(layers=((0.5, 1.5, density),))
     g = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=0.1)
     with pytest.raises(PeriodicityError):
-        hh.assemble(g, m, "bloch", 1.0j)
+        hh._bloch_corners(m, g)
 
 
 def test_unknown_kind_rejected():
@@ -200,7 +214,7 @@ def test_diagonal_batch_checks_every_node():
 
 def test_green_matrix_reciprocity():
     g = hh.Grid1D(L=1.0, N=40)
-    G = hh.green_matrix(hh.assemble(g, slab_model(), "dispersive", 1j))
+    G = hh.green_matrix(g, hh.assemble(g, slab_model(), "dispersive", 1j))
     assert np.max(np.abs(G - G.T)) / np.max(np.abs(G)) < 1e-13
 
 
@@ -208,19 +222,19 @@ def test_green_matrix_schwarz():
     g = hh.Grid1D(L=1.0, N=40)
     m = slab_model()
     z = 0.7 + 0.9j
-    G = hh.green_matrix(hh.assemble(g, m, "dispersive", z))
-    Gm = hh.green_matrix(hh.assemble(g, m, "dispersive", -np.conj(z)))
+    G = hh.green_matrix(g, hh.assemble(g, m, "dispersive", z))
+    Gm = hh.green_matrix(g, hh.assemble(g, m, "dispersive", -np.conj(z)))
     assert np.max(np.abs(Gm - np.conj(G))) / np.max(np.abs(G)) < 1e-13
 
 
 def test_coefficient_consistent_with_green_matrix():
     g = hh.Grid1D(L=1.0, N=32)
-    op = hh.assemble(g, slab_model(), "dispersive", 1j)
+    diag = hh.assemble(g, slab_model(), "dispersive", 1j)
     rng = np.random.default_rng(9)
     phi = rng.standard_normal(32)
     psi = rng.standard_normal(32)
-    got = hh.coefficient(op, phi, psi)
-    G = hh.green_matrix(op)
+    got = hh.coefficient(g, diag, phi, psi)
+    G = hh.green_matrix(g, diag)
     expect = g.h**2 * phi @ G @ psi
     assert got == pytest.approx(expect, rel=1e-12)
 
@@ -302,8 +316,7 @@ def test_diagonal_batch_matches_assemble():
     zs = np.array([1j, 0.5 + 0.5j, 2.0 + 1.0j])
     diag = hh.diagonal_batch(g, m, "dispersive", zs)
     for i, z in enumerate(zs):
-        op = hh.assemble(g, m, "dispersive", complex(z))
-        assert np.allclose(diag[i], op.diag)
+        assert np.allclose(diag[i], hh.assemble(g, m, "dispersive", complex(z)))
 
 
 def test_solve_batch_matches_individual():
@@ -316,8 +329,8 @@ def test_solve_batch_matches_individual():
     off = np.full(g.N - 1, 1.0 / g.h**2, dtype=complex)
     x = _kernels.tridiag_solve_batch(off, off, diag, rhs)
     for i, z in enumerate(zs):
-        op = hh.assemble(g, m, "dispersive", complex(z))
-        assert np.max(np.abs(x[i] - op.solve(rhs[i]))) < 1e-12
+        one = hh._solve(g, hh.assemble(g, m, "dispersive", complex(z)), rhs[i])
+        assert np.max(np.abs(x[i] - one)) < 1e-12
 
 
 @pytest.mark.parametrize("kind, model, distinct", [
@@ -386,7 +399,7 @@ def _slab_eps(x, z):
     return 1.0 + np.where((x >= 0.25) & (x <= 0.75), 1.0 / (4.0 - z * z - 0.2j * z), 0.0)
 
 
-@pytest.mark.parametrize("kind", hh.KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 def test_diagonal_batch_matches_closed_form(kind):
     bloch = kind == "bloch"
     g = hh.Grid1D(L=1.0, N=24, boundary="bloch" if bloch else "dirichlet", bloch_k=0.5 + 0.2j)
@@ -407,9 +420,9 @@ def test_diagonal_batch_matches_closed_form(kind):
     assert diag.shape == (3, g.N) and diag.flags.f_contiguous
     np.testing.assert_allclose(diag, expect - 2.0 / g.h**2, rtol=1e-14)
     for b in range(3):
-        op = hh.assemble(g, line_slab_model() if kind == "nondispersive" else slab_model(),
-                         kind, z[b, 0], xi=xi[b, 0], omega0=1.0)
-        assert np.array_equal(op.diag, diag[b])
+        one = hh.assemble(g, line_slab_model() if kind == "nondispersive" else slab_model(),
+                          kind, z[b, 0], xi=xi[b, 0], omega0=1.0)
+        assert np.array_equal(one, diag[b])
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +442,14 @@ upper_half_plane = st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.05, 5.0)
 
 @given(model=slab_media, z=upper_half_plane)
 def test_property_green_reciprocity(model, z):
-    G = hh.green_matrix(hh.assemble(hh.Grid1D(L=1.0, N=24), model, "dispersive", z))
+    g = hh.Grid1D(L=1.0, N=24)
+    G = hh.green_matrix(g, hh.assemble(g, model, "dispersive", z))
     assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
 
 
 @given(model=slab_media, z=upper_half_plane)
 def test_property_green_schwarz_reflection(model, z):
     g = hh.Grid1D(L=1.0, N=24)
-    G = hh.green_matrix(hh.assemble(g, model, "dispersive", z))
-    mirror = hh.green_matrix(hh.assemble(g, model, "dispersive", -z.conjugate()))
+    G = hh.green_matrix(g, hh.assemble(g, model, "dispersive", z))
+    mirror = hh.green_matrix(g, hh.assemble(g, model, "dispersive", -z.conjugate()))
     assert np.max(np.abs(mirror - np.conj(G))) <= 1e-12 * np.max(np.abs(G))
