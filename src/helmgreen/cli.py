@@ -115,8 +115,9 @@ def _tolerances_of(cfg, defaults):
     return out
 
 
-def _probe_of(cfg, grid, mode_probe=False):
-    """The probe vector on `grid`; a mode_index probe (`mode_probe`) is returned as its index."""
+def _probe_of(cfg, grid, modes=None):
+    """The probe vector on `grid`; a mode_index probe is a column of the
+    `spectral.cavity_modes` `modes`."""
     mode, point, gaussian = config.fields(
         cfg, "probe", (), dict.fromkeys(("mode_index", "point_index", "gaussian")))
     if len(cfg) != 1:
@@ -126,9 +127,9 @@ def _probe_of(cfg, grid, mode_probe=False):
         return spectral.gaussian_probe(grid, center, width)
     if point is not None:
         return spectral.point_probe(grid, config.index(point, "probe.point_index", grid.N))
-    if not mode_probe:
+    if modes is None:
         raise ConfigError("mode_index probe needs cavity modes")
-    return config.index(mode, "probe.mode_index", grid.N)
+    return modes.modes[:, config.index(mode, "probe.mode_index", grid.N)]
 
 
 def _contour_of(cfg, where="contour"):
@@ -140,7 +141,7 @@ def _contour_of(cfg, where="contour"):
 
 
 # ---------------------------------------------------------------------------
-# commands (each reads its whole config before its first numerical call)
+# commands (each reads its whole config before its first solve)
 
 
 def cmd_kk_eps(cfg, seed):
@@ -192,12 +193,11 @@ def cmd_green(cfg, seed):
     xi_samples = config.count(xi_samples, "xi_samples", 0)
     tol = _tolerances_of(tol, {"reciprocity": 1e-12, "schwarz": 1e-12, "norm_slack": 1e-8})
     report = Report()
-    g = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, "dispersive", z))
+    g = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, z))
     recip = float(np.max(np.abs(g - g.T)) / np.max(np.abs(g)))
     report.zero("reciprocity", {"z": [z.real, z.imag]}, recip, tol["reciprocity"])
 
-    mirror = helmholtz.green_matrix(
-        grid, helmholtz.assemble(grid, model, "dispersive", -z.conjugate()))
+    mirror = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, -z.conjugate()))
     schwarz = float(np.max(np.abs(mirror - np.conj(g))) / np.max(np.abs(g)))
     report.zero("schwarz", {"z": [z.real, z.imag]}, schwarz, tol["schwarz"])
 
@@ -235,6 +235,7 @@ def cmd_modes(cfg, seed):
     z = config.complex_of(z, "z")
     m = grid.N // 2 if m is None else config.count(m, "truncation_M", 1, grid.N)
     tol = _tolerances_of(tol, {"identity": 1e-10, "kk_rel": 1e-3})
+    modes = spectral.cavity_modes(grid, eps_const)
     if kk is not None:
         zeta, nu_grid, reference, probe = config.fields(
             kk, "kk", ("zeta", "nu_grid"), {"reference": "vacuum", "probe": {"mode_index": 0}})
@@ -244,13 +245,12 @@ def cmd_modes(cfg, seed):
             raise ConfigError("kk.nu_grid.max must be > 0")
         nu = np.linspace(-nu_max, nu_max, config.count(nu_count, "kk.nu_grid.count", 2))
         reference = config.choice(reference, "kk.reference", ("vacuum", "none"))
-        probe = _probe_of(probe, grid, mode_probe=True)
+        probe = _probe_of(probe, grid, modes)
     report = Report()
-    modes = spectral.cavity_modes(grid, eps_const)
     model = dispersion.PermittivityModel(background=eps_const)
 
     expansion, _ = spectral.mode_expansion_green(modes, z)
-    direct = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, "dispersive", z))
+    direct = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, z))
     identity_err = float(np.max(np.abs(expansion - direct)) / np.max(np.abs(direct)))
     report.zero("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]}, identity_err,
                 tol["identity"])
@@ -261,8 +261,6 @@ def cmd_modes(cfg, seed):
                diff <= tail_bound, tail_bound)
 
     if kk is not None:
-        if isinstance(probe, int):
-            probe = modes.modes[:, probe]
         sd = spectral.d_density(model, grid, probe, probe, nu, zeta, reference)
         recon = spectral.kk_reconstruct_green(sd, grid, probe, probe, z)
         direct_c = spectral.direct_coefficient(model, grid, probe, probe, z)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
+from . import config, transforms
 from .errors import (
     ConfigError,
     DomainError,
@@ -364,8 +364,6 @@ def susceptibility(model, x, t_grid, contour):
     Returns (values, error_estimate); values are real up to the estimate
     and vanish for t < 0 (causality).
     """
-    from . import transforms
-
     density = model.density_at(x)
     if density.is_vacuum:
         t = np.atleast_1d(np.asarray(t_grid, dtype=float))

@@ -5,10 +5,11 @@ longitudinal and transverse projectors:
 
     symbol(k, z) = (kk/k^2) / z^2 + (1 - kk/k^2) / (z^2 - k^2)
 
-Test fields are Gaussian envelopes in k-space with constant polarization,
-so inner products and norms have closed forms. The asymptotic defect needs
-one radial rule (its angular integral is closed-form); the coefficient
-itself is summed on a spherical tensor rule.
+so z^2 symbol = I + k^2 / (z^2 - k^2) (1 - kk/k^2). Test fields are
+Gaussian envelopes in k-space with constant polarization, so inner products
+and norms have closed forms, and the sphere integral of the transverse
+remainder is closed-form too (Funk-Hecke): the coefficient and its
+|z| -> infinity defect share one Gauss-Legendre radial rule.
 """
 
 import math
@@ -31,14 +32,6 @@ class TestField3D:
         if self.width <= 0:
             raise DomainError("field width must be > 0")
 
-    def envelope(self, k):
-        """Scalar envelope at k, shape (..., 3) -> (...)."""
-        d = np.asarray(k, dtype=float) - np.asarray(self.center)
-        return np.exp(-np.sum(d * d, axis=-1) / (2.0 * self.width**2))
-
-    def amplitude(self, k):
-        return self.envelope(k)[..., None] * np.asarray(self.polarization)
-
 
 def inner_product(phi, psi):
     """Closed-form <phi, psi> = int conj(phi_hat) . psi_hat dk for Gaussian fields."""
@@ -59,43 +52,13 @@ def norm_sq(phi):
 
 @dataclass(frozen=True)
 class SphericalQuadrature:
-    """Tensor-product rule: Gauss-Legendre radial x Gauss-Legendre in cos(theta)
-    x trapezoid in azimuth, truncated at k_max."""
+    """`n_radial` Gauss-Legendre radial nodes (and 2 n_radial for the
+    estimate); `n_polar` and `n_azimuth` shape only the tensor-rule oracle
+    (`tests/oracles.py`), and stay because `perfbench/trace_child.py` reads them."""
 
     n_radial: int = 80
     n_polar: int = 40
     n_azimuth: int = 80
-
-    def nodes_weights(self, k_max):
-        xr, wr = np.polynomial.legendre.leggauss(self.n_radial)
-        r = 0.5 * k_max * (xr + 1.0)
-        wr = 0.5 * k_max * wr
-        xm, wm = np.polynomial.legendre.leggauss(self.n_polar)
-        phi = 2.0 * math.pi * np.arange(self.n_azimuth) / self.n_azimuth
-        wphi = 2.0 * math.pi / self.n_azimuth
-        sin_t = np.sqrt(1.0 - xm**2)
-        kx = r[:, None, None] * sin_t[None, :, None] * np.cos(phi)[None, None, :]
-        ky = r[:, None, None] * sin_t[None, :, None] * np.sin(phi)[None, None, :]
-        kz = r[:, None, None] * xm[None, :, None] * np.ones_like(phi)[None, None, :]
-        k = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
-        w = (r**2 * wr)[:, None, None] * wm[None, :, None] * np.full(self.n_azimuth, wphi)
-        return k, w.reshape(-1)
-
-
-def _projections(k, vec):
-    """(k^2, longitudinal, transverse) parts of vec along each wavevector k."""
-    k2 = np.sum(k * k, axis=-1)
-    safe_k2 = np.where(k2 > 0, k2, 1.0)
-    longi = (np.sum(k * vec, axis=-1) / safe_k2)[:, None] * k
-    return k2, longi, vec - longi
-
-
-def _symbol_apply_batch(k, z, vec):
-    """symbol(k, z) . vec for a batch of wavevectors; vec shape (B, 3)."""
-    z2 = z * z
-    k2, longi, trans = _projections(k, vec)
-    out = longi / z2 + trans / (z2 - k2)[:, None]
-    return np.where(k2[:, None] > 0, out, vec / z2)
 
 
 def _cutoff(phi, psi):
@@ -106,32 +69,21 @@ def _cutoff(phi, psi):
     )
 
 
-def _sandwich_nodes(phi, psi, quad):
-    """(k_max, k, w, env_phi, amp_psi): the Gaussian cut-off radius, the
-    quadrature nodes and weights inside it, and phi's envelope and psi's
-    amplitude at the nodes."""
-    quad = quad or SphericalQuadrature()
-    k_max = _cutoff(phi, psi)
-    k, w = quad.nodes_weights(k_max)
-    return k_max, k, w, phi.envelope(k), psi.amplitude(k)
-
-
 def free_coefficient(phi, psi, z, quad=None):
-    """<phi, H_0(z)^-1 psi> by spherical quadrature of the symbol sandwich.
+    """<phi, H_0(z)^-1 psi> = (<phi, psi> + T(z)) / z^2, with the closed-form
+    `inner_product` and the transverse remainder T of `_transverse_remainder`.
 
-    Returns (value, tail_estimate); the tail estimate reflects the Gaussian
-    decay beyond the radial truncation.
+    Returns (value, error_estimate): T's estimate plus the rounding of
+    <phi, psi> + T, over |z|^2.
     """
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("free coefficient requires Im z > 0")
-    k_max, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
-    applied = _symbol_apply_batch(k, z, amp_psi)
-    integrand = env_phi * (applied @ np.conj(np.asarray(phi.polarization)))
-    value = complex(np.sum(w * integrand))
-    edge = math.exp(-((k_max - float(np.linalg.norm(phi.center))) ** 2) / (2.0 * phi.width**2))
-    tail = edge * max(abs(value), norm_sq(phi) ** 0.5 * norm_sq(psi) ** 0.5)
-    return value, tail
+    (remainder,), (estimate,) = _transverse_remainder(
+        phi, psi, np.array([z]), quad or SphericalQuadrature())
+    inner = inner_product(phi, psi)
+    rounding = np.finfo(float).eps * (abs(inner) + abs(remainder))
+    return complex((inner + remainder) / (z * z)), float(estimate + rounding) / abs(z) ** 2
 
 
 # Below this a = r|c|/sigma^2 the scaled moments are summed as a series of
@@ -190,24 +142,17 @@ def _radial_rule(phi, psi, k_max, n):
     return 0.5 * k_max * w * r2 * r2 * radial * sphere, r2
 
 
-def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
-    """|z^2 <phi, H_0^-1 psi> - <phi, psi>| along the ray arg z = theta, and
+def _transverse_remainder(phi, psi, z, quad):
+    """T(z) = z^2 <phi, H_0(z)^-1 psi> - <phi, psi> at each z of a 1-D
+    array: the transverse remainder k^2 / (z^2 - k^2) of the symbol summed
+    on the quad.n_radial-node `_radial_rule` (no large-z cancellation), and
     each value's error estimate.
 
-    Summed directly from the transverse remainder k^2 / (z^2 - k^2) of the
-    symbol (no large-z cancellation): a closed-form angular integral
-    (`_radial_rule`) on quad.n_radial Gauss-Legendre radial nodes. Each
-    estimate is the nested difference to the rule on twice the nodes plus
-    a node-sum rounding bound. theta must stay away from the real axis.
-
-    Returns (defects, estimates), two lists in the order of z_moduli.
+    The estimate is twice the nested difference to the rule on twice the
+    nodes (a truncation bound whenever doubling the nodes at least halves
+    the error, as in `transforms.cauchy_loop`) plus a node-sum rounding
+    bound. Returns (remainders, estimates), two arrays.
     """
-    if not 0.05 < theta < math.pi - 0.05:
-        raise DomainError("ray angle must be bounded away from the real axis")
-    quad = quad or SphericalQuadrature()
-    z = np.asarray(z_moduli, dtype=float) * complex(math.cos(theta), math.sin(theta))
-    if np.any(z.imag <= 0):
-        raise DomainError("ray must lie in the upper half-plane")
     k_max = _cutoff(phi, psi)
     sums = []
     for n in (quad.n_radial, 2 * quad.n_radial):
@@ -216,4 +161,20 @@ def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
         sums.append(np.sum(terms, axis=1))
     # the node-sum rounding (2n) u sum |w f| of the larger rule
     rounding = quad.n_radial * np.finfo(float).eps * np.sum(np.abs(terms), axis=1)
-    return np.abs(sums[0]).tolist(), (np.abs(sums[0] - sums[1]) + rounding).tolist()
+    return sums[0], 2.0 * np.abs(sums[0] - sums[1]) + rounding
+
+
+def asymptotic_defect(phi, psi, z_moduli, theta, quad=None):
+    """|z^2 <phi, H_0^-1 psi> - <phi, psi>| along the ray arg z = theta, and
+    each value's error estimate: the modulus of `_transverse_remainder` on
+    quad.n_radial radial nodes. theta must stay away from the real axis.
+
+    Returns (defects, estimates), two lists in the order of z_moduli.
+    """
+    if not 0.05 < theta < math.pi - 0.05:
+        raise DomainError("ray angle must be bounded away from the real axis")
+    z = np.asarray(z_moduli, dtype=float) * complex(math.cos(theta), math.sin(theta))
+    if np.any(z.imag <= 0):
+        raise DomainError("ray must lie in the upper half-plane")
+    remainders, estimates = _transverse_remainder(phi, psi, z, quad or SphericalQuadrature())
+    return np.abs(remainders).tolist(), estimates.tolist()

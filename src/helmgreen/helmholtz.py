@@ -28,8 +28,9 @@ from . import _kernels, dispersion
 from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
 from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
 
-# The relative step that stops the power iteration of `inverse_norm`, and its seed.
-_POWER_TOL, _POWER_SEED = 1e-10, 0
+# The largest N whose `inverse_norm` is a dense SVD; above it, the relative
+# step that stops the power iteration, its seed and its iteration cap.
+_DENSE_CUTOFF, _POWER_TOL, _POWER_SEED, _POWER_MAX_ITER = 512, 1e-10, 0, 10_000
 
 
 @dataclass(frozen=True)
@@ -153,11 +154,11 @@ def check_kind_domain(kind, z, xi, model, grid):
         raise ConfigError(f"{kind} kind requires a {boundary} grid")
 
 
-def assemble(grid, model, kind, z, xi=None, omega0=None):
-    """The length-N diagonal of one operator instance: the B = 1 case of
-    `diagonal_batch`, which also checks the kind's domain. Every operator
+def assemble(grid, model, z):
+    """The length-N diagonal of the dispersive operator at one z: the B = 1
+    case of `diagonal_batch`, which also checks the domain. Every operator
     shares the constant off-diagonal 1/h^2."""
-    return diagonal_batch(grid, model, kind, [complex(z)], xi, omega0)[0]
+    return diagonal_batch(grid, model, "dispersive", [complex(z)])[0]
 
 
 def _bloch_corners(model, grid):
@@ -200,7 +201,7 @@ def norm_bound(z):
         return np.where(z.imag > 0, 1.0 / (np.hypot(z.real, z.imag) * z.imag), math.inf)
 
 
-def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
+def inverse_norm(grid, rows, index):
     """||H_b^-1|| = 1 / sigma_min for each Dirichlet operator whose diagonal
     is rows[index, b] (the form of `diagonal_rows`), and its rounding estimate.
 
@@ -209,7 +210,7 @@ def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
     values come from one SVD. The estimate gamma_N (sigma_max / sigma_min)
     ||H^-1|| takes sigma_max from the same call; it follows from the SVD's
     backward stability and Weyl's bound (Golub & Van Loan, ch. 8). Above
-    the cutoff each operator runs a power iteration on H^-1 H^-H, whose
+    `_DENSE_CUTOFF` each operator runs a power iteration on H^-1 H^-H, whose
     estimate bounds sigma_max by ||H||_inf and adds the stopping step.
 
     Returns (norms, estimates), arrays of shape (B,).
@@ -220,7 +221,7 @@ def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
     n_u = n * np.finfo(float).eps / 2
     gamma_n = n_u / (1.0 - n_u)
     norms = np.empty(diags.shape[1])
-    if n <= dense_cutoff:
+    if n <= _DENSE_CUTOFF:
         buf = np.diag(np.full(n - 1, off, dtype=np.complex128), 1)
         buf += buf.T
         diagonal = buf.reshape(-1)[::n + 1]
@@ -232,19 +233,19 @@ def inverse_norm(grid, rows, index, dense_cutoff=512, max_iter=10_000):
             kappa[b] = sv[0] / sv[-1]
         return norms, gamma_n * kappa * norms
     for b in range(norms.size):
-        norms[b] = _power_norm(grid, np.ascontiguousarray(diags[:, b]), max_iter)
+        norms[b] = _power_norm(grid, np.ascontiguousarray(diags[:, b]))
     kappa = (np.max(np.abs(diags), axis=0) + 2.0 * off) * norms
     return norms, (gamma_n * kappa + _POWER_TOL) * norms
 
 
-def _power_norm(grid, diag, max_iter):
+def _power_norm(grid, diag):
     """sqrt of the largest eigenvalue of H^-1 H^-H by power iteration; H is
     complex-symmetric, so H^-H b = conj(H^-1 conj(b))."""
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = _solve(grid, diag, np.conj(_solve(grid, diag, np.conj(v))))
         new_lam = float(np.linalg.norm(w))
         v = w / new_lam
@@ -269,8 +270,8 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
     out = []
     for omega in omega_ladder:
         z = complex(omega, eta)
-        inv_e = _solve(grid, assemble(grid, model, "dispersive", z), rhs)
-        inv_0 = _solve(grid, assemble(grid, vacuum, "dispersive", z), rhs)
+        inv_e = _solve(grid, assemble(grid, model, z), rhs)
+        inv_0 = _solve(grid, assemble(grid, vacuum, z), rhs)
         sv = np.linalg.svd(z * z * (inv_e - inv_0), compute_uv=False)
         out.append(float(sv[0]))
     return out

@@ -204,8 +204,7 @@ def kk_reconstruct_green(sd, grid, phi, psi, z):
 
 def direct_coefficient(model, grid, phi, psi, z):
     """Directly solved <phi, H_e(z)^-1 psi> (oracle side of the KK round trip)."""
-    return helmholtz.coefficient(
-        grid, helmholtz.assemble(grid, model, "dispersive", z), phi, psi)
+    return helmholtz.coefficient(grid, helmholtz.assemble(grid, model, z), phi, psi)
 
 
 # ---------------------------------------------------------------------------

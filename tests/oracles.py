@@ -41,9 +41,65 @@ def residual(matrix, x, source):
 def bloch_coefficient(model, bgrid, bprobe, z):
     """<bprobe, H(z)^-1 bprobe> of the Bloch operator at one z, by a dense
     numpy solve of `dense_operator` with the wrap entries of the grid."""
-    a = dense_operator(bgrid, hh.assemble(bgrid, model, "bloch", z),
+    a = dense_operator(bgrid, hh.diagonal_batch(bgrid, model, "bloch", [z])[0],
                        hh._bloch_corners(model, bgrid))
     return complex(bgrid.h * np.vdot(bprobe, np.linalg.solve(a, bprobe)))
+
+
+def envelope(field, k):
+    """Scalar envelope of a `freespace.TestField3D` at k, shape (..., 3) -> (...)."""
+    d = np.asarray(k, dtype=float) - np.asarray(field.center)
+    return np.exp(-np.sum(d * d, axis=-1) / (2.0 * field.width**2))
+
+
+def amplitude(field, k):
+    """field_hat(k) = polarization * envelope, shape (..., 3) -> (..., 3)."""
+    return envelope(field, k)[..., None] * np.asarray(field.polarization)
+
+
+def tensor_nodes_weights(quad, k_max):
+    """Tensor-product rule of a `freespace.SphericalQuadrature`: Gauss-Legendre
+    radial (n_radial) x Gauss-Legendre in cos(theta) (n_polar) x trapezoid in
+    azimuth (n_azimuth), truncated at k_max. Returns nodes (M, 3) and weights."""
+    xr, wr = np.polynomial.legendre.leggauss(quad.n_radial)
+    r = 0.5 * k_max * (xr + 1.0)
+    wr = 0.5 * k_max * wr
+    xm, wm = np.polynomial.legendre.leggauss(quad.n_polar)
+    phi = 2.0 * math.pi * np.arange(quad.n_azimuth) / quad.n_azimuth
+    wphi = 2.0 * math.pi / quad.n_azimuth
+    sin_t = np.sqrt(1.0 - xm**2)
+    kx = r[:, None, None] * sin_t[None, :, None] * np.cos(phi)[None, None, :]
+    ky = r[:, None, None] * sin_t[None, :, None] * np.sin(phi)[None, None, :]
+    kz = r[:, None, None] * xm[None, :, None] * np.ones_like(phi)[None, None, :]
+    k = np.stack([kx, ky, kz], axis=-1).reshape(-1, 3)
+    w = (r**2 * wr)[:, None, None] * wm[None, :, None] * np.full(quad.n_azimuth, wphi)
+    return k, w.reshape(-1)
+
+
+def _projections(k, vec):
+    """(k^2, longitudinal, transverse) parts of vec along each wavevector k."""
+    k2 = np.sum(k * k, axis=-1)
+    safe_k2 = np.where(k2 > 0, k2, 1.0)
+    longi = (np.sum(k * vec, axis=-1) / safe_k2)[:, None] * k
+    return k2, longi, vec - longi
+
+
+def _symbol_apply_batch(k, z, vec):
+    """symbol(k, z) . vec for a batch of wavevectors; vec shape (B, 3)."""
+    z2 = z * z
+    k2, longi, trans = _projections(k, vec)
+    out = longi / z2 + trans / (z2 - k2)[:, None]
+    return np.where(k2[:, None] > 0, out, vec / z2)
+
+
+def _sandwich_nodes(phi, psi, quad):
+    """(k_max, k, w, env_phi, amp_psi): the Gaussian cut-off radius, the
+    tensor-rule nodes and weights inside it, and phi's envelope and psi's
+    amplitude at the nodes."""
+    quad = quad or fs.SphericalQuadrature()
+    k_max = fs._cutoff(phi, psi)
+    k, w = tensor_nodes_weights(quad, k_max)
+    return k_max, k, w, envelope(phi, k), amplitude(psi, k)
 
 
 def free_symbol(k, z):
@@ -53,7 +109,23 @@ def free_symbol(k, z):
     if z.imag <= 0:
         raise DomainError("free symbol requires Im z > 0")
     k = np.broadcast_to(np.asarray(k, dtype=float), (3, 3))
-    return fs._symbol_apply_batch(k, z, np.eye(3)).T
+    return _symbol_apply_batch(k, z, np.eye(3)).T
+
+
+def tensor_coefficient(phi, psi, z, quad=None):
+    """<phi, H_0(z)^-1 psi> by the spherical tensor rule of the full symbol
+    sandwich. Returns (value, tail_estimate); the tail estimate reflects the
+    Gaussian decay beyond the radial truncation."""
+    z = complex(z)
+    if z.imag <= 0:
+        raise DomainError("free coefficient requires Im z > 0")
+    k_max, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
+    applied = _symbol_apply_batch(k, z, amp_psi)
+    integrand = env_phi * (applied @ np.conj(np.asarray(phi.polarization)))
+    value = complex(np.sum(w * integrand))
+    edge = math.exp(-((k_max - float(np.linalg.norm(phi.center))) ** 2) / (2.0 * phi.width**2))
+    tail = edge * max(abs(value), fs.norm_sq(phi) ** 0.5 * fs.norm_sq(psi) ** 0.5)
+    return value, tail
 
 
 def lorentz_susceptibility_exact(wp, w1, gamma, t):
@@ -80,7 +152,7 @@ def tensor_defects(phi, psi, z_moduli, theta, quad=None):
     the full spherical tensor rule (radial x polar x azimuth) of the
     transverse remainder conj(phi_hat) . (I - k k / k^2) psi_hat
     k^2 / (z^2 - k^2)."""
-    _, k, w, env_phi, amp_psi = fs._sandwich_nodes(phi, psi, quad)
+    _, k, w, env_phi, amp_psi = _sandwich_nodes(phi, psi, quad)
     k2 = np.sum(k * k, axis=1)
     k_hat = k / np.sqrt(np.where(k2 > 0, k2, 1.0))[:, None]
     p_bar = np.conj(np.asarray(phi.polarization))
@@ -93,12 +165,12 @@ def tensor_defects(phi, psi, z_moduli, theta, quad=None):
     return out
 
 
-def radial_defect_mp(phi, psi, modulus, theta, dps=30):
-    """The defect of `freespace.asymptotic_defect` at one z by mpmath
-    quadrature of its radial integral over [0, k_max], at dps digits. The
-    sphere integral is Funk-Hecke's closed form, with the series
-    I0 = 2 0F1(;3/2;a^2/4) and I2 = (2/3) 1F2(3/2;1/2,5/2;a^2/4), which do
-    not cancel at small a."""
+def radial_remainder_mp(phi, psi, modulus, theta, dps=30):
+    """The transverse remainder T(z) = z^2 <phi, H_0^-1 psi> - <phi, psi>
+    at z = modulus e^(i theta), a complex, by mpmath quadrature of its
+    radial integral over [0, k_max], at dps digits. The sphere integral is
+    Funk-Hecke's closed form, with the series I0 = 2 0F1(;3/2;a^2/4) and
+    I2 = (2/3) 1F2(3/2;1/2,5/2;a^2/4), which do not cancel at small a."""
     mp = mpmath.mp
     with mpmath.workdps(dps):
         alpha = 1 / (2 * mp.mpf(phi.width) ** 2)
@@ -127,4 +199,20 @@ def radial_defect_mp(phi, psi, modulus, theta, dps=30):
 
         k_max = fs._cutoff(phi, psi)
         cuts = sorted({0.0, float(c_norm), k_max} | ({modulus} if modulus < k_max else set()))
-        return float(abs(mp.quad(integrand, cuts)))
+        return complex(mp.quad(integrand, cuts))
+
+
+def radial_defect_mp(phi, psi, modulus, theta, dps=30):
+    """The defect of `freespace.asymptotic_defect` at one z: the modulus of
+    `radial_remainder_mp`."""
+    return abs(radial_remainder_mp(phi, psi, modulus, theta, dps))
+
+
+def coefficient_mp(phi, psi, modulus, theta, dps=30):
+    """<phi, H_0(z)^-1 psi> = (<phi, psi> + T(z)) / z^2 at z = modulus
+    e^(i theta), with T from `radial_remainder_mp` and the closed-form
+    inner product."""
+    with mpmath.workdps(dps):
+        z2 = (mpmath.mpf(modulus) * mpmath.expj(mpmath.mpf(theta))) ** 2
+        remainder = mpmath.mpc(radial_remainder_mp(phi, psi, modulus, theta, dps))
+        return complex((mpmath.mpc(fs.inner_product(phi, psi)) + remainder) / z2)

@@ -782,7 +782,7 @@ def test_batched_zk_sampler_matches_per_node_reference(tmp_path, capsys, monkeyp
             got = batched(z_nodes)
             ref = np.empty_like(got)
             for i, z in enumerate(z_nodes):
-                diag = hh.assemble(bgrid, model, "bloch", z)
+                diag = hh.diagonal_batch(bgrid, model, "bloch", [z])[0]
                 ref[i] = coefficient(_kernels.cyclic_tridiag_solve(
                     off, diag, off, *corners, bprobe))
                 # the dense solve is as accurate as the conditioning allows:

@@ -24,8 +24,9 @@ def test_inner_product_matches_quadrature():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), center=(0.5, 0.0, 0.0), width=1.0)
     psi = fs.TestField3D(polarization=(1.0, 1.0, 0.0), center=(0.0, 0.3, 0.0), width=0.8)
     closed = fs.inner_product(phi, psi)
-    k, w = fs.SphericalQuadrature(120, 60, 90).nodes_weights(14.0)
-    quad = np.sum(w * np.sum(phi.amplitude(k).conj() * psi.amplitude(k), axis=-1))
+    k, w = oracles.tensor_nodes_weights(fs.SphericalQuadrature(120, 60, 90), 14.0)
+    amps = oracles.amplitude(phi, k).conj() * oracles.amplitude(psi, k)
+    quad = np.sum(w * np.sum(amps, axis=-1))
     assert closed == pytest.approx(quad, rel=1e-6)
 
 
@@ -138,7 +139,7 @@ def test_asymptotic_defect_matches_its_definition(psi, theta):
     defects, _ = fs.asymptotic_defect(_PHI, psi, moduli, theta)
     for mod, defect in zip(moduli, defects):
         z = mod * complex(math.cos(theta), math.sin(theta))
-        value, _ = fs.free_coefficient(_PHI, psi, z)
+        value, _ = oracles.tensor_coefficient(_PHI, psi, z)
         expect = abs(z * z * value - fs.inner_product(_PHI, psi))
         assert defect == pytest.approx(expect, rel=1e-9)
 
@@ -185,22 +186,59 @@ def test_radial_rule_matches_the_tensor_rule(phi, psi, theta):
         assert abs(got - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("psi, theta, moduli", [
-    (_PSI, math.pi / 4, [10.0, 100.0]),
-    (_PHI, math.pi / 2, [10.0, 1000.0]),
-    # the pole r = |z| near the real axis: the 80-node rule is short of
-    # converged at small |z|, and the nested difference shows it
-    (_PHI, 0.06, [2.0, 5.0, 10.0]),
-], ids=["phi!=psi", "phi=psi", "near-real-pole"])
-def test_asymptotic_estimates_cover_an_mpmath_reference(psi, theta, moduli):
-    defects, estimates = fs.asymptotic_defect(_PHI, psi, moduli, theta)
+# a field whose nested 80/160-node difference alone is short of the true
+# error at |z| = 2 near the real axis (6.74 against 6.91)
+_NEAR = fs.TestField3D(polarization=(-0.8134 - 0.549j, 1.489 + 0.2041j, 0.5353 - 1.5345j),
+                       center=(0.0456, -0.2707, -0.3129), width=1.4948)
+# the pole r = |z| near the real axis: the 80-node rule is short of
+# converged at small |z|, and the estimate shows it
+_NEAR_AXIS = [(_PHI, _PHI, 0.06, [2.0, 5.0, 10.0]), (_NEAR, _NEAR, 0.06, [2.0])]
+
+
+@settings(max_examples=20)
+@given(phi=_FIELD, psi=st.one_of(st.none(), _FIELD),
+       z=st.builds(complex, st.floats(-20.0, 20.0), st.floats(0.3, 20.0)))
+def test_free_coefficient_matches_the_tensor_rule(phi, psi, z):
+    # the closed-form inner product plus the radial transverse remainder,
+    # against the full symbol sandwich summed on a spherical tensor rule
+    # with the same radial nodes (psi None: phi = psi)
+    psi = phi if psi is None else psi
+    p, q = np.asarray(phi.polarization), np.asarray(psi.polarization)
+    assume(abs(np.vdot(p, q)) >= 0.2 * np.linalg.norm(p) * np.linalg.norm(q))
+    # 80 radial nodes: the tensor rule also sums <phi, psi> on them, which
+    # 40 nodes leave 1e-12 short for the narrowest products of the strategy
+    quad = fs.SphericalQuadrature(n_radial=80, n_polar=40, n_azimuth=64)
+    got, _ = fs.free_coefficient(phi, psi, z, quad)
+    want, _ = oracles.tensor_coefficient(phi, psi, z, quad)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("phi, psi, theta, moduli", [
+    (_PHI, _PSI, math.pi / 4, [10.0, 100.0]),
+    (_PHI, _PHI, math.pi / 2, [10.0, 1000.0]),
+    *_NEAR_AXIS,
+], ids=["phi!=psi", "phi=psi", "near-real-pole", "near-real-pole-short-difference"])
+def test_asymptotic_estimates_cover_an_mpmath_reference(phi, psi, theta, moduli):
+    defects, estimates = fs.asymptotic_defect(phi, psi, moduli, theta)
     for mod, defect, estimate in zip(moduli, defects, estimates):
-        reference = oracles.radial_defect_mp(_PHI, psi, mod, theta)
+        reference = oracles.radial_defect_mp(phi, psi, mod, theta)
         assert 0.0 < estimate
         assert abs(defect - reference) <= estimate
     if theta < 0.1:
         assert estimates[0] > 1e-6 * defects[0]
-        assert estimates[-1] < 1e-13 * defects[-1]
+        if len(moduli) > 1:
+            assert estimates[-1] < 1e-13 * defects[-1]
+
+
+@pytest.mark.parametrize("phi, psi, theta, moduli", _NEAR_AXIS,
+                         ids=["near-real-pole", "near-real-pole-short-difference"])
+def test_coefficient_estimate_covers_an_mpmath_reference(phi, psi, theta, moduli):
+    for mod in moduli:
+        z = mod * complex(math.cos(theta), math.sin(theta))
+        value, estimate = fs.free_coefficient(phi, psi, z)
+        reference = oracles.coefficient_mp(phi, psi, mod, theta)
+        assert 0.0 < estimate
+        assert abs(value - reference) <= estimate
 
 
 def test_asymptotic_defect_rejects_shallow_ray():

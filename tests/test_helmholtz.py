@@ -79,7 +79,7 @@ def test_dispersive_diagonal_values():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=16)
     z = 1j
-    diag = hh.assemble(g, m, "dispersive", z)
+    diag = hh.assemble(g, m, z)
     assert isinstance(diag, np.ndarray) and diag.shape == (g.N,)
     eps = hh.permittivity_profile(m, g.points, z)
     expect = z * z * eps - 2.0 / g.h**2
@@ -93,7 +93,7 @@ def test_dispersive_diagonal_values():
 def test_solve_matches_dense_oracle():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=48)
-    diag = hh.assemble(g, m, "dispersive", 0.8 + 0.6j)
+    diag = hh.assemble(g, m, 0.8 + 0.6j)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(48) + 1j * rng.standard_normal(48)
     x = hh._solve(g, diag, rhs)
@@ -108,7 +108,7 @@ def test_bloch_solve_matches_dense_oracle():
     m = slab_model()
     k = 1.0 + 0.2j
     g = hh.Grid1D(L=1.0, N=32, boundary="bloch", bloch_k=k)
-    diag = hh.assemble(g, m, "bloch", 2.0j)
+    diag = hh.diagonal_batch(g, m, "bloch", [2.0j])[0]
     wrap_lo, wrap_hi = hh._bloch_corners(m, g)
     assert wrap_lo == pytest.approx(np.exp(1j * k * 1.0) / g.h**2)
     rng = np.random.default_rng(6)
@@ -123,7 +123,7 @@ def test_two_freq_diagonal():
     m = slab_model()
     g = hh.Grid1D(L=1.0, N=16)
     z, xi = 1.0 + 1.0j, 0.5 + 0.3j
-    diag = hh.assemble(g, m, "two_freq", z, xi=xi)
+    diag = hh.diagonal_batch(g, m, "two_freq", [z], xi=xi)[0]
     eps_xi = hh.permittivity_profile(m, g.points, xi)
     expect = z * z + z * xi * (eps_xi - 1.0) - 2.0 / g.h**2
     assert np.allclose(diag, expect)
@@ -132,7 +132,7 @@ def test_two_freq_diagonal():
 def test_nondispersive_diagonal_real_constant():
     m = line_slab_model()
     g = hh.Grid1D(L=1.0, N=16)
-    diag = hh.assemble(g, m, "nondispersive", 1.0 + 0.5j, omega0=1.0)
+    diag = hh.diagonal_batch(g, m, "nondispersive", [1.0 + 0.5j], omega0=1.0)[0]
     inside = (g.points >= 0.25) & (g.points <= 0.75)
     eps_in = 1.0 + 2.0 / (16.0 - 1.0)
     z2 = (1.0 + 0.5j) ** 2
@@ -147,13 +147,13 @@ def test_nondispersive_diagonal_real_constant():
 def test_real_axis_undamped_rejected():
     g = hh.Grid1D(L=1.0, N=16)
     with pytest.raises(DomainError):
-        hh.assemble(g, line_slab_model(), "dispersive", 2.0 + 0.0j)
+        hh.assemble(g, line_slab_model(), 2.0 + 0.0j)
 
 
 def test_real_axis_damped_allowed():
     g = hh.Grid1D(L=1.0, N=16)
     z = 2.0 + 0.0j
-    diag = hh.assemble(g, slab_model(), "dispersive", z)
+    diag = hh.assemble(g, slab_model(), z)
     expect = z * z * hh.permittivity_profile(slab_model(), g.points, z) - 2.0 / g.h**2
     assert np.array_equal(diag, expect)
 
@@ -161,13 +161,13 @@ def test_real_axis_damped_allowed():
 def test_two_freq_requires_upper_half():
     g = hh.Grid1D(L=1.0, N=16)
     with pytest.raises(DomainError):
-        hh.assemble(g, slab_model(), "two_freq", 1j, xi=1.0 + 0.0j)
+        hh.diagonal_batch(g, slab_model(), "two_freq", [1j], xi=1.0 + 0.0j)
 
 
 def test_bloch_margin_enforced():
     g = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=1.0 + 2.0j)
     with pytest.raises(DomainError):
-        hh.assemble(g, slab_model(), "bloch", 1.0j)
+        hh.diagonal_batch(g, slab_model(), "bloch", [1.0j])
 
 
 def test_layer_outside_cell_rejected():
@@ -181,15 +181,15 @@ def test_layer_outside_cell_rejected():
 def test_unknown_kind_rejected():
     g = hh.Grid1D(L=1.0, N=16)
     with pytest.raises(ConfigError):
-        hh.assemble(g, slab_model(), "static", 1j)
+        hh.diagonal_batch(g, slab_model(), "static", [1j])
 
 
 def test_missing_kind_parameter_rejected():
     g = hh.Grid1D(L=1.0, N=16)
     with pytest.raises(ConfigError):
-        hh.assemble(g, slab_model(), "two_freq", 1j)
+        hh.diagonal_batch(g, slab_model(), "two_freq", [1j])
     with pytest.raises(ConfigError):
-        hh.assemble(g, line_slab_model(), "nondispersive", 1j)
+        hh.diagonal_batch(g, line_slab_model(), "nondispersive", [1j])
 
 
 def test_diagonal_batch_checks_every_node():
@@ -214,7 +214,7 @@ def test_diagonal_batch_checks_every_node():
 
 def test_green_matrix_reciprocity():
     g = hh.Grid1D(L=1.0, N=40)
-    G = hh.green_matrix(g, hh.assemble(g, slab_model(), "dispersive", 1j))
+    G = hh.green_matrix(g, hh.assemble(g, slab_model(), 1j))
     assert np.max(np.abs(G - G.T)) / np.max(np.abs(G)) < 1e-13
 
 
@@ -222,14 +222,14 @@ def test_green_matrix_schwarz():
     g = hh.Grid1D(L=1.0, N=40)
     m = slab_model()
     z = 0.7 + 0.9j
-    G = hh.green_matrix(g, hh.assemble(g, m, "dispersive", z))
-    Gm = hh.green_matrix(g, hh.assemble(g, m, "dispersive", -np.conj(z)))
+    G = hh.green_matrix(g, hh.assemble(g, m, z))
+    Gm = hh.green_matrix(g, hh.assemble(g, m, -np.conj(z)))
     assert np.max(np.abs(Gm - np.conj(G))) / np.max(np.abs(G)) < 1e-13
 
 
 def test_coefficient_consistent_with_green_matrix():
     g = hh.Grid1D(L=1.0, N=32)
-    diag = hh.assemble(g, slab_model(), "dispersive", 1j)
+    diag = hh.assemble(g, slab_model(), 1j)
     rng = np.random.default_rng(9)
     phi = rng.standard_normal(32)
     psi = rng.standard_normal(32)
@@ -239,8 +239,8 @@ def test_coefficient_consistent_with_green_matrix():
     assert got == pytest.approx(expect, rel=1e-12)
 
 
-def _norms(grid, model, kind, z, xi=None, **kw):
-    return hh.inverse_norm(grid, *hh.diagonal_rows(grid, model, kind, z, xi=xi), **kw)
+def _norms(grid, model, kind, z, xi=None):
+    return hh.inverse_norm(grid, *hh.diagonal_rows(grid, model, kind, z, xi=xi))
 
 
 def test_norm_bound_holds():
@@ -282,19 +282,22 @@ def test_batched_inverse_norm_equals_per_operator_svd():
             assert estimates[b] == pytest.approx(gamma * sv[0] / sv[-1] ** 2, rel=1e-14)
 
 
-def test_inverse_norm_power_iteration_agrees_with_svd():
+def test_inverse_norm_power_iteration_agrees_with_svd(monkeypatch):
     g = hh.Grid1D(L=1.0, N=48)
     z = [1j, 2.0 + 0.5j]
     dense, dense_est = _norms(g, slab_model(), "dispersive", z)
-    iterative, iterative_est = _norms(g, slab_model(), "dispersive", z, dense_cutoff=0)
+    monkeypatch.setattr(hh, "_DENSE_CUTOFF", 0)
+    iterative, iterative_est = _norms(g, slab_model(), "dispersive", z)
     assert iterative == pytest.approx(dense, rel=1e-6)
     assert np.all(iterative_est >= dense_est)
 
 
-def test_inverse_norm_iteration_cap_raises_package_error():
+def test_inverse_norm_iteration_cap_raises_package_error(monkeypatch):
     g = hh.Grid1D(L=1.0, N=48)
+    monkeypatch.setattr(hh, "_DENSE_CUTOFF", 0)
+    monkeypatch.setattr(hh, "_POWER_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as info:
-        _norms(g, slab_model(), "dispersive", [1j], dense_cutoff=0, max_iter=1)
+        _norms(g, slab_model(), "dispersive", [1j])
     assert isinstance(info.value, HelmgreenError)
 
 
@@ -316,7 +319,7 @@ def test_diagonal_batch_matches_assemble():
     zs = np.array([1j, 0.5 + 0.5j, 2.0 + 1.0j])
     diag = hh.diagonal_batch(g, m, "dispersive", zs)
     for i, z in enumerate(zs):
-        assert np.allclose(diag[i], hh.assemble(g, m, "dispersive", complex(z)))
+        assert np.allclose(diag[i], hh.assemble(g, m, complex(z)))
 
 
 def test_solve_batch_matches_individual():
@@ -329,7 +332,7 @@ def test_solve_batch_matches_individual():
     off = np.full(g.N - 1, 1.0 / g.h**2, dtype=complex)
     x = _kernels.tridiag_solve_batch(off, off, diag, rhs)
     for i, z in enumerate(zs):
-        one = hh._solve(g, hh.assemble(g, m, "dispersive", complex(z)), rhs[i])
+        one = hh._solve(g, hh.assemble(g, m, complex(z)), rhs[i])
         assert np.max(np.abs(x[i] - one)) < 1e-12
 
 
@@ -420,8 +423,8 @@ def test_diagonal_batch_matches_closed_form(kind):
     assert diag.shape == (3, g.N) and diag.flags.f_contiguous
     np.testing.assert_allclose(diag, expect - 2.0 / g.h**2, rtol=1e-14)
     for b in range(3):
-        one = hh.assemble(g, line_slab_model() if kind == "nondispersive" else slab_model(),
-                          kind, z[b, 0], xi=xi[b, 0], omega0=1.0)
+        model = line_slab_model() if kind == "nondispersive" else slab_model()
+        one = hh.diagonal_batch(g, model, kind, [z[b, 0]], xi=xi[b, 0], omega0=1.0)[0]
         assert np.array_equal(one, diag[b])
 
 
@@ -443,13 +446,13 @@ upper_half_plane = st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.05, 5.0)
 @given(model=slab_media, z=upper_half_plane)
 def test_property_green_reciprocity(model, z):
     g = hh.Grid1D(L=1.0, N=24)
-    G = hh.green_matrix(g, hh.assemble(g, model, "dispersive", z))
+    G = hh.green_matrix(g, hh.assemble(g, model, z))
     assert np.max(np.abs(G - G.T)) <= 1e-12 * np.max(np.abs(G))
 
 
 @given(model=slab_media, z=upper_half_plane)
 def test_property_green_schwarz_reflection(model, z):
     g = hh.Grid1D(L=1.0, N=24)
-    G = hh.green_matrix(g, hh.assemble(g, model, "dispersive", z))
-    mirror = hh.green_matrix(g, hh.assemble(g, model, "dispersive", -z.conjugate()))
+    G = hh.green_matrix(g, hh.assemble(g, model, z))
+    mirror = hh.green_matrix(g, hh.assemble(g, model, -z.conjugate()))
     assert np.max(np.abs(mirror - np.conj(G))) <= 1e-12 * np.max(np.abs(G))

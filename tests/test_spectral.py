@@ -48,7 +48,7 @@ def test_expansion_identity(cavity):
     model = dsp.PermittivityModel(background=2.0)
     z = 0.4 + 0.5j
     expansion, tail = sp.mode_expansion_green(modes, z)
-    direct = hh.green_matrix(grid, hh.assemble(grid, model, "dispersive", z))
+    direct = hh.green_matrix(grid, hh.assemble(grid, model, z))
     assert tail == 0.0
     assert np.max(np.abs(expansion - direct) / np.abs(direct)) < 1e-10
 
@@ -58,7 +58,7 @@ def test_truncation_tail_bound(cavity):
     model = dsp.PermittivityModel(background=2.0)
     z = 0.5j
     partial, bound = sp.mode_expansion_green(modes, z, grid.N // 2)
-    direct = hh.green_matrix(grid, hh.assemble(grid, model, "dispersive", z))
+    direct = hh.green_matrix(grid, hh.assemble(grid, model, z))
     assert np.max(np.abs(partial - direct)) <= bound
 
 
@@ -229,7 +229,7 @@ def test_xi_sweep_matches_per_node_two_freq_solves(reference):
     # mpmath in test_vacuum_reference_matches_mpmath
     vacuum = sp.mode_coefficient(sp.cavity_modes(grid, 1.0), probe, probe, z)
     for x, g in zip(xi, got):
-        diag = hh.assemble(grid, model, "two_freq", z, xi=x)
+        diag = hh.diagonal_batch(grid, model, "two_freq", [z], xi=x)[0]
         expect = hh.coefficient(grid, diag, probe, probe)
         if reference == "vacuum":
             expect -= vacuum
@@ -307,7 +307,7 @@ def test_property_constant_eps_sweep_matches_solves(eps, center, width, re, im):
     z = np.array([complex(re, im), complex(-re, 2.0 * im), complex(0.5 * re, im)])
     got = sp._coefficient_sweep(model, grid, probe, probe, z, "none")
     for zi, g in zip(z, got):
-        diag = hh.assemble(grid, model, "dispersive", zi)
+        diag = hh.assemble(grid, model, zi)
         expect = hh.coefficient(grid, diag, probe, probe)
         assert abs(g - expect) <= 1e-10 * abs(expect)
 
@@ -319,7 +319,7 @@ def test_constant_eps_sweep_makes_no_batched_solve(monkeypatch):
     grid = hh.Grid1D(L=1.0, N=32)
     probe = sp.gaussian_probe(grid, 0.5, 0.1)
     z = np.array([0.5 + 1j, 4.0 + 0.2j])
-    expect = [hh.coefficient(grid, hh.assemble(grid, model, "dispersive", zi), probe, probe)
+    expect = [hh.coefficient(grid, hh.assemble(grid, model, zi), probe, probe)
               for zi in z]
 
     def no_solve(*args):
