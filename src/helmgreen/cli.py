@@ -243,7 +243,7 @@ def cmd_modes(cfg, seed):
         nu_max, nu_count = config.record(nu_grid, "kk.nu_grid", ("max", "count"))
         if nu_max <= 0:
             raise ConfigError("kk.nu_grid.max must be > 0")
-        nu = np.linspace(-nu_max, nu_max, config.count(nu_count, "kk.nu_grid.count", 2))
+        nu_count = config.count(nu_count, "kk.nu_grid.count", 2)
         reference = config.choice(reference, "kk.reference", ("vacuum", "none"))
         probe = _probe_of(probe, grid, modes)
     report = Report()
@@ -261,9 +261,12 @@ def cmd_modes(cfg, seed):
                diff <= tail_bound, tail_bound)
 
     if kk is not None:
-        sd = spectral.d_density(model, grid, probe, probe, nu, zeta, reference)
+        direct_c = helmholtz.coefficient(grid, helmholtz.assemble(grid, model, z), probe, probe)
+        if not 0.0 < abs(direct_c) < math.inf:
+            raise DomainError(f"the direct coefficient at z is {direct_c}: the kk_green "
+                              "relative error needs a finite nonzero one")
+        sd = spectral.d_density(model, grid, probe, probe, nu_max, nu_count, zeta, reference)
         recon = spectral.kk_reconstruct_green(sd, grid, probe, probe, z)
-        direct_c = spectral.direct_coefficient(model, grid, probe, probe, z)
         rel = abs(recon - direct_c) / abs(direct_c)
         report.zero("kk_green", {"zeta": zeta, "reference": reference}, rel, tol["kk_rel"])
     return report, None
@@ -381,6 +384,12 @@ def cmd_asymptotic(cfg, seed):
         polarization=tuple(config.numbers(polarization, "field.polarization", 3)),
         center=tuple(config.numbers(k_c, "field.k_c", 3)),
         width=config.number(s, "field.s"))
+    try:
+        norm = freespace.norm_sq(phi)
+    except (ZeroDivisionError, OverflowError):  # a power of s over- or underflows
+        norm = math.nan
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"field norm ||phi||^2 = {norm} is not a finite positive float")
     moduli, thetas = config.fields(lcfg, "ladder", ("moduli",), {"theta": math.pi / 2})
     moduli = config.numbers(moduli, "ladder.moduli")
     thetas = config.numbers(thetas if isinstance(thetas, list) else [thetas], "ladder.theta")
@@ -394,7 +403,6 @@ def cmd_asymptotic(cfg, seed):
         omegas = config.numbers(omegas, "resolvent_ray.omegas")
         eta = config.number(eta, "resolvent_ray.eta")
     report = Report()
-    norm = freespace.norm_sq(phi)
     for theta in thetas:
         defects, estimates = freespace.asymptotic_defect(phi, phi, moduli, theta)
         monotone = all(b < a for a, b in zip(defects, defects[1:]))

@@ -47,6 +47,11 @@ class Grid1D:
             raise ConfigError("domain length must be > 0")
         if self.boundary not in ("dirichlet", "bloch"):
             raise ConfigError(f"unknown boundary {self.boundary!r}")
+        # every operator's off-diagonal is 1/h^2
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and 0.0 < 1.0 / h2 < math.inf):
+            raise ConfigError(f"grid spacing h = {self.h:.3e}: 1/h^2 is not a finite "
+                              "positive float")
 
     @property
     def h(self):

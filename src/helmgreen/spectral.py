@@ -34,7 +34,7 @@ class ModeSet:
 class SpectralDensity:
     """Broadened density samples D(nu + i zeta) for one probe pair."""
 
-    nu_grid: np.ndarray = field(repr=False, default=None)
+    nu_max: float = 0.0  # the samples lie on linspace(-nu_max, nu_max, samples.size)
     zeta: float = 0.0
     samples: np.ndarray = field(repr=False, default=None)
     reference: str = "vacuum"  # vacuum | none
@@ -170,24 +170,21 @@ def _bloch_sampler(model, bgrid, bprobe):
     return sampler
 
 
-def d_density(model, grid, phi, psi, nu_grid, zeta, reference="vacuum"):
+def d_density(model, grid, phi, psi, nu_max, count, zeta, reference="vacuum"):
     """Broadened density D(nu + i zeta) = [xi R(xi) - conj(xi) R(-conj xi)] / (2 i pi)
-    evaluated on the probe pair.
+    evaluated on the probe pair at `count` uniform nu in [-nu_max, nu_max].
 
-    The nu grid must be symmetric about 0; the second term then reuses the
-    sweep at -nu. Real probes with phi = psi give real samples.
+    The grid is symmetric about 0, so the second term reuses the sweep at
+    -nu. Real probes with phi = psi give real samples.
     """
     if zeta <= 0:
         raise DomainError("broadening zeta must be > 0")
-    nu = np.asarray(nu_grid, dtype=float)
-    if not np.allclose(nu, -nu[::-1], atol=1e-12 * max(1.0, float(np.max(np.abs(nu))))):
-        raise ValueError("nu grid must be symmetric about 0")
-    xi = nu + 1j * zeta
+    xi = np.linspace(-nu_max, nu_max, count) + 1j * zeta
     coeff = _coefficient_sweep(model, grid, phi, psi, xi, reference)
     # coefficient at -conj(xi(nu)) = xi(-nu): mirror the sweep
     coeff_mirror = coeff[::-1]
     samples = (xi * coeff - np.conj(xi) * coeff_mirror) / (2j * math.pi)
-    return SpectralDensity(nu_grid=nu, zeta=zeta, samples=samples, reference=reference)
+    return SpectralDensity(nu_max=nu_max, zeta=zeta, samples=samples, reference=reference)
 
 
 def kk_reconstruct_green(sd, grid, phi, psi, z):
@@ -196,15 +193,10 @@ def kk_reconstruct_green(sd, grid, phi, psi, z):
     z = complex(z)
     if z.imag <= 10.0 * sd.zeta:
         raise DomainError("reconstruction needs Im z well above the broadening zeta")
-    value = transforms.kk_kernel_integral(sd.nu_grid, sd.samples, z)
+    value = transforms.kk_kernel_integral(sd.nu_max, sd.samples, z)
     if sd.reference == "vacuum":
         value += _vacuum_coefficient(grid, phi, psi, z)
     return value
-
-
-def direct_coefficient(model, grid, phi, psi, z):
-    """Directly solved <phi, H_e(z)^-1 psi> (oracle side of the KK round trip)."""
-    return helmholtz.coefficient(grid, helmholtz.assemble(grid, model, z), phi, psi)
 
 
 # ---------------------------------------------------------------------------

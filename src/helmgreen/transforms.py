@@ -1,8 +1,9 @@
 """Contour machinery: Laplace inversion, Cauchy-loop analyticity defects
-and grid-based Kramers-Kronig kernels.
+and the Kramers-Kronig kernel integral on a uniform symmetric nu grid.
 
 All quadratures return (value, error_estimate); callers decide pass/fail.
-The module imports no scipy: its composite Simpson rule is written out.
+The module imports no scipy: its uniform composite Simpson rule is
+written out.
 """
 
 import math
@@ -177,7 +178,8 @@ def cauchy_loop(sampler, loop):
     (a truncation bound whenever doubling the nodes at least halves the
     error) to the rounding bound gamma_n sum_edges |half| sum w |f| of the
     n nodes, gamma_n = n u, both over perimeter * max |f| of the n nodes;
-    the sampler's own error is not included.
+    the sampler's own error is not included. A sample that is not finite
+    raises DomainError: no defect is read from it.
     """
     total, abs_sum, maxabs, perimeter = _loop_sum(sampler, loop, loop.n_points)
     if maxabs == 0.0:
@@ -203,6 +205,8 @@ def _loop_sum(sampler, loop, n):
         half = 0.5 * (z1 - z0)
         nodes = mid + half * x
         vals = np.asarray(sampler(nodes), dtype=np.complex128)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("the loop sampler is not finite at every node")
         total += half * np.sum(wx * vals)
         abs_sum += abs(half) * float(np.sum(wx * np.abs(vals)))
         maxabs = max(maxabs, float(np.max(np.abs(vals))))
@@ -210,68 +214,42 @@ def _loop_sum(sampler, loop, n):
     return total, abs_sum, maxabs, perimeter
 
 
-def kk_kernel_integral(nu_grid, samples, z):
-    """-int samples(nu) / (z^2 - nu^2) dnu on the provided symmetric grid.
+def kk_kernel_integral(nu_max, samples, z):
+    """-int samples(nu) / (z^2 - nu^2) dnu, the samples taken on the uniform
+    grid of len(samples) points over [-nu_max, nu_max].
 
     Samples are even-symmetrized before integration (composite Simpson).
     """
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("KK kernel integral requires Im z > 0")
-    nu = np.asarray(nu_grid, dtype=float)
     s = np.asarray(samples)
-    if nu.shape != s.shape:
-        raise ValueError("grid and samples must have the same shape")
-    if not np.allclose(nu, -nu[::-1], atol=1e-12 * max(1.0, float(np.max(np.abs(nu))))):
-        raise ValueError("nu grid must be symmetric about 0")
-    dnu = float(np.max(np.diff(nu)))
-    if abs(z.imag) < 4.0 * dnu:
+    nu = np.linspace(-nu_max, nu_max, s.size)
+    h = 2.0 * nu_max / (s.size - 1)
+    if abs(z.imag) < 4.0 * h:
         warnings.warn(
             f"kernel peak width Im z = {z.imag:.3e} spans fewer than 4 grid cells "
-            f"(spacing {dnu:.3e}); the integral may be under-resolved",
+            f"(spacing {h:.3e}); the integral may be under-resolved",
             stacklevel=2,
         )
     s_even = 0.5 * (s + s[::-1])
     integrand = -s_even / (z * z - nu * nu)
-    return complex(_simpson(integrand, nu))
+    return complex(_simpson(integrand, h))
 
 
-def _simpson(y, x):
-    """Composite Simpson rule of the samples y on the 1-D grid x.
+def _simpson(y, h):
+    """Composite Simpson rule of the samples y at spacing h.
 
-    The operations are those of `scipy.integrate.simpson(y, x=x)` (scipy
-    1.17), in the same order, so the sums agree bit for bit: Simpson panels
-    with per-panel spacings over the first N - 1 points (N odd) or N - 2
-    points (N even, followed by Cartwright's correction for the last
-    interval), and the trapezoid rule for N = 2.
+    An even number of samples takes Simpson panels over all but the last
+    interval and Cartwright's correction h/12 (5 y[-1] + 8 y[-2] - y[-3])
+    for it, as `scipy.integrate.simpson` does; two samples take the
+    trapezoid rule.
     """
     n = len(y)
-    # scipy adds its two zero-initialized accumulators, which clears the
-    # sign of a zero part; the "0.0 +" below do the same
     if n == 2:
-        return 0.0 + (0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2]))
-    stop = n - 2 if n % 2 else n - 3
-    h = np.diff(x).astype(float, copy=False)
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    ratio = _divide(h0, h1)
-    panels = hsum / 6.0 * (y[0:stop:2] * (2.0 - _divide(1.0, ratio))
-                           + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
-                           + y[2:stop + 2:2] * (2.0 - ratio))
-    result = np.sum(panels)
-    if n % 2:
-        return result
-    # the last two spacings as 0-d arrays, as scipy takes them, so that the
-    # powers below run the same numpy loops
-    h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
-    alpha = _divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
-    beta = _divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
-    eta = _divide(1 * h1**3, 6 * h0 * (h0 + h1))
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result + 0.0
-
-
-def _divide(a, b):
-    """a / b, and 0 where b is 0."""
-    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
+        return 0.5 * h * (y[0] + y[1])
+    odd = n if n % 2 else n - 1
+    result = h / 3.0 * np.sum(y[0:odd - 2:2] + 4.0 * y[1:odd - 1:2] + y[2:odd:2])
+    if n % 2 == 0:
+        result += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+    return result

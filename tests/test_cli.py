@@ -621,6 +621,8 @@ MALFORMED = [
     ("green", ("grid",), [1, 2]),
     ("green", ("grid", "bloch_k"), {"re": 3.0, "im": 1.0}),
     ("green", ("norm_grid",), "x"),
+    ("green", ("grid", "L"), 1e-300),
+    ("green", ("grid", "L"), 1e300),
     ("modes", ("eps_const",), "x"),
     ("modes", ("truncation_M",), "x"),
     ("modes", ("kk", "zeta"), [0.01]),
@@ -629,6 +631,7 @@ MALFORMED = [
     ("modes", ("kk", "probe"), {"mode_index": 99}),
     ("modes", ("kk", "nu_grid", "max"), -40.0),
     ("modes", ("kk", "nu_grid", "max"), 0.0),
+    ("modes", ("eps_const",), 1e300),
     ("causality", ("source", "center"), DROP),
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
@@ -646,9 +649,13 @@ MALFORMED = [
     ("analyticity", ("loops", 1, "fixed_z", "im"), -1.0),
     ("analyticity", ("loops", 1, "fixed_z", "im"), 0.0),
     ("analyticity", ("grid", "boundary"), "bloch"),
+    ("analyticity", ("loops", 0, "z_hi"), {"re": 1e300, "im": 1e300}),
     ("asymptotic", ("field", "polarization", 2), "y"),
     ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
     ("asymptotic", ("field", "s"), "x"),
+    ("asymptotic", ("field", "polarization"), [0.0, 0.0, 0.0]),
+    ("asymptotic", ("field", "s"), 1e-300),
+    ("asymptotic", ("field", "s"), 1e300),
     ("asymptotic", ("ladder", "moduli"), []),
     ("asymptotic", ("ladder", "theta"), "x"),
     ("asymptotic", ("resolvent_ray", "omegas"), 5),
@@ -672,7 +679,8 @@ def _case_id(case):
 @pytest.mark.parametrize("case", MALFORMED, ids=[_case_id(c) for c in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert _run_case(tmp_path, *case) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # A Gaussian of width 0 is 0 at every grid point, after a divide-by-zero

@@ -209,6 +209,22 @@ def test_cauchy_loop_estimate_bounds_rounding():
     assert tr.cauchy_loop(np.zeros_like, loop) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cauchy_loop_rejects_non_finite_samples(bad):
+    # max(0.0, nan) is 0.0, so unchecked an all-NaN loop reads as a zero defect
+    loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
+    with pytest.raises(DomainError):
+        tr.cauchy_loop(lambda z: np.full(z.shape, bad, dtype=complex), loop)
+
+    def one_bad_node(z):
+        f = z**2
+        f[len(f) // 2] = bad
+        return f
+
+    with pytest.raises(DomainError):
+        tr.cauchy_loop(one_bad_node, loop)
+
+
 def test_cauchy_loop_meromorphic_defect_small():
     loop = tr.RectangleLoop(z_lo=0.5 + 0.5j, z_hi=2.0 + 1.5j)
     defect, _ = tr.cauchy_loop(lambda z: 1.0 / (z + 1j), loop)  # pole outside
@@ -253,37 +269,39 @@ def test_kk_kernel_integral_single_pair():
     nu = np.linspace(-60, 60, 120001)
     samples = c * oracles.broadened_delta(nu, omega, zeta)
     for z in (4j, 1.0 + 5j):
-        val = tr.kk_kernel_integral(nu, samples, z)
+        val = tr.kk_kernel_integral(60.0, samples, z)
         exact = -c / (z * z - omega * omega)
         assert abs(val - exact) / abs(exact) < 5.0 * zeta / abs(z.imag)
 
 
-def test_kk_kernel_integral_rejects_asymmetric_grid():
-    nu = np.linspace(-1.0, 2.0, 31)
-    with pytest.raises(ValueError):
-        tr.kk_kernel_integral(nu, np.zeros_like(nu), 1j)
-
-
 def test_kk_kernel_integral_zero_samples():
-    nu = np.linspace(-5, 5, 1001)
-    assert tr.kk_kernel_integral(nu, np.zeros_like(nu), 1j) == 0.0
+    assert tr.kk_kernel_integral(5.0, np.zeros(1001), 1j) == 0.0
 
 
 def test_kk_kernel_integral_warns_when_underresolved():
-    nu = np.linspace(-5, 5, 21)
     with pytest.warns(UserWarning):
-        tr.kk_kernel_integral(nu, np.ones_like(nu), 0.1j)
+        tr.kk_kernel_integral(5.0, np.ones(21), 0.1j)
 
 
+# The test keeps the name of the scipy replica the uniform rule replaced;
+# the two now agree to rounding, not bit for bit.
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 64000, 64001])
-@pytest.mark.parametrize("grid", ["symmetric", "irregular"])
+@pytest.mark.parametrize("grid", ["symmetric", "positive"])
 def test_simpson_bit_identical_to_scipy(n, grid):
+    # the uniform rule against scipy's on an np.linspace grid, within
+    # 8 u h sum |y|: random samples against scipy's uniform-spacing path
+    # (at most 0.55 u h sum |y| for n = 2..59), and smooth samples against
+    # scipy on the grid points, whose rounded spacings it reads (at most
+    # 4 u h sum |y|; random samples there reach 77 u h sum |y| at n = 64000)
     from scipy import integrate
 
     rng = np.random.default_rng(n)
-    if grid == "symmetric":
-        x = np.linspace(-40.0, 40.0, n)
-    else:
-        x = np.sort(rng.uniform(-2.0, 2.0, n))
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.array_equal(tr._simpson(y, x), integrate.simpson(y, x=x))
+    lo, hi = (-40.0, 40.0) if grid == "symmetric" else (0.5, 3.0)
+    x = np.linspace(lo, hi, n)
+    h = (hi - lo) / (n - 1)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    smooth = np.exp(-x**2 / 50.0) * (1.0 + 1j * x)
+    for y, want in [(noise, integrate.simpson(noise, dx=h)),
+                    (smooth, integrate.simpson(smooth, x=x))]:
+        bound = 8.0 * tr._UNIT_ROUNDOFF * h * np.sum(np.abs(y))
+        assert abs(tr._simpson(y, h) - want) <= bound
