@@ -10,7 +10,6 @@ that certify the computed quantities.
 from ._kernels import BACKEND
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
     GapViolationError,
     HelmgreenError,
@@ -27,7 +26,6 @@ __all__ = [
     "BACKEND",
     "__version__",
     "ConfigError",
-    "ConvergenceError",
     "DomainError",
     "GapViolationError",
     "HelmgreenError",

@@ -257,8 +257,14 @@ def cmd_modes(cfg, seed):
 
     partial, tail_bound = spectral.mode_expansion_green(modes, z, m)
     diff = float(np.max(np.abs(partial - direct)))
+    # diff's rounding: M u times the partial sum's mode terms at their peaks, plus
+    # N u kappa ||G|| for the direct solve, whose eigenvalues are eps (z^2 - w_n^2)
+    gap = np.abs(z * z - modes.omegas**2)
+    terms = np.max(np.abs(modes.modes[:, :m]), axis=0) ** 2 / gap[:m]
+    kappa_g = np.max(gap) / (grid.h * eps_const * np.min(gap) ** 2)
+    rounding = np.finfo(float).eps / 2 * (m * np.sum(terms) + grid.N * kappa_g)
     report.add("truncation_tail", {"M": m}, diff, tail_bound, tail_bound,
-               diff <= tail_bound, tail_bound)
+               diff <= tail_bound, float(rounding))
 
     if kk is not None:
         direct_c = helmholtz.coefficient(grid, helmholtz.assemble(grid, model, z), probe, probe)
@@ -380,18 +386,23 @@ def cmd_asymptotic(cfg, seed):
     tol = _tolerances_of(tol, {"final_defect_rel": 1e-3, "cap_factor": 1.5})
     polarization, k_c, s = config.fields(fcfg, "field", ("polarization",),
                                          {"k_c": [0.0, 0.0, 0.0], "s": 1.0})
-    phi = freespace.TestField3D(
-        polarization=tuple(config.numbers(polarization, "field.polarization", 3)),
-        center=tuple(config.numbers(k_c, "field.k_c", 3)),
-        width=config.number(s, "field.s"))
+    polarization = np.array(config.numbers(polarization, "field.polarization", 3))
+    k_c = np.array(config.numbers(k_c, "field.k_c", 3))
+    s = config.number(s, "field.s")
+    phi = freespace.TestField3D(polarization=tuple(polarization), center=tuple(k_c), width=s)
     try:
         norm = freespace.norm_sq(phi)
     except (ZeroDivisionError, OverflowError):  # a power of s over- or underflows
         norm = math.nan
     if not 0.0 < norm < math.inf:
         raise DomainError(f"field norm ||phi||^2 = {norm} is not a finite positive float")
+    # T(z) / ||phi||^2 is invariant under p -> lambda p and (k, c, s, z) -> (k, c, s, z) / s:
+    # the ladder runs on p / |p| (|p| after scaling by max |p_i|), c / s, s = 1 at |z| / s
+    p = polarization / np.max(np.abs(polarization))
+    unit = freespace.TestField3D(tuple(p / np.linalg.norm(p)), tuple(k_c / s))
+    norm = freespace.norm_sq(unit)
     moduli, thetas = config.fields(lcfg, "ladder", ("moduli",), {"theta": math.pi / 2})
-    moduli = config.numbers(moduli, "ladder.moduli")
+    moduli = [m / s for m in config.numbers(moduli, "ladder.moduli")]
     thetas = config.numbers(thetas if isinstance(thetas, list) else [thetas], "ladder.theta")
     if not all(0.05 < theta < math.pi - 0.05 for theta in thetas):
         raise DomainError("ladder angle too close to the real axis")
@@ -404,7 +415,7 @@ def cmd_asymptotic(cfg, seed):
         eta = config.number(eta, "resolvent_ray.eta")
     report = Report()
     for theta in thetas:
-        defects, estimates = freespace.asymptotic_defect(phi, phi, moduli, theta)
+        defects, estimates = freespace.asymptotic_defect(unit, unit, moduli, theta)
         monotone = all(b < a for a, b in zip(defects, defects[1:]))
         report.add("asymptotic_monotone", {"theta": theta}, int(monotone), 1, 1,
                    monotone, max(estimates) / norm)

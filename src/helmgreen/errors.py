@@ -28,10 +28,6 @@ class SingularMatrixError(HelmgreenError):
     """Banded factorization broke down (operator outside its invertibility domain)."""
 
 
-class ConvergenceError(HelmgreenError):
-    """Iterative method did not converge within its iteration cap."""
-
-
 class QuadratureError(HelmgreenError):
     """Quadrature failed to reach the requested tolerance."""
 

@@ -14,9 +14,9 @@ Units are normalized (eps0 = mu0 = c = 1). Operator kinds:
 The bloch kind runs on Bloch grids, every other kind on Dirichlet grids.
 An operator is its length-N diagonal (`assemble`; `diagonal_rows` and
 `diagonal_batch` for many): the off-diagonal is the constant 1/h^2, and
-the Bloch wrap entries are `_bloch_corners`.
-With constant eps the Dirichlet operator is diagonal in the closed-form
-sine basis of `sine_modes`.
+the Bloch wrap entries are `_bloch_corners`. `inverse_norm` needs no dense
+matrix either: it bisects sigma_min on a Sturm count in 2x2 blocks. With
+constant eps the Dirichlet operator is diagonal in the sine basis `sine_modes`.
 """
 
 import math
@@ -25,12 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, dispersion
-from .errors import ConfigError, ConvergenceError, DomainError, PeriodicityError
+from .errors import ConfigError, DomainError, PeriodicityError
 from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
-
-# The largest N whose `inverse_norm` is a dense SVD; above it, the relative
-# step that stops the power iteration, its seed and its iteration cap.
-_DENSE_CUTOFF, _POWER_TOL, _POWER_SEED, _POWER_MAX_ITER = 512, 1e-10, 0, 10_000
 
 
 @dataclass(frozen=True)
@@ -208,56 +204,52 @@ def norm_bound(z):
 
 def inverse_norm(grid, rows, index):
     """||H_b^-1|| = 1 / sigma_min for each Dirichlet operator whose diagonal
-    is rows[index, b] (the form of `diagonal_rows`), and its rounding estimate.
-
-    Up to the cutoff, each operator is written into one reused dense (N, N)
-    buffer, whose constant off-diagonals are set once, and its singular
-    values come from one SVD. The estimate gamma_N (sigma_max / sigma_min)
-    ||H^-1|| takes sigma_max from the same call; it follows from the SVD's
-    backward stability and Weyl's bound (Golub & Van Loan, ch. 8). Above
-    `_DENSE_CUTOFF` each operator runs a power iteration on H^-1 H^-H, whose
-    estimate bounds sigma_max by ||H||_inf and adds the stopping step.
-
-    Returns (norms, estimates), arrays of shape (B,).
+    is rows[index, b] (the form of `diagonal_rows`), and its error estimate:
+    sigma_min bisected geometrically on `_count_below` until the midpoint
+    equals an endpoint, from the column-norm bound sqrt(min|d|^2 + 2/h^4)
+    and a lower end stepped down to count 0. The estimate is the bracket's
+    half-width plus the count's rounding gamma_2N (max|d| + 2/h^2) (sigma_max
+    u by Gershgorin), both times ||H^-1||^2. Returns two (B,) arrays.
     """
-    n = grid.N
     diags = rows[index]
     off = 1.0 / grid.h**2
-    n_u = n * np.finfo(float).eps / 2
-    gamma_n = n_u / (1.0 - n_u)
-    norms = np.empty(diags.shape[1])
-    if n <= _DENSE_CUTOFF:
-        buf = np.diag(np.full(n - 1, off, dtype=np.complex128), 1)
-        buf += buf.T
-        diagonal = buf.reshape(-1)[::n + 1]
-        kappa = np.empty_like(norms)
-        for b in range(norms.size):
-            diagonal[:] = diags[:, b]
-            sv = np.linalg.svd(buf, compute_uv=False)
-            norms[b] = 1.0 / sv[-1]
-            kappa[b] = sv[0] / sv[-1]
-        return norms, gamma_n * kappa * norms
-    for b in range(norms.size):
-        norms[b] = _power_norm(grid, np.ascontiguousarray(diags[:, b]))
-    kappa = (np.max(np.abs(diags), axis=0) + 2.0 * off) * norms
-    return norms, (gamma_n * kappa + _POWER_TOL) * norms
+    hi = np.hypot(np.min(np.abs(diags), axis=0), math.sqrt(2.0) * off)
+    lo = 0.5 * hi
+    # each step squares the ratio hi / lo, until lo is 0 at the latest
+    while (below := (_count_below(off, diags, lo) > 0) & (lo > 0)).any():
+        lo, hi = np.where(below, lo * (lo / hi) ** 2, lo), np.where(below, lo, hi)
+    mid = np.clip(np.sqrt(lo) * np.sqrt(hi), lo, hi)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _count_below(off, diags, mid) > 0
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+        mid = np.clip(np.sqrt(lo) * np.sqrt(hi), lo, hi)
+    norms = 2.0 / (lo + hi)
+    rounding = grid.N * np.finfo(float).eps * (np.max(np.abs(diags), axis=0) + 2.0 * off)
+    return norms, (0.5 * (hi - lo) + rounding) * norms * norms
 
 
-def _power_norm(grid, diag):
-    """sqrt of the largest eigenvalue of H^-1 H^-H by power iteration; H is
-    complex-symmetric, so H^-H b = conj(H^-1 conj(b))."""
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(diag.size) + 1j * rng.standard_normal(diag.size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = _solve(grid, diag, np.conj(_solve(grid, diag, np.conj(v))))
-        new_lam = float(np.linalg.norm(w))
-        v = w / new_lam
-        if abs(new_lam - lam) <= _POWER_TOL * new_lam:
-            return math.sqrt(new_lam)
-        lam = new_lam
-    raise ConvergenceError("power iteration did not converge within the iteration cap")
+def _count_below(off, diags, s):
+    """The number of singular values below s[b] of the Dirichlet operator
+    with diagonal diags[:, b] and off-diagonal `off`: the eigenvalues of
+    J = [[0, H], [H^H, 0]] in (0, s) (Golub & Kahan 1965), counted by a Sturm
+    count in 2x2 blocks (Barth, Martin & Wilkinson 1967). J - s has block LDL^H
+    pivots [[a, b], [conj(b), a]] with eigenvalues a -+ |b|, a_i = -s - q a_{i-1},
+    b_i = d_i + q conj(b_{i-1}) and q = off^2 / (a_{i-1}^2 - |b_{i-1}|^2); it runs
+    in units of off, a determinant below pivmin set to -pivmin as in LAPACK dstebz.
+    """
+    s = s / off
+    pivmin = np.finfo(float).tiny * (2.0 + np.max(np.abs(diags), axis=0) / off) ** 2
+    count = np.full(s.shape, -len(diags))
+    a = b = q = 0.0
+    for d in diags:
+        a, b = -s - q * a, d / off + q * np.conj(b)
+        abs_b = np.abs(b)
+        low, high = a - abs_b, a + abs_b
+        count += low < 0
+        count += high < 0
+        det = low * high
+        q = 1.0 / np.where(np.abs(det) < pivmin, -pivmin, det)
+    return count
 
 
 def resolvent_difference_ray(model, grid, eta, omega_ladder):

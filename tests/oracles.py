@@ -216,3 +216,44 @@ def coefficient_mp(phi, psi, modulus, theta, dps=30):
         z2 = (mpmath.mpf(modulus) * mpmath.expj(mpmath.mpf(theta))) ** 2
         remainder = mpmath.mpc(radial_remainder_mp(phi, psi, modulus, theta, dps))
         return complex((mpmath.mpc(fs.inner_product(phi, psi)) + remainder) / z2)
+
+
+def mp_inverse_norm(diag, off, dps=40):
+    """||H^-1|| of the complex-symmetric tridiagonal H with the float64
+    diagonal `diag` and off-diagonal `off`, both taken as exact: inverse
+    iteration on H^H H in mpmath, from float64's last right singular vector."""
+    n = len(diag)
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    start = np.conj(np.linalg.svd(dense)[2][-1])
+    with mpmath.workdps(dps):
+        d = [mpmath.mpc(complex(v)) for v in diag]
+        o = mpmath.mpf(off)
+
+        def solve(b):  # Thomas on H x = b
+            x, cp = list(b), [mpmath.mpf(0)] * n
+            piv = d[0]
+            cp[0], x[0] = o / piv, x[0] / piv
+            for i in range(1, n):
+                piv = d[i] - o * cp[i - 1]
+                cp[i] = o / piv
+                x[i] = (x[i] - o * x[i - 1]) / piv
+            for i in range(n - 2, -1, -1):
+                x[i] -= cp[i] * x[i + 1]
+            return x
+
+        def norm(v):
+            return mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in v))
+
+        x = [mpmath.mpc(complex(v)) for v in start]
+        rho = 0
+        for _ in range(40):
+            # H^-H x = conj(H^-1 conj(x)), since H^T = H
+            y = [mpmath.conj(a) for a in solve([mpmath.conj(a) for a in x])]
+            new_rho = norm(y) / norm(x)
+            x = solve(y)
+            scale = norm(x)
+            x = [a / scale for a in x]
+            if abs(new_rho - rho) <= mpmath.mpf(10) ** (8 - dps) * new_rho:
+                return float(new_rho)
+            rho = new_rho
+    raise AssertionError("inverse iteration did not converge")

@@ -12,7 +12,6 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -201,6 +200,25 @@ def test_modes_command(tmp_path, capsys):
         "tolerances": {"identity": 1e-10, "kk_rel": 2e-3},
     })
     assert cli.main(["modes", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("z", [{"im": 5.0}, {"re": 3.0, "im": 0.5}], ids=["axis", "near_mode"])
+def test_truncation_tail_estimate_bounds_its_rounding(tmp_path, capsys, z):
+    # the estimate covers the distance of |partial - direct| to both mode
+    # sums in extended precision, and is far below the tail bound it gates on
+    cfg = _write(tmp_path, "modes.json", {"grid": {"L": 1.0, "N": 64}, "eps_const": 2.0,
+                                          "z": z, "truncation_M": 32})
+    out = tmp_path / "report.csv"
+    assert cli.main(["modes", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = [r for r in _rows(out) if r["check_id"] == "truncation_tail"]
+    modes = sp.cavity_modes(hh.Grid1D(L=1.0, N=64), 2.0)
+    phi = modes.modes.astype(np.longdouble)
+    terms = phi / (np.clongdouble(complex(z.get("re", 0.0), z["im"])) ** 2
+                   - modes.omegas.astype(np.longdouble) ** 2)
+    reference = np.max(np.abs(terms[:, 32:] @ phi[:, 32:].T))
+    estimate = float(row["error_estimate"])
+    assert abs(float(row["measured"]) - float(reference)) <= estimate
+    assert estimate <= 1e-6 * float(row["bound"])
 
 
 def test_causality_command(tmp_path, medium, capsys):
@@ -419,51 +437,10 @@ def test_under_resolved_loop_estimate_covers_its_defect(tmp_path, capsys, seed):
         assert (row["pass"] == "false") == (row["check_id"] == "analyticity_zk")
 
 
-def _mp_inverse_norm(diag, off, dps=40):
-    """||H^-1|| of the complex-symmetric tridiagonal H with the float64
-    diagonal `diag` and off-diagonal `off`, both taken as exact: inverse
-    iteration on H^H H in mpmath, from float64's last right singular vector."""
-    n = len(diag)
-    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
-    start = np.conj(np.linalg.svd(dense)[2][-1])
-    with mpmath.workdps(dps):
-        d = [mpmath.mpc(complex(v)) for v in diag]
-        o = mpmath.mpf(off)
-
-        def solve(b):  # Thomas on H x = b
-            x, cp = list(b), [mpmath.mpf(0)] * n
-            piv = d[0]
-            cp[0], x[0] = o / piv, x[0] / piv
-            for i in range(1, n):
-                piv = d[i] - o * cp[i - 1]
-                cp[i] = o / piv
-                x[i] = (x[i] - o * x[i - 1]) / piv
-            for i in range(n - 2, -1, -1):
-                x[i] -= cp[i] * x[i + 1]
-            return x
-
-        def norm(v):
-            return mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in v))
-
-        x = [mpmath.mpc(complex(v)) for v in start]
-        rho = 0
-        for _ in range(40):
-            # H^-H x = conj(H^-1 conj(x)), since H^T = H
-            y = [mpmath.conj(a) for a in solve([mpmath.conj(a) for a in x])]
-            new_rho = norm(y) / norm(x)
-            x = solve(y)
-            scale = norm(x)
-            x = [a / scale for a in x]
-            if abs(new_rho - rho) <= mpmath.mpf(10) ** (8 - dps) * new_rho:
-                return float(new_rho)
-            rho = new_rho
-    raise AssertionError("inverse iteration did not converge")
-
-
 def test_norm_bound_estimates_cover_an_mpmath_norm(tmp_path, capsys):
-    # the SVD rounding estimate gamma_N kappa ||H^-1|| of every norm_bound
-    # row is > 0, and at the worst-conditioned operator of the shipped
-    # config it covers the distance to a 40-digit norm
+    # the estimate of every norm_bound row is > 0, and at the operator of
+    # the shipped config with the largest one relative to its norm it covers
+    # the distance to a 40-digit norm
     cfg = json.loads((ROOT / "configs" / "green.json").read_text())
     cfg["medium"] = str(ROOT / cfg["medium"])
     out = tmp_path / "report.csv"
@@ -481,7 +458,7 @@ def test_norm_bound_estimates_cover_an_mpmath_norm(tmp_path, capsys):
     rows_, index = hh.diagonal_rows(grid, model, kind, [complex(*params["z"])], xi=xi)
     (measured,), (estimate,) = hh.inverse_norm(grid, rows_, index)
     assert f"{measured:.12g}" == worst["measured"]
-    reference = _mp_inverse_norm(rows_[index, 0], 1.0 / grid.h**2)
+    reference = oracles.mp_inverse_norm(rows_[index, 0], 1.0 / grid.h**2)
     assert abs(measured - reference) <= estimate
 
 
@@ -513,6 +490,38 @@ def test_asymptotic_cap_uses_strongest_layer_across_vacuum_gap(tmp_path, capsys)
     for row in rows:
         assert float(row["bound"]) == pytest.approx(2.16, rel=1e-12)
         assert row["pass"] == "true"
+
+
+def _shipped_asymptotic(tmp_path, field, code):
+    """The rows of the shipped asymptotic config with `field` merged into
+    its field section, and the exit code checked."""
+    cfg = json.loads((ROOT / "configs" / "asymptotic.json").read_text())
+    cfg["field"].update(field)
+    cfg["resolvent_ray"]["medium"] = str(ROOT / cfg["resolvent_ray"]["medium"])
+    out = tmp_path / "report.csv"
+    assert cli.main(["asymptotic", "--config", _write(tmp_path, "asy.json", cfg),
+                     "--out", str(out)]) == code
+    return out.read_text()
+
+
+def test_asymptotic_subnormal_polarization_keeps_the_unit_verdict(tmp_path, capsys):
+    # T(z) / ||phi||^2 does not depend on |p|: p = (1e-160, 0, 0), whose
+    # ||phi||^2 is subnormal, writes the rows of p = (1, 0, 0), not defects of 0
+    tiny = _shipped_asymptotic(tmp_path, {"polarization": [1e-160, 0.0, 0.0]}, 0)
+    assert tiny == _shipped_asymptotic(tmp_path, {"polarization": [1.0, 0.0, 0.0]}, 0)
+
+
+def test_asymptotic_large_width_gives_a_finite_failing_verdict(tmp_path, capsys):
+    # at s = 1e100 the ladder's moduli are 1e-99 s to 1e-97 s, where the
+    # relative defect is the transverse share 2/3 of a centred field
+    rows = [r for r in csv.DictReader(io.StringIO(_shipped_asymptotic(tmp_path, {"s": 1e100}, 1)))
+            if r["check_id"].startswith("asymptotic_")]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["pass"] == "false"
+        assert 0.0 < float(row["error_estimate"]) < 1e-12
+        if row["check_id"] == "asymptotic_final":
+            assert float(row["measured"]) == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
 def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):
@@ -678,9 +687,31 @@ def _case_id(case):
 
 @pytest.mark.parametrize("case", MALFORMED, ids=[_case_id(c) for c in MALFORMED])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    assert _run_case(tmp_path, *case) == 2
+    # with warnings as errors: a numpy warning would be a second stderr line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_case(tmp_path, *case) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this helmgreen."""
+    env = dict(os.environ)
+    src = str(Path(helmgreen.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_overflowing_loop_corner_prints_one_line_in_a_fresh_interpreter(tmp_path):
+    # z^2 overflows at the corner 1e300 + 1e300i; outside pytest's warning
+    # capture, stderr holds the error line alone
+    cfg = _replaced(SMALL["analyticity"], ("loops", 0, "z_hi"), {"re": 1e300, "im": 1e300})
+    run = subprocess.run([sys.executable, "-m", "helmgreen.cli", "analyticity", "--config",
+                          _write(tmp_path, "run.json", cfg)], env=_fresh_env(),
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
 
 # A Gaussian of width 0 is 0 at every grid point, after a divide-by-zero
@@ -837,9 +868,7 @@ def test_layer_outside_unit_cell_stops_only_a_zk_run(tmp_path, with_zk):
              if with_zk or loop["kind"] != "zk"]
     cfg = {**SMALL["analyticity"], "medium": _write(tmp_path, "medium.json", medium),
            "loops": loops}
-    env = dict(os.environ)
-    src = str(Path(helmgreen.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _fresh_env()
     run = subprocess.run([sys.executable, "-m", "helmgreen.cli", "analyticity", "--config",
                           _write(tmp_path, "run.json", cfg)], env=env, capture_output=True,
                          text=True)
@@ -913,9 +942,7 @@ print(json.dumps(seen))
 def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests
     runs = [(command, _write(tmp_path, f"{command}.json", cfg)) for command, cfg in SMALL.items()]
-    env = dict(os.environ)
-    src = str(Path(helmgreen.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _fresh_env()
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)], env=env,
                          capture_output=True, text=True, check=True).stdout
     after_import, *after_commands, after_scipy = json.loads(out)

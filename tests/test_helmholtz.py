@@ -10,9 +10,7 @@ from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
 from helmgreen.errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
-    HelmgreenError,
     PeriodicityError,
 )
 
@@ -263,9 +261,9 @@ def test_norm_bound_is_infinite_off_the_upper_half_plane():
 
 
 def test_batched_inverse_norm_equals_per_operator_svd():
-    # one reused buffer, column by column, is bit-identical to an SVD of
-    # each dense operator built on its own; the estimate is gamma_N kappa
-    # ||H^-1|| from the same singular values
+    # the bisected norm of each operator of a batch is the SVD norm of that
+    # dense operator built on its own, to within its estimate, which stays
+    # far below the norm
     g = hh.Grid1D(L=1.0, N=48)
     rng = np.random.default_rng(3)
     z = rng.uniform(-3, 3, 6) + 1j * rng.uniform(0.1, 3, 6)
@@ -273,32 +271,41 @@ def test_batched_inverse_norm_equals_per_operator_svd():
     for kind, x in (("dispersive", None), ("two_freq", xi)):
         rows, index = hh.diagonal_rows(g, slab_model(), kind, z, xi=x)
         norms, estimates = hh.inverse_norm(g, rows, index)
-        off = np.full(g.N - 1, 1.0 / g.h**2, dtype=np.complex128)
         for b in range(z.size):
-            dense = np.diag(rows[index, b]) + np.diag(off, 1) + np.diag(off, -1)
-            sv = np.linalg.svd(dense, compute_uv=False)
-            assert norms[b] == 1.0 / sv[-1]
-            gamma = g.N * 2.0**-53 / (1.0 - g.N * 2.0**-53)
-            assert estimates[b] == pytest.approx(gamma * sv[0] / sv[-1] ** 2, rel=1e-14)
+            sv = np.linalg.svd(oracles.dense_operator(g, rows[index, b]), compute_uv=False)
+            assert abs(norms[b] - 1.0 / sv[-1]) <= estimates[b] <= 1e-9 * norms[b]
 
 
-def test_inverse_norm_power_iteration_agrees_with_svd(monkeypatch):
-    g = hh.Grid1D(L=1.0, N=48)
-    z = [1j, 2.0 + 0.5j]
-    dense, dense_est = _norms(g, slab_model(), "dispersive", z)
-    monkeypatch.setattr(hh, "_DENSE_CUTOFF", 0)
-    iterative, iterative_est = _norms(g, slab_model(), "dispersive", z)
-    assert iterative == pytest.approx(dense, rel=1e-6)
-    assert np.all(iterative_est >= dense_est)
+tridiagonals = st.tuples(
+    st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False), min_size=1, max_size=24)
+    .map(np.array),
+    st.floats(0.1, 10.0),
+)
 
 
-def test_inverse_norm_iteration_cap_raises_package_error(monkeypatch):
-    g = hh.Grid1D(L=1.0, N=48)
-    monkeypatch.setattr(hh, "_DENSE_CUTOFF", 0)
-    monkeypatch.setattr(hh, "_POWER_MAX_ITER", 1)
-    with pytest.raises(ConvergenceError) as info:
-        _norms(g, slab_model(), "dispersive", [1j])
-    assert isinstance(info.value, HelmgreenError)
+@given(operator=tridiagonals)
+def test_count_below_equals_the_svd_count(operator):
+    # at s = sigma_k (1 -+ 1e-8) the block Sturm count reads the number of
+    # SVD singular values below s; an s within the SVD's own rounding of a
+    # singular value is left out, since there neither count is decided
+    diag, off = operator
+    n = diag.size
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    sv = np.linalg.svd(dense, compute_uv=False)
+    s = np.concatenate([sv * (1.0 - 1e-8), sv * (1.0 + 1e-8)])
+    s = s[np.min(np.abs(s[:, None] - sv[None, :]), axis=1) > 1e-12 * sv[0]]
+    counts = hh._count_below(off, np.repeat(diag[:, None], s.size, axis=1), s)
+    assert np.array_equal(counts, np.sum(sv[None, :] < s[:, None], axis=1))
+
+
+def test_inverse_norm_covers_an_mpmath_norm_at_n_1024():
+    # at N = 1024 the count's rounding term dominates the estimate; it
+    # covers the distance to a 40-digit norm of the float64 operator
+    g = hh.Grid1D(L=1.0, N=1024)
+    rows, index = hh.diagonal_rows(g, slab_model(), "dispersive", [3.0 + 0.1j])
+    (norm,), (estimate,) = hh.inverse_norm(g, rows, index)
+    reference = oracles.mp_inverse_norm(rows[index, 0], 1.0 / g.h**2)
+    assert abs(norm - reference) <= estimate <= 1e-6 * norm
 
 
 def test_resolvent_difference_ray_decreasing_cap():
