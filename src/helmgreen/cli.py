@@ -83,8 +83,9 @@ class Report:
         n_pass = sum(1 for r in self.rows if r["pass"])
         for r in self.rows:
             status = "PASS" if r["pass"] else "FAIL"
-            print(f"[{status}] {r['check_id']}: measured {_fmt(r['measured'])} "
-                  f"vs tolerance {_fmt(r['tolerance'])}", file=sys.stderr)
+            print(f"[{status}] {r['check_id']}: measured {_fmt(r['measured'])}, "
+                  f"bound {_fmt(r['bound'])}, tolerance {_fmt(r['tolerance'])}, "
+                  f"estimate {_fmt(r['error_estimate'])}", file=sys.stderr)
         print(f"{n_pass}/{len(self.rows)} checks passed", file=sys.stderr)
 
 
@@ -233,7 +234,8 @@ def cmd_modes(cfg, seed):
     grid = _grid_of(grid)
     eps_const = config.number(eps_const, "eps_const")
     z = config.complex_of(z, "z")
-    m = grid.N // 2 if m is None else config.count(m, "truncation_M", 1, grid.N)
+    # M = N is the expansion_identity row: the whole sum, whose tail bound is 0
+    m = grid.N // 2 if m is None else config.count(m, "truncation_M", 1, grid.N - 1)
     tol = _tolerances_of(tol, {"identity": 1e-10, "kk_rel": 1e-3})
     modes = spectral.cavity_modes(grid, eps_const)
     if kk is not None:
@@ -387,25 +389,29 @@ def cmd_asymptotic(cfg, seed):
     polarization, k_c, s = config.fields(fcfg, "field", ("polarization",),
                                          {"k_c": [0.0, 0.0, 0.0], "s": 1.0})
     polarization = np.array(config.numbers(polarization, "field.polarization", 3))
-    k_c = np.array(config.numbers(k_c, "field.k_c", 3))
+    k_c = config.numbers(k_c, "field.k_c", 3)
     s = config.number(s, "field.s")
-    phi = freespace.TestField3D(polarization=tuple(polarization), center=tuple(k_c), width=s)
-    try:
-        norm = freespace.norm_sq(phi)
-    except (ZeroDivisionError, OverflowError):  # a power of s over- or underflows
-        norm = math.nan
-    if not 0.0 < norm < math.inf:
-        raise DomainError(f"field norm ||phi||^2 = {norm} is not a finite positive float")
-    # T(z) / ||phi||^2 is invariant under p -> lambda p and (k, c, s, z) -> (k, c, s, z) / s:
-    # the ladder runs on p / |p| (|p| after scaling by max |p_i|), c / s, s = 1 at |z| / s
-    p = polarization / np.max(np.abs(polarization))
-    unit = freespace.TestField3D(tuple(p / np.linalg.norm(p)), tuple(k_c / s))
-    norm = freespace.norm_sq(unit)
+    if not np.any(polarization):
+        raise ConfigError("field.polarization must not be zero")
+    if s <= 0:
+        raise ConfigError("field.s must be > 0")
     moduli, thetas = config.fields(lcfg, "ladder", ("moduli",), {"theta": math.pi / 2})
-    moduli = [m / s for m in config.numbers(moduli, "ladder.moduli")]
+    moduli = config.numbers(moduli, "ladder.moduli")
     thetas = config.numbers(thetas if isinstance(thetas, list) else [thetas], "ladder.theta")
     if not all(0.05 < theta < math.pi - 0.05 for theta in thetas):
         raise DomainError("ladder angle too close to the real axis")
+    # T(z) / ||phi||^2 is invariant under p -> lambda p and (k, c, s, z) -> (k, c, s, z) / s:
+    # the ladder runs on p / |p| (|p| after scaling by max |p_i|), c / s, s = 1 at |z| / s.
+    # It squares each |z| / s and takes r^4 up to its cutoff |c| / s + 12
+    moduli = [m / s for m in moduli]
+    center = [c / s for c in k_c]
+    cutoff = math.hypot(*center) + 12.0
+    if not all(math.isfinite(x * x) for x in [*moduli, cutoff * cutoff]):
+        raise DomainError(f"at s = {s:g} the unit ladder overflows: (|z|/s)^2 and "
+                          "(|k_c|/s + 12)^4 must be finite")
+    p = polarization / np.max(np.abs(polarization))
+    unit = freespace.TestField3D(tuple(p / np.linalg.norm(p)), tuple(center))
+    norm = freespace.norm_sq(unit)
     if rcfg is not None:
         medium, rgrid, omegas, eta = config.fields(
             rcfg, "resolvent_ray", ("medium", "grid", "omegas"), {"eta": 1.0})

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NonDecayingIntegrandError
 
-_CHUNK = 1 << 16
 _BLOCK = 1 << 14
 # the first nested level has _FIRST + 1 nodes: coarser levels can agree by
 # accident when their alias period 2 pi (n - 1) / (2 omega_max) is
@@ -51,14 +50,6 @@ class ContourSpec:
         if not self.scale >= 0:
             raise ConfigError("contour scale must be >= 0")
 
-    def nodes_weights(self):
-        """Trapezoid nodes and weights on the window."""
-        omega = np.linspace(-self.omega_max, self.omega_max, self.n_points)
-        w = np.full(self.n_points, omega[1] - omega[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return omega, w
-
 
 def _levels(contour):
     """Node counts 2^j * _FIRST + 1 up to the cap, or [n_points] alone
@@ -92,8 +83,9 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     sampler must accept a complex ndarray, be analytic on the contour and
     be pointwise in z: it is called on consecutive blocks of at most
     `_BLOCK` nodes, and a node's value must not depend on the rest of its
-    block. Its working arrays then scale with the block, not with
-    `contour.n_points`.
+    block. Each block is sampled, tapered, weighted and summed once, so
+    the working arrays here and in the sampler scale with the block, not
+    with `contour.n_points`; only a level's nodes span the level.
 
     Without `contour.rtol` the trapezoid rule runs on `contour.n_points`
     nodes. With it, the rule runs on nested levels of 2^j * 1024 + 1 nodes
@@ -119,35 +111,33 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     levels = _levels(contour)
     nested = len(levels) > 1
     big = contour.omega_max
-    peak, values = 0.0, None
+    peak, values, acc, abs_sum = 0.0, None, 0.0, 0.0
     for j, n in enumerate(levels):
-        if j == 0:
-            omega, w = ContourSpec(contour.eta, big, n).nodes_weights()
-        else:
-            omega = np.linspace(-big, big, n)[1::2]
-            w = np.full(omega.size, 2.0 * big / (n - 1))
-        z = omega + 1j * contour.eta
-        f = np.empty(z.shape, dtype=np.complex128)
-        for lo in range(0, z.size, _BLOCK):
-            block = z[lo:lo + _BLOCK]
-            f_block = np.asarray(sampler(block), dtype=np.complex128)
-            if f_block.shape != block.shape:
+        h = 2.0 * big / (n - 1)
+        omega = np.linspace(-big, big, n)
+        if j > 0:
+            omega = omega[1::2]  # the midpoints of the last level
+        part, wf = np.zeros(t.shape, dtype=np.complex128), 0.0
+        for lo in range(0, omega.size, _BLOCK):
+            block = omega[lo:lo + _BLOCK]
+            f = np.asarray(sampler(block + 1j * contour.eta), dtype=np.complex128)
+            if f.shape != block.shape:
                 raise ValueError("sampler must return one value per contour node")
-            f[lo:lo + _BLOCK] = f_block
-        peak = max(peak, float(np.max(np.abs(f))))
-        if j == 0:
-            edge = max(abs(f[0]), abs(f[-1]))
-        if taper > 0:
-            f = f * np.exp(-taper * (omega / big) ** 2)
-        part = np.zeros(t.shape, dtype=np.complex128)
-        for lo in range(0, omega.size, _CHUNK):
-            hi = lo + _CHUNK
-            phase = np.exp(-1j * np.outer(t, omega[lo:hi]))
-            part += phase @ (w[lo:hi] * f[lo:hi])
-        acc = part if j == 0 else 0.5 * acc + part
-        if nested:
-            wf = float(np.sum(np.abs(w * f)))
-            abs_sum = wf if j == 0 else 0.5 * abs_sum + wf
+            peak = max(peak, float(np.max(np.abs(f))))
+            w = np.full(block.size, h)
+            if j == 0:
+                # the window ends: their samples before the taper, half weights
+                if lo == 0:
+                    edge, w[0] = abs(f[0]), 0.5 * h
+                if lo + _BLOCK >= n:
+                    edge, w[-1] = max(edge, abs(f[-1])), 0.5 * h
+            if taper > 0:
+                f = f * np.exp(-taper * (block / big) ** 2)
+            f = w * f
+            wf += float(np.sum(np.abs(f)))
+            part += np.exp(-1j * np.outer(t, block)) @ f
+        acc = 0.5 * acc + part
+        abs_sum = 0.5 * abs_sum + wf
         previous, values = values, np.exp(contour.eta * t) * acc / (2.0 * math.pi)
         if j > 0:
             diff = float(np.max(np.abs(values - previous)))

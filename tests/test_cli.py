@@ -202,6 +202,19 @@ def test_modes_command(tmp_path, capsys):
     assert cli.main(["modes", "--config", cfg]) == 0
 
 
+def test_summary_states_bound_and_estimate(capsys):
+    # a norm bound is compared with its bound, not with its tolerance
+    report = cli.Report()
+    report.add("norm_bound_dispersive", {}, 2.5, 3.0, 1e-8, True, 1e-12)
+    report.zero("reciprocity", {}, 2e-13, 1e-12)
+    report.print_summary()
+    assert capsys.readouterr().err.splitlines() == [
+        "[PASS] norm_bound_dispersive: measured 2.5, bound 3, tolerance 1e-08, estimate 1e-12",
+        "[PASS] reciprocity: measured 2e-13, bound 0, tolerance 1e-12, estimate 0",
+        "2/2 checks passed",
+    ]
+
+
 @pytest.mark.parametrize("z", [{"im": 5.0}, {"re": 3.0, "im": 0.5}], ids=["axis", "near_mode"])
 def test_truncation_tail_estimate_bounds_its_rounding(tmp_path, capsys, z):
     # the estimate covers the distance of |partial - direct| to both mode
@@ -511,17 +524,26 @@ def test_asymptotic_subnormal_polarization_keeps_the_unit_verdict(tmp_path, caps
     assert tiny == _shipped_asymptotic(tmp_path, {"polarization": [1.0, 0.0, 0.0]}, 0)
 
 
+def test_asymptotic_overflowing_polarization_keeps_the_unit_verdict(tmp_path, capsys):
+    # ||phi||^2 of p = (1e200, -3e200, 1e199) overflows; the ladder never
+    # forms it and writes the rows of p = (1, -3, 0.1)
+    huge = _shipped_asymptotic(tmp_path, {"polarization": [1e200, -3e200, 1e199]}, 0)
+    assert huge == _shipped_asymptotic(tmp_path, {"polarization": [1.0, -3.0, 0.1]}, 0)
+
+
 def test_asymptotic_large_width_gives_a_finite_failing_verdict(tmp_path, capsys):
     # at s = 1e100 the ladder's moduli are 1e-99 s to 1e-97 s, where the
-    # relative defect is the transverse share 2/3 of a centred field
-    rows = [r for r in csv.DictReader(io.StringIO(_shipped_asymptotic(tmp_path, {"s": 1e100}, 1)))
-            if r["check_id"].startswith("asymptotic_")]
-    assert len(rows) == 4
-    for row in rows:
-        assert row["pass"] == "false"
-        assert 0.0 < float(row["error_estimate"]) < 1e-12
-        if row["check_id"] == "asymptotic_final":
-            assert float(row["measured"]) == pytest.approx(2.0 / 3.0, rel=1e-10)
+    # relative defect is the transverse share 2/3 of a centred field; at
+    # s = 1e300, where ||phi||^2 overflows, the unit ladder gives the same
+    for s in (1e100, 1e300):
+        rows = [r for r in csv.DictReader(io.StringIO(_shipped_asymptotic(tmp_path, {"s": s}, 1)))
+                if r["check_id"].startswith("asymptotic_")]
+        assert len(rows) == 4
+        for row in rows:
+            assert row["pass"] == "false"
+            assert 0.0 < float(row["error_estimate"]) < 1e-12
+            if row["check_id"] == "asymptotic_final":
+                assert float(row["measured"]) == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
 def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):
@@ -634,6 +656,7 @@ MALFORMED = [
     ("green", ("grid", "L"), 1e300),
     ("modes", ("eps_const",), "x"),
     ("modes", ("truncation_M",), "x"),
+    ("modes", ("truncation_M",), 16),
     ("modes", ("kk", "zeta"), [0.01]),
     ("modes", ("kk", "nu_grid", "count"), DROP),
     ("modes", ("kk", "nu_grid", "count"), 1),
@@ -663,8 +686,9 @@ MALFORMED = [
     ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
     ("asymptotic", ("field", "s"), "x"),
     ("asymptotic", ("field", "polarization"), [0.0, 0.0, 0.0]),
+    ("asymptotic", ("field", "s"), -1.0),
     ("asymptotic", ("field", "s"), 1e-300),
-    ("asymptotic", ("field", "s"), 1e300),
+    ("asymptotic", ("field", "k_c"), [1e200, 0.0, 0.0]),
     ("asymptotic", ("ladder", "moduli"), []),
     ("asymptotic", ("ladder", "theta"), "x"),
     ("asymptotic", ("resolvent_ray", "omegas"), 5),

@@ -10,8 +10,8 @@ import oracles
 
 
 def test_contour_nodes_trapezoid():
-    c = tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=21)
-    omega, w = c.nodes_weights()
+    # the oracle's fixed rule, which laplace_invert must reproduce bit for bit
+    omega, w = _trapezoid(tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=21))
     assert omega[0] == -10.0 and omega[-1] == 10.0
     assert np.sum(w) == pytest.approx(20.0, rel=1e-13)
 
@@ -123,19 +123,29 @@ def test_laplace_invert_rejects_nondecaying():
         tr.laplace_invert(lambda z: np.ones_like(z), c, [1.0])
 
 
+def _trapezoid(contour):
+    """The fixed rule's nodes and weights: spacing h = 2 omega_max / (n - 1),
+    halved at both ends of the window."""
+    n = contour.n_points
+    omega = np.linspace(-contour.omega_max, contour.omega_max, n)
+    w = np.full(n, 2.0 * contour.omega_max / (n - 1))
+    w[[0, -1]] *= 0.5
+    return omega, w
+
+
 def _one_shot_laplace_invert(sampler, contour, t_grid, taper=0.0):
-    """laplace_invert as it was before the block loop, less its window
-    check: one sampler call on every node, then the same taper, chunked
-    accumulation and estimate. Kept as the exactness oracle."""
+    """laplace_invert on the fixed rule, less its window check: one sampler
+    call on every node, then the same taper, weights, sums over chunks of
+    `tr._BLOCK` nodes and estimate. Kept as the exactness oracle."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    omega, w = contour.nodes_weights()
+    omega, w = _trapezoid(contour)
     f = np.asarray(sampler(omega + 1j * contour.eta), dtype=np.complex128)
     edge = max(abs(f[0]), abs(f[-1]))
     if taper > 0:
         f = f * np.exp(-taper * (omega / contour.omega_max) ** 2)
     acc = np.zeros(t.shape, dtype=np.complex128)
-    for lo in range(0, omega.size, tr._CHUNK):
-        hi = lo + tr._CHUNK
+    for lo in range(0, omega.size, tr._BLOCK):
+        hi = lo + tr._BLOCK
         phase = np.exp(-1j * np.outer(t, omega[lo:hi]))
         acc += phase @ (w[lo:hi] * f[lo:hi])
     values = np.exp(contour.eta * t) * acc / (2.0 * math.pi)
