@@ -531,19 +531,29 @@ def test_asymptotic_overflowing_polarization_keeps_the_unit_verdict(tmp_path, ca
     assert huge == _shipped_asymptotic(tmp_path, {"polarization": [1.0, -3.0, 0.1]}, 0)
 
 
+def _assert_finite_failing_verdict(csv_text):
+    # the relative defect is the transverse share 2/3 of a centred field
+    rows = [r for r in csv.DictReader(io.StringIO(csv_text))
+            if r["check_id"].startswith("asymptotic_")]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["pass"] == "false"
+        assert 0.0 < float(row["error_estimate"]) < 1e-12
+        if row["check_id"] == "asymptotic_final":
+            assert float(row["measured"]) == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
 def test_asymptotic_large_width_gives_a_finite_failing_verdict(tmp_path, capsys):
-    # at s = 1e100 the ladder's moduli are 1e-99 s to 1e-97 s, where the
-    # relative defect is the transverse share 2/3 of a centred field; at
-    # s = 1e300, where ||phi||^2 overflows, the unit ladder gives the same
-    for s in (1e100, 1e300):
-        rows = [r for r in csv.DictReader(io.StringIO(_shipped_asymptotic(tmp_path, {"s": s}, 1)))
-                if r["check_id"].startswith("asymptotic_")]
-        assert len(rows) == 4
-        for row in rows:
-            assert row["pass"] == "false"
-            assert 0.0 < float(row["error_estimate"]) < 1e-12
-            if row["check_id"] == "asymptotic_final":
-                assert float(row["measured"]) == pytest.approx(2.0 / 3.0, rel=1e-10)
+    # at s = 1e100 the ladder's moduli are 1e-99 s to 1e-97 s
+    _assert_finite_failing_verdict(_shipped_asymptotic(tmp_path, {"s": 1e100}, 1))
+
+
+def test_asymptotic_overflowing_width_keeps_the_unit_verdict(tmp_path, capsys):
+    # at s = 1e300 ||phi||^2 overflows; the unit ladder never forms it and
+    # writes the same rows as at s = 1e100
+    huge = _shipped_asymptotic(tmp_path, {"s": 1e300}, 1)
+    _assert_finite_failing_verdict(huge)
+    assert huge == _shipped_asymptotic(tmp_path, {"s": 1e100}, 1)
 
 
 def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):
