@@ -111,9 +111,9 @@ def _angular_moments(a):
 
 
 def _radial_rule(phi, psi, k_max, n):
-    """The n-node Gauss-Legendre rule on [0, k_max] for the defect: weights
-    times r^4 times the sphere integral of conj(phi_hat) . (I - k k / k^2)
-    psi_hat at |k| = r, and the nodes' r^2.
+    """The n-node Gauss-Legendre rule on [0, k_max], or on |c| -+ 12 sigma when
+    |c| > 12 sigma, for the defect: weights times r^4 times the sphere integral
+    of conj(phi_hat) . (I - k k / k^2) psi_hat at |k| = r, and the nodes' r^2.
 
     The product of the two Gaussians is one Gaussian with center c and
     width sigma; on the sphere |k| = r its angular factor is e^(a (mu - 1))
@@ -134,12 +134,16 @@ def _radial_rule(phi, psi, k_max, n):
     pq, cp, cq = np.sum(p_bar * q), c_hat @ p_bar, c_hat @ q
 
     x, w = np.polynomial.legendre.leggauss(n)
-    r = 0.5 * k_max * (x + 1.0)
+    # a far centre's Gaussian takes the offsets t = r - |c| apart from r, which rounds
+    near = c_norm <= 12.0 * math.sqrt(sigma2)
+    half = 0.5 * k_max if near else 12.0 * math.sqrt(sigma2)
+    r = half * (x + 1.0) if near else c_norm + half * x
+    t = r - c_norm if near else half * x
     i0, i2 = _angular_moments(r * c_norm / sigma2)
     sphere = math.pi * (pq * (i0 + i2) - (3.0 * i2 - i0) * (cp * cq))
-    radial = g0 * np.exp(-((r - c_norm) ** 2) / (2.0 * sigma2))
+    radial = g0 * np.exp(-(t**2) / (2.0 * sigma2))
     r2 = r * r
-    return 0.5 * k_max * w * r2 * r2 * radial * sphere, r2
+    return half * w * r2 * r2 * radial * sphere, r2
 
 
 def _transverse_remainder(phi, psi, z, quad):

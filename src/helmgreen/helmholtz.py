@@ -205,50 +205,52 @@ def norm_bound(z):
 def inverse_norm(grid, rows, index):
     """||H_b^-1|| = 1 / sigma_min for each Dirichlet operator whose diagonal
     is rows[index, b] (the form of `diagonal_rows`), and its error estimate:
-    sigma_min bisected geometrically on `_count_below` until the midpoint
-    equals an endpoint, from the column-norm bound sqrt(min|d|^2 + 2/h^4)
-    and a lower end stepped down to count 0. The estimate is the bracket's
-    half-width plus the count's rounding gamma_2N (max|d| + 2/h^2) (sigma_max
-    u by Gershgorin), both times ||H^-1||^2. Returns two (B,) arrays.
+    sigma_min bisected geometrically on `_count_below`, from the column-norm
+    bound sqrt(min|d|^2 + 2/h^4) and a lower end stepped down to count 0, until
+    the bracket's half-width is within the count's rounding gamma_2N (max|d| +
+    2/h^2) (sigma_max u by Gershgorin) or its midpoint equals an endpoint. The
+    estimate is that half-width plus the rounding, both times ||H^-1||^2.
     """
-    diags = rows[index]
+    used = np.abs(rows[np.unique(index)])
     off = 1.0 / grid.h**2
-    hi = np.hypot(np.min(np.abs(diags), axis=0), math.sqrt(2.0) * off)
+    hi = np.hypot(np.min(used, axis=0), math.sqrt(2.0) * off)
     lo = 0.5 * hi
     # each step squares the ratio hi / lo, until lo is 0 at the latest
-    while (below := (_count_below(off, diags, lo) > 0) & (lo > 0)).any():
+    while (below := (_count_below(off, rows, index, lo) > 0) & (lo > 0)).any():
         lo, hi = np.where(below, lo * (lo / hi) ** 2, lo), np.where(below, lo, hi)
-    mid = np.clip(np.sqrt(lo) * np.sqrt(hi), lo, hi)
-    while np.any((lo < mid) & (mid < hi)):
-        below = _count_below(off, diags, mid) > 0
-        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
-        mid = np.clip(np.sqrt(lo) * np.sqrt(hi), lo, hi)
+    rounding = grid.N * np.finfo(float).eps * (np.max(used, axis=0) + 2.0 * off)
+    mid = np.sqrt(lo) * np.sqrt(hi)
+    while (wide := (lo < mid) & (mid < hi) & (hi - lo > 2.0 * rounding)).any():
+        below = _count_below(off, rows, index, mid) > 0
+        lo, hi = np.where(wide & ~below, mid, lo), np.where(wide & below, mid, hi)
+        mid = np.sqrt(lo) * np.sqrt(hi)
     norms = 2.0 / (lo + hi)
-    rounding = grid.N * np.finfo(float).eps * (np.max(np.abs(diags), axis=0) + 2.0 * off)
     return norms, (0.5 * (hi - lo) + rounding) * norms * norms
 
 
-def _count_below(off, diags, s):
+def _count_below(off, rows, index, s):
     """The number of singular values below s[b] of the Dirichlet operator
-    with diagonal diags[:, b] and off-diagonal `off`: the eigenvalues of
+    with diagonal rows[index, b] and off-diagonal `off`: the eigenvalues of
     J = [[0, H], [H^H, 0]] in (0, s) (Golub & Kahan 1965), counted by a Sturm
     count in 2x2 blocks (Barth, Martin & Wilkinson 1967). J - s has block LDL^H
     pivots [[a, b], [conj(b), a]] with eigenvalues a -+ |b|, a_i = -s - q a_{i-1},
-    b_i = d_i + q conj(b_{i-1}) and q = off^2 / (a_{i-1}^2 - |b_{i-1}|^2); it runs
-    in units of off, a determinant below pivmin set to -pivmin as in LAPACK dstebz.
-    """
-    s = s / off
-    pivmin = np.finfo(float).tiny * (2.0 + np.max(np.abs(diags), axis=0) / off) ** 2
-    count = np.full(s.shape, -len(diags))
-    a = b = q = 0.0
-    for d in diags:
-        a, b = -s - q * a, d / off + q * np.conj(b)
-        abs_b = np.abs(b)
-        low, high = a - abs_b, a + abs_b
-        count += low < 0
-        count += high < 0
-        det = low * high
-        q = 1.0 / np.where(np.abs(det) < pivmin, -pivmin, det)
+    b_i = d_i + q conj(b_{i-1}) and q = off^2 / (a_{i-1}^2 - |b_{i-1}|^2); it runs in
+    place in units of off on the real and imaginary parts of the distinct rows,
+    a determinant below pivmin set to -pivmin as in LAPACK dstebz."""
+    re, im, neg_s, used = rows.real / off, rows.imag / off, -s / off, rows[np.unique(index)]
+    neg_pivmin = -np.finfo(float).tiny * (2.0 + np.max(np.abs(used), axis=0) / off) ** 2
+    a, b_re, b_im, abs_b, low, high, q = np.zeros((7, *s.shape))
+    count = np.full(s.shape, -len(index))
+    for k in index:
+        np.subtract(neg_s, np.multiply(q, a, out=a), out=a)
+        np.add(re[k], np.multiply(q, b_re, out=b_re), out=b_re)
+        np.subtract(im[k], np.multiply(q, b_im, out=b_im), out=b_im)
+        np.hypot(b_re, b_im, out=abs_b)
+        count += np.subtract(a, abs_b, out=low) < 0.0
+        count += np.add(a, abs_b, out=high) < 0.0
+        np.multiply(low, high, out=q)
+        np.copyto(q, neg_pivmin, where=np.abs(q, out=abs_b) < -neg_pivmin)
+        np.divide(1.0, q, out=q)
     return count
 
 

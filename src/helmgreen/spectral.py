@@ -34,7 +34,7 @@ class ModeSet:
 class SpectralDensity:
     """Broadened density samples D(nu + i zeta) for one probe pair."""
 
-    nu_max: float = 0.0  # the samples lie on linspace(-nu_max, nu_max, samples.size)
+    nu_max: float = 0.0  # real, even samples on linspace(-nu_max, nu_max, samples.size)
     zeta: float = 0.0
     samples: np.ndarray = field(repr=False, default=None)
     reference: str = "vacuum"  # vacuum | none
@@ -62,40 +62,45 @@ def mode_expansion_green(modes, z, truncation=None):
     m = modes.omegas.size if truncation is None else int(truncation)
     if not 1 <= m <= modes.omegas.size:
         raise ConfigError("truncation must be between 1 and the mode count")
-    denom = z * z - modes.omegas[:m] ** 2
+    denom = z * z - modes.omegas**2
     if np.min(np.abs(denom)) < RESONANCE_FLOOR:
         raise DomainError("z too close to a cavity resonance")
     phi = modes.modes[:, :m]
-    values = (phi / denom[None, :]) @ phi.T
-    tail = modes.omegas[m:]
-    if tail.size:
-        tail_denom = np.abs(z * z - tail**2)
-        if np.min(tail_denom) < RESONANCE_FLOOR:
-            raise DomainError("z too close to a truncated cavity resonance")
-        peaks = np.max(np.abs(modes.modes[:, m:]), axis=0) ** 2
-        tail_bound = float(np.sum(peaks / tail_denom))
-    else:
-        tail_bound = 0.0
-    return values, tail_bound
+    values = (phi / denom[None, :m]) @ phi.T
+    peaks = np.max(np.abs(modes.modes[:, m:]), axis=0, initial=0.0) ** 2
+    return values, float(np.sum(peaks / np.abs(denom[m:])))
 
 
 def mode_coefficient(modes, phi, psi, z):
     """Probe coefficient of the full mode expansion,
     h^2 sum_n <phi, phi_n> <phi_n, psi> / (z^2 - w_n^2), at a scalar z (a
     complex is returned) or over an array of z (an array of its shape),
-    accumulated mode by mode."""
+    summed mode by mode: with z^2 = x + iy and r = x - w_n^2, it is
+    sum w r / (r^2 + y^2) - i y sum w / (r^2 + y^2), in real arithmetic for
+    the real weights w of real probes."""
     z = np.asarray(z, dtype=np.complex128)
-    z2 = z * z
+    z2 = np.square(z.ravel())
+    x, y = z2.real.copy(), z2.imag
+    w2 = modes.omegas**2
+    top = float(np.hypot(np.max(np.abs(x), initial=0.0) + w2[-1], np.max(np.abs(y), initial=0.0)))
+    if not top * top < math.inf:
+        raise DomainError(f"|z^2| + max w_n^2 = {top:.3g}: the mode sum's r^2 + y^2 overflows")
+    k = np.clip(np.searchsorted(w2, x), 1, w2.size - 1)
+    r = np.minimum(np.abs(x - w2[k - 1]), np.abs(x - w2[k]))  # to the nearest w_n^2
+    y2 = y * y
+    if np.min(r * r + y2, initial=np.inf) < RESONANCE_FLOOR**2:
+        raise DomainError("z too close to a cavity resonance")
     h = modes.grid.h
     weights = h * h * (np.conj(phi) @ modes.modes) * (np.asarray(psi) @ modes.modes)
-    out = np.zeros(z.shape, dtype=np.complex128)
-    denom = np.empty(z.shape, dtype=np.complex128)
-    for weight, omega in zip(weights, modes.omegas):
-        np.subtract(z2, omega * omega, out=denom)
-        if np.min(np.abs(denom), initial=np.inf) < RESONANCE_FLOOR:
-            raise DomainError("z too close to a cavity resonance")
-        out += weight / denom
-    return complex(out) if out.ndim == 0 else out
+    sum_r, sum_1, d = (np.zeros(x.shape, dtype=weights.dtype) for _ in range(3))
+    gap2 = np.empty(x.shape)
+    for w, omega2 in zip(weights, w2):
+        np.subtract(x, omega2, out=r)
+        np.add(np.multiply(r, r, out=gap2), y2, out=gap2)
+        np.add(sum_1, np.divide(w, gap2, out=d), out=sum_1)
+        np.add(sum_r, np.multiply(r, d, out=d), out=sum_r)
+    out = sum_r - 1j * y * sum_1
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +125,6 @@ def gaussian_probe(grid, center, width):
 # spectral density and KK reconstruction
 
 
-def _vacuum_coefficient(grid, phi, psi, z):
-    """<phi, H_0(z)^-1 psi> of the vacuum operator, the reference subtracted
-    from a medium's coefficient."""
-    return mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
-
-
 def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     """<phi, R(z) psi> over an array of z (Dirichlet batch path); with `xi`,
     the two-frequency R(z, xi), z and xi broadcast against each other.
@@ -144,14 +143,13 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
     eps_const = None if xi is not None else helmholtz.uniform_permittivity(model, grid)
     if eps_const is not None:
         helmholtz.check_kind_domain(kind, z, xi, model, grid)
-        modes = cavity_modes(grid, eps_const)
-        coeff = mode_coefficient(modes, phi, psi, z)
+        coeff = mode_coefficient(cavity_modes(grid, eps_const), phi, psi, z)
     else:
         rows, index = helmholtz.diagonal_rows(grid, model, kind, z, xi)
         coeff = grid.h * _kernels.tridiag_bilinear_batch(
             1.0 / grid.h**2, rows, index, np.conj(phi), psi)
     if reference == "vacuum":
-        coeff -= _vacuum_coefficient(grid, phi, psi, z)
+        coeff -= mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
     return coeff
 
 
@@ -172,18 +170,19 @@ def _bloch_sampler(model, bgrid, bprobe):
 
 def d_density(model, grid, phi, psi, nu_max, count, zeta, reference="vacuum"):
     """Broadened density D(nu + i zeta) = [xi R(xi) - conj(xi) R(-conj xi)] / (2 i pi)
-    evaluated on the probe pair at `count` uniform nu in [-nu_max, nu_max].
+    evaluated on the real probe pair at `count` uniform nu in [-nu_max, nu_max].
 
-    The grid is symmetric about 0, so the second term reuses the sweep at
-    -nu. Real probes with phi = psi give real samples.
+    Real probes give C(-conj xi) = conj C(xi), so D = Im(xi C(xi)) / pi is real
+    and even in nu: it is swept at nu >= 0, at the exact negatives of the
+    lower-half nodes, and mirrored.
     """
     if zeta <= 0:
         raise DomainError("broadening zeta must be > 0")
-    xi = np.linspace(-nu_max, nu_max, count) + 1j * zeta
-    coeff = _coefficient_sweep(model, grid, phi, psi, xi, reference)
-    # coefficient at -conj(xi(nu)) = xi(-nu): mirror the sweep
-    coeff_mirror = coeff[::-1]
-    samples = (xi * coeff - np.conj(xi) * coeff_mirror) / (2j * math.pi)
+    if np.any(np.imag(phi)) or np.any(np.imag(psi)):
+        raise ConfigError("the spectral density needs real probes")
+    xi = -np.linspace(-nu_max, nu_max, count)[(count - 1) // 2::-1] + 1j * zeta
+    half = (xi * _coefficient_sweep(model, grid, phi, psi, xi, reference)).imag / math.pi
+    samples = np.concatenate([half[::-1], half[count % 2:]])
     return SpectralDensity(nu_max=nu_max, zeta=zeta, samples=samples, reference=reference)
 
 
@@ -195,7 +194,7 @@ def kk_reconstruct_green(sd, grid, phi, psi, z):
         raise DomainError("reconstruction needs Im z well above the broadening zeta")
     value = transforms.kk_kernel_integral(sd.nu_max, sd.samples, z)
     if sd.reference == "vacuum":
-        value += _vacuum_coefficient(grid, phi, psi, z)
+        value += mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
     return value
 
 

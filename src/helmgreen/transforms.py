@@ -206,11 +206,8 @@ def _loop_sum(sampler, loop, n):
 
 
 def kk_kernel_integral(nu_max, samples, z):
-    """-int samples(nu) / (z^2 - nu^2) dnu, the samples taken on the uniform
-    grid of len(samples) points over [-nu_max, nu_max].
-
-    Samples are even-symmetrized before integration (composite Simpson).
-    """
+    """-int samples(nu) / (z^2 - nu^2) dnu by the composite Simpson rule, the
+    samples taken on the uniform grid of len(samples) points over [-nu_max, nu_max]."""
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("KK kernel integral requires Im z > 0")
@@ -223,8 +220,7 @@ def kk_kernel_integral(nu_max, samples, z):
             f"(spacing {h:.3e}); the integral may be under-resolved",
             stacklevel=2,
         )
-    s_even = 0.5 * (s + s[::-1])
-    integrand = -s_even / (z * z - nu * nu)
+    integrand = -s / (z * z - nu * nu)
     return complex(_simpson(integrand, h))
 
 

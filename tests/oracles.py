@@ -11,6 +11,7 @@ import numpy as np
 
 from helmgreen import freespace as fs
 from helmgreen import helmholtz as hh
+from helmgreen import spectral as sp
 from helmgreen.errors import DomainError
 
 
@@ -44,6 +45,28 @@ def bloch_coefficient(model, bgrid, bprobe, z):
     a = dense_operator(bgrid, hh.diagonal_batch(bgrid, model, "bloch", [z])[0],
                        hh._bloch_corners(model, bgrid))
     return complex(bgrid.h * np.vdot(bprobe, np.linalg.solve(a, bprobe)))
+
+
+def mode_coefficient_loop(modes, phi, psi, z):
+    """`spectral.mode_coefficient` by complex division, mode by mode:
+    h^2 sum_n <phi, phi_n> <phi_n, psi> / (z^2 - w_n^2) at each z of an array."""
+    z2 = np.asarray(z, dtype=np.complex128) ** 2
+    h = modes.grid.h
+    weights = h * h * (np.conj(phi) @ modes.modes) * (np.asarray(psi) @ modes.modes)
+    out = np.zeros(z2.shape, dtype=np.complex128)
+    for weight, omega in zip(weights, modes.omegas):
+        out += weight / (z2 - omega * omega)
+    return out
+
+
+def two_sided_density(model, grid, phi, psi, nu_max, count, zeta, reference="vacuum"):
+    """D(nu + i zeta) = [xi R(xi) - conj(xi) R(-conj xi)] / (2 i pi) of
+    `spectral.d_density` on linspace(-nu_max, nu_max, count), each term from
+    its own coefficient sweep: at xi and at -conj(xi)."""
+    xi = np.linspace(-nu_max, nu_max, count) + 1j * zeta
+    coeff = sp._coefficient_sweep(model, grid, phi, psi, xi, reference)
+    mirror = sp._coefficient_sweep(model, grid, phi, psi, -np.conj(xi), reference)
+    return (xi * coeff - np.conj(xi) * mirror) / (2j * math.pi)
 
 
 def envelope(field, k):

@@ -475,6 +475,35 @@ def test_norm_bound_estimates_cover_an_mpmath_norm(tmp_path, capsys):
     assert abs(measured - reference) <= estimate
 
 
+def test_green_bisects_every_operator_in_one_batch(tmp_path, capsys, monkeypatch):
+    # the 2,400 norm-grid operators of the shipped config go to one
+    # inverse_norm call, whose every count runs on all of them; each bracket
+    # stops once its half-width is within the count's rounding term
+    # N eps (max|d| + 2/h^2), so each estimate is at most twice that term
+    counts, calls = [], []
+    count_below, inverse_norm = hh._count_below, hh.inverse_norm
+
+    def counted(off, rows, index, s):
+        counts.append(s.size)
+        return count_below(off, rows, index, s)
+
+    def recorded(grid, rows, index):
+        calls.append((grid, rows, index, *inverse_norm(grid, rows, index)))
+        return calls[-1][3:]
+
+    monkeypatch.setattr(hh, "_count_below", counted)
+    monkeypatch.setattr(hh, "inverse_norm", recorded)
+    cfg = json.loads((ROOT / "configs" / "green.json").read_text())
+    cfg["medium"] = str(ROOT / cfg["medium"])
+    assert cli.main(["green", "--config", _write(tmp_path, "green.json", cfg)]) == 0
+    assert len(calls) == 1
+    assert 0 < len(counts) <= 44 and set(counts) == {2400}
+    grid, rows, index, norms, estimates = calls[0]
+    rounding = grid.N * np.finfo(float).eps * (
+        np.max(np.abs(rows[np.unique(index)]), axis=0) + 2.0 / grid.h**2)
+    assert np.all(estimates <= 2.0 * rounding * norms**2 * (1.0 + 1e-12))
+
+
 def test_asymptotic_command(tmp_path, medium, capsys):
     cfg = _write(tmp_path, "asy.json", {
         "field": {"polarization": [1.0, 0.0, 0.0], "s": 1.0},
@@ -554,6 +583,19 @@ def test_asymptotic_overflowing_width_keeps_the_unit_verdict(tmp_path, capsys):
     huge = _shipped_asymptotic(tmp_path, {"s": 1e300}, 1)
     _assert_finite_failing_verdict(huge)
     assert huge == _shipped_asymptotic(tmp_path, {"s": 1e100}, 1)
+
+
+def test_asymptotic_far_centred_field_fails(tmp_path, capsys):
+    # a transverse field centred at k_c = (1e8, 0, 0): its relative defect
+    # is about 1 on the whole ladder, a failing final row, not a defect of 0
+    text = _shipped_asymptotic(tmp_path, {"polarization": [0.0, 1.0, 0.0],
+                                          "k_c": [1e8, 0.0, 0.0]}, 1)
+    rows = [r for r in csv.DictReader(io.StringIO(text)) if r["check_id"] == "asymptotic_final"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["pass"] == "false"
+        assert float(row["measured"]) == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 < float(row["error_estimate"]) < 1e-12
 
 
 def test_asymptotic_shallow_theta_exits_2(tmp_path, capsys):

@@ -246,6 +246,26 @@ def test_coefficient_estimate_covers_an_mpmath_reference(phi, psi, theta, moduli
         assert abs(value - reference) <= estimate
 
 
+def test_far_centred_field_keeps_its_gaussian_shell():
+    # a transverse field centred at |c| >> 12 sigma: the rule's nodes lie on
+    # |c| -+ 12 sigma, and the Gaussian is taken from each node's offset to
+    # |c|, so no rule reads 0. At |c| = 200 it meets a 30-digit reference;
+    # at |c| >> |z| the symbol's k^2 / (z^2 - k^2) -> -1 + |z|^2 / |c|^2 on
+    # the imaginary axis, so the relative defect is 1 - |z|^2 / |c|^2
+    moduli = [10.0, 100.0, 1000.0]
+    phi = fs.TestField3D(polarization=(0.0, 1.0, 0.0), center=(200.0, 0.0, 0.0))
+    (defect, *_), (estimate, *_) = fs.asymptotic_defect(phi, phi, moduli, math.pi / 2)
+    reference = oracles.radial_defect_mp(phi, phi, moduli[0], math.pi / 2)
+    assert abs(defect - reference) <= estimate <= 1e-12 * reference
+    for c in (1e8, 1e12, 1e20, 1e60):
+        phi = fs.TestField3D(polarization=(0.0, 1.0, 0.0), center=(c, 0.0, 0.0))
+        defects, estimates = fs.asymptotic_defect(phi, phi, moduli, math.pi / 2)
+        for mod, defect, estimate in zip(moduli, defects, estimates):
+            want = 1.0 - (mod / c) ** 2
+            assert abs(defect / fs.norm_sq(phi) - want) <= 1e-12
+            assert 0.0 < estimate <= 1e-12 * defect
+
+
 def test_asymptotic_defect_rejects_shallow_ray():
     phi = fs.TestField3D(polarization=(1.0, 0.0, 0.0), width=1.0)
     with pytest.raises(DomainError):

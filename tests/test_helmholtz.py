@@ -294,7 +294,7 @@ def test_count_below_equals_the_svd_count(operator):
     sv = np.linalg.svd(dense, compute_uv=False)
     s = np.concatenate([sv * (1.0 - 1e-8), sv * (1.0 + 1e-8)])
     s = s[np.min(np.abs(s[:, None] - sv[None, :]), axis=1) > 1e-12 * sv[0]]
-    counts = hh._count_below(off, np.repeat(diag[:, None], s.size, axis=1), s)
+    counts = hh._count_below(off, np.repeat(diag[:, None], s.size, axis=1), np.arange(n), s)
     assert np.array_equal(counts, np.sum(sv[None, :] < s[:, None], axis=1))
 
 

@@ -15,6 +15,8 @@ from helmgreen import spectral as sp
 from helmgreen import transforms as tr
 from helmgreen.errors import ConfigError, DomainError
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def cavity():
@@ -83,6 +85,30 @@ def test_mode_coefficient_batch_matches_scalar(cavity):
         assert g == sp.mode_coefficient(modes, p, p, zi)
 
 
+@pytest.mark.parametrize("weights", ["real", "complex"])
+def test_mode_coefficient_matches_the_complex_division_loop(cavity, weights):
+    # the real-arithmetic mode sum against complex division mode by mode,
+    # over the kk_green sweep's nu range and a spread of the upper half-plane;
+    # a complex phi makes the weights complex
+    grid, modes = cavity
+    rng = np.random.default_rng(5)
+    p = sp.gaussian_probe(grid, 0.4, 0.1)
+    phi = p + 1j * rng.standard_normal(grid.N) if weights == "complex" else p
+    z = np.concatenate([np.linspace(0.0, 40.0, 4001) + 0.01j,
+                        rng.uniform(-60, 60, 400) + 1j * rng.uniform(0.01, 30, 400)])
+    got = sp.mode_coefficient(modes, phi, p, z)
+    want = oracles.mode_coefficient_loop(modes, phi, p, z)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_mode_coefficient_rejects_a_z_whose_sum_overflows(cavity):
+    # at |z| ~ 1e100, r^2 + y^2 overflows: one error, not terms dropped to 0
+    grid, modes = cavity
+    p = sp.gaussian_probe(grid, 0.4, 0.1)
+    with pytest.raises(DomainError, match="overflows"):
+        sp.mode_coefficient(modes, p, p, 1e100 + 1j)
+
+
 def test_mode_coefficient_resonance_guard(cavity):
     grid, modes = cavity
     p = sp.gaussian_probe(grid, 0.4, 0.1)
@@ -122,11 +148,43 @@ def test_d_density_real_for_real_probes():
 
 
 def test_d_density_even():
+    # exactly: the nu >= 0 half is mirrored, at odd and at even counts
     g = hh.Grid1D(L=1.0, N=64)
     model = dsp.PermittivityModel(background=2.0)
     p = sp.gaussian_probe(g, 0.5, 0.1)
-    sd = sp.d_density(model, g, p, p, 20.0, 4001, 0.05)
-    assert np.allclose(sd.samples, sd.samples[::-1], atol=1e-12)
+    for count in (4001, 4000):
+        sd = sp.d_density(model, g, p, p, 20.0, count, 0.05)
+        assert sd.samples.size == count
+        assert np.array_equal(sd.samples, sd.samples[::-1])
+
+
+@pytest.mark.parametrize("medium", ["cavity", "lorentz"])
+def test_d_density_matches_the_two_sided_sweep(medium):
+    # the nu >= 0 sweep, mirrored, against both terms of D swept apart; on
+    # the nu <= 0 half the two share their nodes exactly (the mirrored half
+    # sits at the exact negatives of those nodes, linspace's own upper half
+    # up to rounding)
+    grid = hh.Grid1D(L=1.0, N=256)
+    if medium == "cavity":
+        model = dsp.PermittivityModel(background=2.0)
+        probe = sp.cavity_modes(grid, 2.0).modes[:, 0]
+    else:
+        model = dsp.load_medium(str(Path(__file__).resolve().parent.parent
+                                    / "media" / "lorentz_slab.json"))
+        probe = sp.gaussian_probe(grid, 0.5, 0.1)
+    got = sp.d_density(model, grid, probe, probe, 40.0, 16001, 0.01).samples
+    want = oracles.two_sided_density(model, grid, probe, probe, 40.0, 16001, 0.01)
+    assert np.max(np.abs(got[:8001] - want[:8001])) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_d_density_rejects_complex_probes():
+    g = hh.Grid1D(L=1.0, N=64)
+    model = dsp.PermittivityModel(background=2.0)
+    p = sp.gaussian_probe(g, 0.5, 0.1)
+    with pytest.raises(ConfigError):
+        sp.d_density(model, g, p * (1.0 + 1e-3j), p, 20.0, 101, 0.05)
+    with pytest.raises(ConfigError):
+        sp.d_density(model, g, p, 1j * p, 20.0, 101, 0.05)
 
 
 def test_d_density_vacuum_reference_is_zero_for_vacuum():
@@ -260,7 +318,7 @@ def test_vacuum_reference_matches_mpmath(z):
     grid = hh.Grid1D(L=1.0, N=64)
     probe = sp.gaussian_probe(grid, 0.5, 0.1)
     expect = _mp_coefficient(grid, probe, z, 1.0)
-    got = sp._vacuum_coefficient(grid, probe, probe, z)
+    got = sp.mode_coefficient(sp.cavity_modes(grid, 1.0), probe, probe, z)
     assert abs(got - expect) <= 1e-14 * abs(expect)
 
 
