@@ -244,7 +244,10 @@ def cmd_modes(cfg, seed):
         nu_max, nu_count = config.record(nu_grid, "kk.nu_grid", ("max", "count"))
         if nu_max <= 0:
             raise ConfigError("kk.nu_grid.max must be > 0")
-        nu_count = config.count(nu_count, "kk.nu_grid.count", 2)
+        # odd: the kk_green estimate's halved grid samples[::2] spans the same nu
+        nu_count = config.count(nu_count, "kk.nu_grid.count", 3)
+        if nu_count % 2 == 0:
+            raise ConfigError(f"kk.nu_grid.count must be odd, got {nu_count}")
         reference = config.choice(reference, "kk.reference", ("vacuum", "none"))
         probe = _probe_of(probe, grid, modes)
     report = Report()
@@ -273,9 +276,10 @@ def cmd_modes(cfg, seed):
             raise DomainError(f"the direct coefficient at z is {direct_c}: the kk_green "
                               "relative error needs a finite nonzero one")
         sd = spectral.d_density(model, grid, probe, probe, nu_max, nu_count, zeta, reference)
-        recon = spectral.kk_reconstruct_green(sd, grid, probe, probe, z)
+        recon, grid_term = spectral.kk_reconstruct_green(sd, grid, probe, probe, z)
         rel = abs(recon - direct_c) / abs(direct_c)
-        report.zero("kk_green", {"zeta": zeta, "reference": reference}, rel, tol["kk_rel"])
+        report.zero("kk_green", {"zeta": zeta, "reference": reference}, rel, tol["kk_rel"],
+                    grid_term / abs(direct_c))
     return report, None
 
 

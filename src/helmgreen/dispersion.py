@@ -8,9 +8,9 @@ Lorentz continuous parts. The permittivity is the superposition
 
 evaluable at any complex frequency z in the closed upper half-plane.
 This module also provides the passivity margin, the time-domain
-susceptibility (contour inversion), the sum rule weight and the
-non-dispersive (gapped) construction. Both quadratures (KK round trip, sum
-rule) run one numpy adaptive Gauss-Kronrod rule; nothing here imports scipy.
+susceptibility (contour inversion) and the sum rule weight. Both
+quadratures (KK round trip, sum rule) run one numpy adaptive Gauss-Kronrod
+rule; nothing here imports scipy.
 
 Convention: a stored line (nu_j, w_j) carries weight w_j at +nu_j *and*
 at -nu_j, so its permittivity contribution is -2 w_j / (z^2 - nu_j^2)
@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, transforms
-from .errors import (
-    ConfigError,
-    DomainError,
-    GapViolationError,
-    PoleProximityError,
-    QuadratureError,
-)
+from .errors import ConfigError, DomainError, PoleProximityError, QuadratureError
 
 POLE_FLOOR = 1e-12
 
@@ -40,12 +34,10 @@ class OscillatorDensity:
 
     lines   : tuple of (nu_j, w_j), nu_j > 0, w_j > 0 (mirrored on access)
     lorentz : tuple of (wp, w1, gamma), all > 0
-    gap_nu0 : lowest support frequency (0 if none)
     """
 
     lines: tuple = ()
     lorentz: tuple = ()
-    gap_nu0: float = 0.0
 
     def __post_init__(self):
         for nu, w in self.lines:
@@ -56,8 +48,6 @@ class OscillatorDensity:
                 raise ConfigError(
                     f"lorentz part (wp={wp}, w1={w1}, gamma={gamma}) must be strictly positive"
                 )
-        if self.gap_nu0 < 0:
-            raise ConfigError("gap_nu0 must be >= 0")
 
     @property
     def is_vacuum(self):
@@ -296,12 +286,10 @@ def kk_reconstruct_permittivity(density, z):
     zs = z.reshape(-1)
     if not np.all(zs.imag > 0):
         raise DomainError("Kramers-Kronig reconstruction requires Im z > 0")
-    z2 = zs * zs
-    val = np.full(zs.shape, 1.0, dtype=np.complex128)
+    val = 1.0 + density_eval_array(OscillatorDensity(lines=density.lines), zs)
     bound = np.zeros(zs.shape)
-    for nu, w in density.lines:
-        val += -2.0 * w / (z2 - nu * nu)
     if density.lorentz and zs.size:
+        z2 = zs * zs
         resonances = [w1 for _, w1, _ in density.lorentz]
         cut = 10.0 * max(max(resonances), float(np.max(np.abs(zs)))) + 10.0
         points = sorted({0.0, cut} | set(resonances) | set(np.abs(zs.real).tolist()))
@@ -375,34 +363,6 @@ def susceptibility(model, x, t_grid, contour):
 
 
 # ---------------------------------------------------------------------------
-# non-dispersive construction
-
-
-def build_nondispersive(density, omega0):
-    """Real dielectric constant 1 + int_{|nu|>=nu0} sigma/(nu^2 - omega0^2) dnu.
-
-    Requires a spectral gap nu0 > omega0 > 0 with all support above it,
-    which in this representation restricts the density to discrete lines.
-    """
-    if density.is_vacuum:
-        return 1.0
-    nu0 = density.gap_nu0
-    if not (nu0 > omega0 > 0):
-        raise DomainError(f"need nu0 > omega0 > 0, got nu0 = {nu0}, omega0 = {omega0}")
-    if density.lorentz:
-        raise GapViolationError(
-            "Lorentz continuous parts have support at all frequencies and violate the gap"
-        )
-    for nu, _ in density.lines:
-        if nu < nu0:
-            raise GapViolationError(f"line at nu = {nu} lies inside the gap |nu| < {nu0}")
-    value = 1.0
-    for nu, w in density.lines:
-        value += 2.0 * w / (nu * nu - omega0 * omega0)
-    return value
-
-
-# ---------------------------------------------------------------------------
 # medium description files
 
 
@@ -421,8 +381,8 @@ def load_medium(path):
     parsed = []
     for i, layer in enumerate(config.items(layers, "layers")):
         where = f"layers[{i}]"
-        interval, lorentz, lines, gap_nu0 = config.fields(
-            layer, where, ("interval",), {"lorentz": [], "lines": [], "gap_nu0": 0.0})
+        interval, lorentz, lines = config.fields(
+            layer, where, ("interval",), {"lorentz": [], "lines": []})
         x0, x1 = config.numbers(interval, f"{where}.interval", 2)
         for j, (y0, y1, _) in enumerate(parsed):
             if x0 < y1 and y0 < x1:
@@ -432,7 +392,6 @@ def load_medium(path):
                         for j, part in enumerate(config.items(lines, f"{where}.lines"))),
             lorentz=tuple(config.record(part, f"{where}.lorentz[{j}]", ("wp", "w1", "gamma"))
                           for j, part in enumerate(config.items(lorentz, f"{where}.lorentz"))),
-            gap_nu0=config.number(gap_nu0, f"{where}.gap_nu0"),
         )
         parsed.append((x0, x1, density))
     return PermittivityModel(background=background, layers=tuple(parsed))

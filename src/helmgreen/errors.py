@@ -17,7 +17,8 @@ class PoleProximityError(DomainError):
 
 
 class GapViolationError(DomainError):
-    """Oscillator density has support inside the forbidden gap |nu| < nu0."""
+    """Oscillator density on the grid has support at or below the frequency
+    omega0 of the non-dispersive kind."""
 
 
 class PeriodicityError(DomainError):

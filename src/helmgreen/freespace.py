@@ -99,8 +99,10 @@ def _angular_moments(a):
     small = a < _SERIES_A
     big = np.where(small, 1.0, a)
     i0 = -np.expm1(-2.0 * big) / big
-    i2 = i0 - 2.0 * (1.0 + np.exp(-2.0 * big) - i0) / big**2
-    a2 = np.where(small, a * a, 0.0)
+    # big**2 overflows to inf past a ~ 1e154, where I2 -> I0 is the limit
+    with np.errstate(over="ignore"):
+        i2 = i0 - 2.0 * (1.0 + np.exp(-2.0 * big) - i0) / big**2
+    a2 = np.where(small, a, 0.0) ** 2
     term, s0, s2 = np.ones_like(a), np.zeros_like(a), np.zeros_like(a)
     for j in range(_SERIES_TERMS):
         s0 += term * (2.0 / (2 * j + 1))

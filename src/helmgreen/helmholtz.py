@@ -8,10 +8,12 @@ stencil with quasi-periodic phases (cyclic tridiagonal).
 Units are normalized (eps0 = mu0 = c = 1). Operator kinds:
   dispersive(z)        diag  z^2 eps(x, z)                   - 2/h^2
   two_freq(z, xi)      diag  z^2 + z xi [eps(x, xi) - 1]     - 2/h^2
-  nondispersive(z, w0) diag  z^2 eps_d(x)                    - 2/h^2
+  nondispersive(z, w0) diag  z^2 eps(x, w0)                  - 2/h^2
   bloch(z, k)          dispersive diagonal, cyclic wrap entries exp(-+ikL)/h^2
 
 The bloch kind runs on Bloch grids, every other kind on Dirichlet grids.
+The nondispersive kind freezes the dispersion at a real w0 > 0 below every
+line on the grid, where eps(x, w0) is real and >= 1.
 An operator is its length-N diagonal (`assemble`; `diagonal_rows` and
 `diagonal_batch` for many): the off-diagonal is the constant 1/h^2, and
 the Bloch wrap entries are `_bloch_corners`. `inverse_norm` needs no dense
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, dispersion
-from .errors import ConfigError, DomainError, PeriodicityError
-from .dispersion import VACUUM_DENSITY, build_nondispersive, density_eval_array
+from .errors import ConfigError, DomainError, GapViolationError, PeriodicityError
+from .dispersion import density_eval_array
 
 
 @dataclass(frozen=True)
@@ -98,17 +100,6 @@ def _permittivity_table(model, x_points, z):
     return table, index
 
 
-def _nondispersive_table(model, x_points, omega0):
-    """Real eps_d of the gapped non-dispersive construction for each
-    `_layer_index` table row, and each point's table row."""
-    densities, index = _layer_index(model, x_points)
-    values = np.array([
-        model.background + build_nondispersive(density, omega0) - 1.0
-        for density in (VACUUM_DENSITY, *densities)
-    ])
-    return values, index
-
-
 def sine_modes(grid):
     """Closed-form eigenpairs of the Dirichlet second difference (the DST-I
     basis): -D2 s_n = lam_n s_n with s_n(j) = sqrt(2/(N+1)) sin(n j pi/(N+1))
@@ -133,14 +124,23 @@ def uniform_permittivity(model, grid):
     return None if densities else float(model.background)
 
 
-def check_kind_domain(kind, z, xi, model, grid):
-    """Domain of each operator kind over arrays of z (and xi), and the
-    grid each kind runs on."""
+def check_kind_domain(kind, z, xi, model, grid, omega0=None):
+    """Domain of each operator kind over arrays of z (and xi, or omega0),
+    and the grid each kind runs on."""
     if kind in ("dispersive", "nondispersive"):
         if np.any(z.imag < 0):
             raise DomainError(f"{kind} operator requires Im z >= 0")
-        if kind == "dispersive" and not model.damped and np.any(z.imag == 0):
-            raise DomainError("real-axis assembly requires a damped medium")
+        if kind == "dispersive":
+            if not model.damped and np.any(z.imag == 0):
+                raise DomainError("real-axis assembly requires a damped medium")
+        elif omega0 is None:
+            raise ConfigError("nondispersive kind requires omega0")
+        elif not omega0 > 0:
+            raise DomainError(f"nondispersive kind requires omega0 > 0, got {omega0}")
+        elif any(density.lorentz or min(density.lines)[0] <= omega0
+                 for density in _layer_index(model, grid.points)[0]):
+            raise GapViolationError(f"the nondispersive kind needs lines only, all above "
+                                    f"omega0 = {omega0}, in every density on the grid")
     elif kind == "two_freq":
         if np.any(z.imag <= 0) or np.any(xi.imag <= 0):
             raise DomainError("two-frequency operator requires Im z > 0 and Im xi > 0")
@@ -292,7 +292,7 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
         if xi is None:
             raise ConfigError("two_freq kind requires xi")
         z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
-    check_kind_domain(kind, z, xi, model, grid)
+    check_kind_domain(kind, z, xi, model, grid, omega0)
     if kind in ("dispersive", "bloch"):
         rows, index = _permittivity_table(model, grid.points, z)
         np.multiply(z * z, rows, out=rows)
@@ -301,11 +301,9 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
         np.subtract(rows, 1.0, out=rows)
         np.multiply(z * xi, rows, out=rows)
         np.add(z * z, rows, out=rows)
-    else:  # nondispersive
-        if omega0 is None:
-            raise ConfigError("nondispersive kind requires omega0")
-        eps_d, index = _nondispersive_table(model, grid.points, omega0)
-        rows = np.multiply(z * z, eps_d[:, None])
+    else:  # nondispersive: eps at the real omega0, real below every line
+        table, index = _permittivity_table(model, grid.points, np.array([omega0], complex))
+        rows = np.multiply(z * z, table.real)
     np.subtract(rows, 2.0 / grid.h**2, out=rows)
     return rows, index
 

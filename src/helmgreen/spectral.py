@@ -188,14 +188,18 @@ def d_density(model, grid, phi, psi, nu_max, count, zeta, reference="vacuum"):
 
 def kk_reconstruct_green(sd, grid, phi, psi, z):
     """Coefficient at z from the broadened density: reference part plus
-    -int samples / (z^2 - nu^2) dnu."""
+    -int samples / (z^2 - nu^2) dnu, and the grid term: how far that integral
+    moves on the halved grid samples[::2], which spans the same nu range at
+    an odd sample count."""
     z = complex(z)
     if z.imag <= 10.0 * sd.zeta:
         raise DomainError("reconstruction needs Im z well above the broadening zeta")
     value = transforms.kk_kernel_integral(sd.nu_max, sd.samples, z)
+    halved = transforms.kk_kernel_integral(sd.nu_max, sd.samples[::2], z)
+    grid_term = abs(value - halved)
     if sd.reference == "vacuum":
         value += mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
-    return value
+    return value, grid_term
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ written out.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,15 +212,8 @@ def kk_kernel_integral(nu_max, samples, z):
         raise DomainError("KK kernel integral requires Im z > 0")
     s = np.asarray(samples)
     nu = np.linspace(-nu_max, nu_max, s.size)
-    h = 2.0 * nu_max / (s.size - 1)
-    if abs(z.imag) < 4.0 * h:
-        warnings.warn(
-            f"kernel peak width Im z = {z.imag:.3e} spans fewer than 4 grid cells "
-            f"(spacing {h:.3e}); the integral may be under-resolved",
-            stacklevel=2,
-        )
     integrand = -s / (z * z - nu * nu)
-    return complex(_simpson(integrand, h))
+    return complex(_simpson(integrand, 2.0 * nu_max / (s.size - 1)))
 
 
 def _simpson(y, h):

@@ -161,15 +161,15 @@ def test_acceptance_07_kk_for_green():
     probe = sp.cavity_modes(grid, 2.0).modes[:, 0]
     direct = hh.coefficient(grid, hh.assemble(grid, model, z), probe, probe)
     sd = sp.d_density(model, grid, probe, probe, 40.0, 64001, 0.01)
-    err = abs(sp.kk_reconstruct_green(sd, grid, probe, probe, z) - direct) / abs(direct)
+    err = abs(sp.kk_reconstruct_green(sd, grid, probe, probe, z)[0] - direct) / abs(direct)
     sd4 = sp.d_density(model, grid, probe, probe, 40.0, 256001, 0.0025)
-    err4 = abs(sp.kk_reconstruct_green(sd4, grid, probe, probe, z) - direct) / abs(direct)
+    err4 = abs(sp.kk_reconstruct_green(sd4, grid, probe, probe, z)[0] - direct) / abs(direct)
     # absorptive cavity
     lorentz = dsp.load_medium(str(MEDIA / "lorentz_slab.json"))
     gauss = sp.gaussian_probe(grid, 0.5, 0.1)
     direct_a = hh.coefficient(grid, hh.assemble(grid, lorentz, z), gauss, gauss)
     sd_a = sp.d_density(lorentz, grid, gauss, gauss, 40.0, 64001, 0.01)
-    err_a = abs(sp.kk_reconstruct_green(sd_a, grid, gauss, gauss, z)
+    err_a = abs(sp.kk_reconstruct_green(sd_a, grid, gauss, gauss, z)[0]
                 - direct_a) / abs(direct_a)
     ok = err <= 1e-3 and err4 <= err / 3.0 and err_a <= 1e-2
     _verdict(7, f"kk green reconstruction (zeta/4 -> {err4:.1e}, absorptive {err_a:.1e})",
@@ -261,6 +261,16 @@ def test_acceptance_09_causality():
 
 
 def test_acceptance_10_nondispersive_construction():
+    # eps_d = eps(x, omega0) read off the nondispersive diagonal z^2 eps_d - 2/h^2
+    # at z = 1, on a cavity long enough that 2/h^2 = 1.6e-4
+    grid = hh.Grid1D(L=1e3, N=8)
+
+    def eps_d(lines, omega0):
+        model = dsp.PermittivityModel(layers=((0.0, grid.L, dsp.OscillatorDensity(lines)),))
+        rows, _ = hh.diagonal_rows(grid, model, "nondispersive", [1.0], omega0=omega0)
+        assert rows[1, 0].imag == 0.0
+        return rows[1, 0].real + 2.0 / grid.h**2
+
     rng = np.random.default_rng(99)
     worst_speed = 0.0
     for _ in range(200):
@@ -270,20 +280,14 @@ def test_acceptance_10_nondispersive_construction():
             (nu0 + rng.uniform(0.0, 10.0), rng.uniform(0.01, 2.0))
             for _ in range(rng.integers(1, 5))
         )
-        density = dsp.OscillatorDensity(lines=lines, gap_nu0=nu0)
-        eps_d = dsp.build_nondispersive(density, omega0)
-        assert isinstance(eps_d, float)
-        assert eps_d >= 1.0
+        eps = eps_d(lines, omega0)
+        assert eps >= 1.0
         # the phase speed in units of c
-        worst_speed = max(worst_speed, 1.0 / math.sqrt(eps_d))
+        worst_speed = max(worst_speed, 1.0 / math.sqrt(eps))
     with pytest.raises(GapViolationError):
-        dsp.build_nondispersive(
-            dsp.OscillatorDensity(lines=((0.5, 1.0),), gap_nu0=2.0), 1.0
-        )
+        eps_d(((0.5, 1.0),), 1.0)
     with pytest.raises(DomainError):
-        dsp.build_nondispersive(
-            dsp.OscillatorDensity(lines=((3.0, 1.0),), gap_nu0=0.0), 1.0
-        )
+        eps_d(((3.0, 1.0),), 0.0)
     _verdict(10, "non-dispersive: real, >= 1, v <= c, gap enforced",
              worst_speed, worst_speed <= 1.0)
 

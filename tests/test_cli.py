@@ -37,7 +37,7 @@ MEDIUM = {
 LINE_MEDIUM = {
     "background_epsilon": 1.0,
     "layers": [
-        {"interval": [0.25, 0.75], "lines": [{"nu": 4.0, "weight": 1.0}], "gap_nu0": 3.5}
+        {"interval": [0.25, 0.75], "lines": [{"nu": 4.0, "weight": 1.0}]}
     ],
 }
 
@@ -200,6 +200,22 @@ def test_modes_command(tmp_path, capsys):
         "tolerances": {"identity": 1e-10, "kk_rel": 2e-3},
     })
     assert cli.main(["modes", "--config", cfg]) == 0
+
+
+def test_kk_green_estimate_flags_a_coarse_nu_grid(tmp_path, capsys):
+    # the shipped modes config at 41 nu nodes: the reconstruction is off by
+    # 87%, and the grid-halving term reads 0.19 of |direct| (1.1e-6 at the
+    # shipped 64,001 nodes), with no warning
+    cfg = json.loads((ROOT / "configs" / "modes.json").read_text())
+    cfg["kk"]["nu_grid"]["count"] = 41
+    out = tmp_path / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["modes", "--config", _write(tmp_path, "modes.json", cfg),
+                         "--out", str(out)]) == 1
+    (row,) = [r for r in _rows(out) if r["check_id"] == "kk_green"]
+    assert row["pass"] == "false" and float(row["measured"]) > 0.5
+    assert float(row["error_estimate"]) > 0.1
 
 
 def test_summary_states_bound_and_estimate(capsys):
@@ -712,6 +728,7 @@ MALFORMED = [
     ("modes", ("kk", "zeta"), [0.01]),
     ("modes", ("kk", "nu_grid", "count"), DROP),
     ("modes", ("kk", "nu_grid", "count"), 1),
+    ("modes", ("kk", "nu_grid", "count"), 400),
     ("modes", ("kk", "probe"), {"mode_index": 99}),
     ("modes", ("kk", "nu_grid", "max"), -40.0),
     ("modes", ("kk", "nu_grid", "max"), 0.0),
@@ -752,6 +769,7 @@ MALFORMED = [
     ("medium", ("unit_system",), ["si"]),
     ("medium", ("unit_system",), "si"),
     ("medium", ("layers",), _TWO_LAYERS),
+    ("medium", ("layers", 0, "gap_nu0"), 3.5),
 ]
 
 
@@ -788,6 +806,28 @@ def test_overflowing_loop_corner_prints_one_line_in_a_fresh_interpreter(tmp_path
                          capture_output=True, text=True)
     assert run.returncode == 2
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+
+def test_asymptotic_field_centred_at_the_range_top_warns_nothing(tmp_path):
+    # k_c = (1e77, 0, 0) squares a = r|c|/sigma^2 ~ 2e154 past the float range;
+    # in a fresh interpreter with warnings as errors the run writes its failing
+    # verdict, and stderr holds the summary alone
+    cfg = json.loads((ROOT / "configs" / "asymptotic.json").read_text())
+    cfg["field"].update({"polarization": [0.0, 1.0, 0.0], "k_c": [1e77, 0.0, 0.0]})
+    cfg["resolvent_ray"]["medium"] = str(ROOT / cfg["resolvent_ray"]["medium"])
+    out = tmp_path / "report.csv"
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "helmgreen.cli", "asymptotic",
+                          "--config", _write(tmp_path, "asy.json", cfg), "--out", str(out)],
+                         env=_fresh_env(), capture_output=True, text=True)
+    assert run.returncode == 1
+    *rows, summary = run.stderr.splitlines()
+    assert all(line.startswith(("[PASS] ", "[FAIL] ")) for line in rows)
+    assert summary == "3/7 checks passed"
+    finals = [r for r in _rows(out) if r["check_id"] == "asymptotic_final"]
+    assert len(finals) == 2
+    for row in finals:
+        assert row["pass"] == "false"
+        assert float(row["measured"]) == pytest.approx(1.0, abs=1e-9)
 
 
 # A Gaussian of width 0 is 0 at every grid point, after a divide-by-zero

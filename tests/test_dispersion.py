@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helmgreen import dispersion as dsp
+from helmgreen import helmholtz as hh
 from helmgreen import transforms as tr
 from helmgreen.errors import (
     ConfigError,
@@ -408,37 +409,54 @@ def test_susceptibility_vacuum_zero():
 
 
 # ---------------------------------------------------------------------------
-# non-dispersive construction
+# non-dispersive construction: eps(x, omega0) of the nondispersive operator kind
+
+# a cavity this long has 2/h^2 = 1.6e-4, so the diagonal z^2 eps - 2/h^2 at
+# z = 1 gives back eps to rounding
+_ND_GRID = hh.Grid1D(L=1e3, N=8)
+
+
+def _nondispersive_rows(density, omega0):
+    """The distinct diagonal rows of the nondispersive kind at z = 1 on a
+    cavity that `density` fills."""
+    model = dsp.PermittivityModel(layers=((0.0, _ND_GRID.L, density),))
+    rows, _ = hh.diagonal_rows(_ND_GRID, model, "nondispersive", [1.0], omega0=omega0)
+    return rows[:, 0]
 
 
 def test_build_nondispersive_value():
     # one mirrored line at nu = 3, weight 1, omega0 = 1: 1 + 2/(9-1) = 1.25
-    density = dsp.OscillatorDensity(lines=((3.0, 1.0),), gap_nu0=2.5)
-    val = dsp.build_nondispersive(density, 1.0)
-    assert isinstance(val, float)
-    assert val == pytest.approx(1.25, rel=1e-14)
+    _, row = _nondispersive_rows(dsp.OscillatorDensity(lines=((3.0, 1.0),)), 1.0)
+    assert row.imag == 0.0
+    assert row.real + 2.0 / _ND_GRID.h**2 == pytest.approx(1.25, rel=1e-14)
 
 
 def test_build_nondispersive_vacuum():
-    assert dsp.build_nondispersive(dsp.OscillatorDensity(gap_nu0=2.0), 1.0) == 1.0
+    rows = _nondispersive_rows(dsp.OscillatorDensity(), 1.0)
+    assert np.array_equal(rows, [1.0 - 2.0 / _ND_GRID.h**2])
 
 
 def test_build_nondispersive_requires_gap():
-    density = dsp.OscillatorDensity(lines=((3.0, 1.0),), gap_nu0=0.0)
-    with pytest.raises(DomainError):
-        dsp.build_nondispersive(density, 1.0)
+    # omega0 must be > 0, and the lowest line lies above it
+    density = dsp.OscillatorDensity(lines=((3.0, 1.0), (5.0, 1.0)))
+    for omega0 in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError) as info:
+            _nondispersive_rows(density, omega0)
+        assert info.type is DomainError
+    with pytest.raises(GapViolationError):
+        _nondispersive_rows(density, 3.0)
 
 
 def test_build_nondispersive_rejects_lorentz():
-    density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.1),), gap_nu0=1.5)
+    density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.1),))
     with pytest.raises(GapViolationError):
-        dsp.build_nondispersive(density, 1.0)
+        _nondispersive_rows(density, 1.0)
 
 
 def test_build_nondispersive_rejects_line_in_gap():
-    density = dsp.OscillatorDensity(lines=((1.2, 1.0),), gap_nu0=2.0)
+    density = dsp.OscillatorDensity(lines=((1.2, 1.0), (4.0, 1.0)))
     with pytest.raises(GapViolationError):
-        dsp.build_nondispersive(density, 1.5)
+        _nondispersive_rows(density, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +471,6 @@ def test_load_medium_round_trip(tmp_path):
             "interval": [0.2, 0.8],
             "lorentz": [{"wp": 1.0, "w1": 2.0, "gamma": 0.1}],
             "lines": [{"nu": 5.0, "weight": 0.5}],
-            "gap_nu0": 0.0,
         }],
     }))
     m = dsp.load_medium(str(path))

@@ -25,7 +25,7 @@ def slab_model():
 
 
 def line_slab_model():
-    density = dsp.OscillatorDensity(lines=((4.0, 1.0),), gap_nu0=3.5)
+    density = dsp.OscillatorDensity(lines=((4.0, 1.0),))
     return dsp.PermittivityModel(layers=((0.25, 0.75, density),))
 
 
@@ -392,16 +392,37 @@ def test_diagonal_batch_bit_identical_to_per_point_loop(model):
 
 
 def test_nondispersive_diagonal_batch_bit_identical_to_per_point_loop():
+    # eps(x, omega0) at the real omega0 = 1, point by point
     m = line_slab_model()
     g = hh.Grid1D(L=1.0, N=32)
     z = np.array([1.0 + 0.5j, -3.0 + 2.0j, 7.5 + 0.1j])
+    omega0 = np.array([1.0 + 0.0j])
     eps_d = np.array([
-        m.background + dsp.build_nondispersive(m.density_at(x), 1.0) - 1.0
+        (dsp.density_eval_array(m.density_at(x), omega0)[0] + complex(m.background)).real
         for x in g.points
     ])
     diag = hh.diagonal_batch(g, m, "nondispersive", z, omega0=1.0)
     assert diag.flags.f_contiguous
     assert np.array_equal(diag, (z * z)[:, None] * eps_d[None, :] - 2.0 / g.h**2)
+
+
+@given(lines=st.lists(st.tuples(st.floats(0.5, 50.0), st.floats(1e-3, 10.0)),
+                      min_size=1, max_size=5),
+       fraction=st.floats(0.01, 0.999),
+       z=st.complex_numbers(max_magnitude=20.0).filter(lambda z: z.imag >= 0))
+def test_nondispersive_row_is_the_line_sum_below_the_lowest_line(lines, fraction, z):
+    # lines only, omega0 below the lowest: eps_d = 1 + sum 2 w / (nu^2 - omega0^2)
+    omega0 = fraction * min(nu for nu, _ in lines)
+    g = hh.Grid1D(L=1e3, N=8)
+    m = dsp.PermittivityModel(layers=((0.0, g.L, dsp.OscillatorDensity(lines=tuple(lines))),))
+    rows, index = hh.diagonal_rows(g, m, "nondispersive", [z, 1.0], omega0=omega0)
+    assert rows.shape == (2, 2) and np.all(index == 1)
+    eps_d = 1.0 + sum(2.0 * w / (nu * nu - omega0 * omega0) for nu, w in lines)
+    u = np.finfo(float).eps
+    tol = (len(lines) + 4) * u * (abs(z) ** 2 * eps_d + 2.0 / g.h**2)
+    assert abs(rows[1, 0] - (z * z * eps_d - 2.0 / g.h**2)) <= tol
+    # at z = 1 the row is eps_d - 2/h^2, with 2/h^2 = 1.6e-4
+    assert rows[1, 1].imag == 0.0 and rows[1, 1].real + 2.0 / g.h**2 >= 1.0
 
 
 def _slab_eps(x, z):

@@ -209,9 +209,10 @@ def test_kk_reconstruct_green_cavity():
     p = sp.gaussian_probe(g, 0.5, 0.1)
     sd = sp.d_density(model, g, p, p, 40.0, 32001, 0.02)
     z = 5j
-    recon = sp.kk_reconstruct_green(sd, g, p, p, z)
+    recon, grid_term = sp.kk_reconstruct_green(sd, g, p, p, z)
     direct = hh.coefficient(g, hh.assemble(g, model, z), p, p)
     assert abs(recon - direct) / abs(direct) < 5e-3
+    assert 0.0 < grid_term < 5e-3 * abs(direct)
 
 
 def test_kk_reconstruct_needs_margin():

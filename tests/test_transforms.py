@@ -288,11 +288,6 @@ def test_kk_kernel_integral_zero_samples():
     assert tr.kk_kernel_integral(5.0, np.zeros(1001), 1j) == 0.0
 
 
-def test_kk_kernel_integral_warns_when_underresolved():
-    with pytest.warns(UserWarning):
-        tr.kk_kernel_integral(5.0, np.ones(21), 0.1j)
-
-
 # The test keeps the name of the scipy replica the uniform rule replaced;
 # the two now agree to rounding, not bit for bit.
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 64000, 64001])
