@@ -133,12 +133,12 @@ def _probe_of(cfg, grid, modes=None):
     return modes.modes[:, config.index(mode, "probe.mode_index", grid.N)]
 
 
-def _contour_of(cfg, where="contour"):
+def _contour_of(cfg, rtol, where="contour"):
     eta, omega_max, n_points = config.fields(cfg, where, ("eta", "omega_max", "n_points"))
     return transforms.ContourSpec(
         eta=config.number(eta, f"{where}.eta"),
         omega_max=config.number(omega_max, f"{where}.omega_max"),
-        n_points=config.count(n_points, f"{where}.n_points"))
+        n_points=config.count(n_points, f"{where}.n_points"), rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +290,20 @@ def cmd_causality(cfg, seed):
         "t_negative": [-3.0, -2.0, -1.0], "t_positive": [0.5, 1.0, 2.0, 4.0]})
     model = dispersion.load_medium(medium)
     grid = _grid_of(grid)
-    contour = _contour_of(contour)
+    tol = _tolerances_of(tol, {"suppression": 1e-6})
+    # n_points is a cap: each inversion doubles its nested trapezoid rule
+    # until it is converged far below the suppression gate and below the
+    # 1e-6 reality gate that the positive times feed; a negative-time
+    # inversion measures its convergence against the positive peak
+    rtol = 1e-3 * min(tol["suppression"], 1e-6)
+    contour = _contour_of(contour, rtol)
     # negative times are contour-height independent, so a taller contour may
     # be supplied there purely to suppress window-truncation noise
-    contour_neg = contour if contour_neg is None else _contour_of(contour_neg, "contour_negative")
+    contour_neg = (contour if contour_neg is None
+                   else _contour_of(contour_neg, rtol, "contour_negative"))
     x = grid.L / 2 if x is None else config.number(x, "x")
+    if not 0.0 <= x <= grid.L:
+        raise ConfigError(f"x must lie in [0, {grid.L}]")
     x_index = grid.N // 4 if x_index is None else config.index(x_index, "x_index", grid.N)
     taper = config.number(taper, "taper")
     if taper < 0:
@@ -305,13 +314,6 @@ def cmd_causality(cfg, seed):
     t_pos = config.numbers(t_pos, "t_positive")
     if any(t >= 0 for t in t_neg):
         raise ConfigError("t_negative must contain negative times only")
-    tol = _tolerances_of(tol, {"suppression": 1e-6})
-    # n_points is a cap: each inversion doubles its nested trapezoid rule
-    # until it is converged far below the suppression gate and below the
-    # 1e-6 reality gate that the positive times feed; a negative-time
-    # inversion measures its convergence against the positive peak
-    rtol = 1e-3 * min(tol["suppression"], 1e-6)
-    contour = dataclasses.replace(contour, rtol=rtol)
 
     report = Report()
 
@@ -320,7 +322,7 @@ def cmd_causality(cfg, seed):
         is the negative-time maximum relative to that peak."""
         pos, est_p = invert(t_pos, contour)
         peak = max(float(np.max(np.abs(pos))), 1e-300)
-        neg, est_n = invert(t_neg, dataclasses.replace(contour_neg, rtol=rtol, scale=peak))
+        neg, est_n = invert(t_neg, dataclasses.replace(contour_neg, scale=peak))
         report.zero(check_id, {"t_negative": t_neg}, float(np.max(np.abs(neg))) / peak,
                     tol["suppression"], est_n / peak)
         return pos, est_p, peak

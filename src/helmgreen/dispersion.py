@@ -348,15 +348,10 @@ def susceptibility(model, x, t_grid, contour):
     """Time-domain susceptibility chi(x, t) by contour inversion.
 
     Inverts eps(x, z) - eps_b along the horizontal line Im z = eta of the
-    `transforms.ContourSpec` `contour` (unused where x is in vacuum).
-    Returns (values, error_estimate); values are real up to the estimate
-    and vanish for t < 0 (causality).
+    `transforms.ContourSpec` `contour`. Returns (values, error_estimate);
+    values are real up to the estimate and vanish for t < 0 (causality).
     """
     density = model.density_at(x)
-    if density.is_vacuum:
-        t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-        return np.zeros_like(t), 0.0
-
     values, est = transforms.laplace_invert(
         lambda z: density_eval_array(density, z), contour, t_grid)
     return values.real, est + float(np.max(np.abs(values.imag)))

@@ -118,7 +118,10 @@ def gaussian_probe(grid, center, width):
     if width <= 0:
         raise DomainError("probe width must be > 0")
     x = grid.points
-    return np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    probe = np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    if not probe.any():
+        raise DomainError(f"gaussian probe at {center} is 0 on every grid point")
+    return probe
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 class ContourSpec:
     """Horizontal contour Im z = eta, window |Re z| <= omega_max.
 
-    Without `rtol` the trapezoid rule takes `n_points` nodes. With it,
-    `n_points` is a cap: `laplace_invert` doubles a nested rule until two
-    levels agree to rtol * max(scale, largest value).
+    `n_points` caps a nested rule of at least two levels: `laplace_invert`
+    doubles it until two levels agree to rtol * max(scale, largest value).
     """
 
     eta: float
     omega_max: float
     n_points: int
-    rtol: float | None = None
+    rtol: float
     scale: float = 0.0
 
     def __post_init__(self):
@@ -42,23 +41,22 @@ class ContourSpec:
             raise ConfigError("contour height eta must be > 0")
         if self.omega_max <= 0:
             raise ConfigError("contour half-width must be > 0")
-        if self.n_points < 16:
-            raise ConfigError("contour needs at least 16 points")
-        if self.rtol is not None and not self.rtol > 0:
+        if self.n_points < 2 * _FIRST + 1:
+            raise ConfigError(f"contour needs at least {2 * _FIRST + 1} points")
+        if not self.rtol > 0:
             raise ConfigError("contour tolerance rtol must be > 0")
         if not self.scale >= 0:
             raise ConfigError("contour scale must be >= 0")
 
 
 def _levels(contour):
-    """Node counts 2^j * _FIRST + 1 up to the cap, or [n_points] alone
-    without a tolerance or when fewer than two levels fit under the cap."""
+    """Node counts 2^j * _FIRST + 1 up to the cap, at least two."""
     levels = []
     n = _FIRST + 1
-    while contour.rtol is not None and n <= contour.n_points:
+    while n <= contour.n_points:
         levels.append(n)
         n = 2 * n - 1
-    return levels if len(levels) > 1 else [contour.n_points]
+    return levels
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,7 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     the working arrays here and in the sampler scale with the block, not
     with `contour.n_points`; only a level's nodes span the level.
 
-    Without `contour.rtol` the trapezoid rule runs on `contour.n_points`
-    nodes. With it, the rule runs on nested levels of 2^j * 1024 + 1 nodes
+    The trapezoid rule runs on nested levels of 2^j * 1024 + 1 nodes
     (Trefethen & Weideman, SIAM Review 56, 2014: the rule converges
     geometrically in a strip of analyticity). Each level samples only the
     midpoints of the last, S_{j+1} = S_j / 2 + h_{j+1} sum_new f e^{-i omega t},
@@ -99,19 +96,16 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     trading a small time smearing (~ sqrt(taper)/Omega) for exponentially
     suppressed truncation ringing.
 
-    Returns (values, error_estimate). The estimate combines the window
-    tail (assuming ~1/omega^2 decay of the sampler) with the exp(eta t)
-    amplification at the latest requested time. On nested levels it adds
-    the last nested difference and the rounding bound
-    gamma_n sum |w f| exp(eta t) / (2 pi) of the n sampled nodes, with
-    gamma_n = n u (Higham, Accuracy and Stability, section 3.1).
+    Returns (values, error_estimate). The estimate is the window tail
+    (assuming ~1/omega^2 decay of the sampler) times the exp(eta t) growth
+    at the latest requested time, plus the last nested difference and the
+    rounding bound gamma_n sum |w f| exp(eta t) / (2 pi) of the n sampled
+    nodes, gamma_n = n u (Higham, Accuracy and Stability, section 3.1).
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    levels = _levels(contour)
-    nested = len(levels) > 1
     big = contour.omega_max
     peak, values, acc, abs_sum = 0.0, None, 0.0, 0.0
-    for j, n in enumerate(levels):
+    for j, n in enumerate(_levels(contour)):
         h = 2.0 * big / (n - 1)
         omega = np.linspace(-big, big, n)
         if j > 0:
@@ -125,11 +119,9 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
             peak = max(peak, float(np.max(np.abs(f))))
             w = np.full(block.size, h)
             if j == 0:
-                # the window ends: their samples before the taper, half weights
-                if lo == 0:
-                    edge, w[0] = abs(f[0]), 0.5 * h
-                if lo + _BLOCK >= n:
-                    edge, w[-1] = max(edge, abs(f[-1])), 0.5 * h
+                # level 0 is one block: the window ends, sampled before the taper, half weights
+                edge = max(abs(f[0]), abs(f[-1]))
+                w[[0, -1]] = 0.5 * h
             if taper > 0:
                 f = f * np.exp(-taper * (block / big) ** 2)
             f = w * f
@@ -151,10 +143,7 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     if taper > 0:
         tail *= math.exp(-taper)
     grow = float(np.exp(contour.eta * np.max(t)))
-    estimate = tail * grow
-    if nested:
-        estimate += diff + n * _UNIT_ROUNDOFF * abs_sum * grow / (2.0 * math.pi)
-    return values, estimate
+    return values, tail * grow + (diff + n * _UNIT_ROUNDOFF * abs_sum * grow / (2.0 * math.pi))
 
 
 def cauchy_loop(sampler, loop):

@@ -12,6 +12,7 @@ import numpy as np
 from helmgreen import freespace as fs
 from helmgreen import helmholtz as hh
 from helmgreen import spectral as sp
+from helmgreen import transforms as tr
 from helmgreen.errors import DomainError
 
 
@@ -149,6 +150,57 @@ def tensor_coefficient(phi, psi, z, quad=None):
     edge = math.exp(-((k_max - float(np.linalg.norm(phi.center))) ** 2) / (2.0 * phi.width**2))
     tail = edge * max(abs(value), fs.norm_sq(phi) ** 0.5 * fs.norm_sq(psi) ** 0.5)
     return value, tail
+
+
+def trapezoid(omega_max, n):
+    """The fixed rule's nodes and weights on [-omega_max, omega_max]:
+    spacing h = 2 omega_max / (n - 1), halved at both ends of the window."""
+    omega = np.linspace(-omega_max, omega_max, n)
+    w = np.full(n, 2.0 * omega_max / (n - 1))
+    w[[0, -1]] *= 0.5
+    return omega, w
+
+
+def laplace_invert(sampler, contour, t_grid, taper=0.0, levels=None):
+    """`transforms.laplace_invert` less its window check, with one sampler
+    call on all new nodes of a level: the same taper, weights, sums over
+    chunks of `tr._BLOCK` nodes, stopping rule and estimate.
+
+    `levels` defaults to [contour.n_points], the fixed trapezoid rule on
+    n_points nodes (its estimate has no nested difference);
+    `tr._levels(contour)` gives the nested rule, which then matches
+    `laplace_invert` bit for bit.
+    """
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    big = contour.omega_max
+    acc, abs_sum, diff, values = 0.0, 0.0, 0.0, None
+    for j, n in enumerate(levels or [contour.n_points]):
+        omega, w = trapezoid(big, n)
+        if j > 0:
+            omega, w = omega[1::2], np.full(n // 2, w[1])
+        f = np.asarray(sampler(omega + 1j * contour.eta), dtype=np.complex128)
+        if j == 0:
+            edge = max(abs(f[0]), abs(f[-1]))
+        if taper > 0:
+            f = f * np.exp(-taper * (omega / big) ** 2)
+        part, wf = np.zeros(t.shape, dtype=np.complex128), 0.0
+        for lo in range(0, omega.size, tr._BLOCK):
+            hi = lo + tr._BLOCK
+            wfi = w[lo:hi] * f[lo:hi]
+            wf += float(np.sum(np.abs(wfi)))
+            part += np.exp(-1j * np.outer(t, omega[lo:hi])) @ wfi
+        acc = 0.5 * acc + part
+        abs_sum = 0.5 * abs_sum + wf
+        previous, values = values, np.exp(contour.eta * t) * acc / (2.0 * math.pi)
+        if j > 0:
+            diff = float(np.max(np.abs(values - previous)))
+            if diff <= contour.rtol * max(contour.scale, float(np.max(np.abs(values)))):
+                break
+    tail = edge * big / (2.0 * math.pi)
+    if taper > 0:
+        tail *= math.exp(-taper)
+    grow = float(np.exp(contour.eta * np.max(t)))
+    return values, tail * grow + (diff + n * tr._UNIT_ROUNDOFF * abs_sum * grow / (2.0 * math.pi))
 
 
 def lorentz_susceptibility_exact(wp, w1, gamma, t):

@@ -204,8 +204,8 @@ def test_acceptance_08_mode_weights():
 def test_acceptance_09_causality():
     t_neg = [-3.0, -2.0, -1.0]
     t_pos = [0.5, 1.0, 2.0, 4.0]
-    pos = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000)
-    neg = tr.ContourSpec(eta=12.0, omega_max=400.0, n_points=200000)
+    pos = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000, rtol=1e-9)
+    neg = tr.ContourSpec(eta=12.0, omega_max=400.0, n_points=200000, rtol=1e-9)
     grid = hh.Grid1D(L=1.0, N=64)
     ratios = {}
 
@@ -215,7 +215,7 @@ def test_acceptance_09_causality():
     ratios["chi"] = np.max(np.abs(chi_n)) / np.max(np.abs(chi_p))
 
     lines = dsp.load_medium(str(MEDIA / "gapped_lines.json"))
-    chi_p, _ = dsp.susceptibility(lines, 0.5, t_pos, tr.ContourSpec(0.5, 400.0, 200000))
+    chi_p, _ = dsp.susceptibility(lines, 0.5, t_pos, tr.ContourSpec(0.5, 400.0, 200000, rtol=1e-9))
     chi_n, _ = dsp.susceptibility(lines, 0.5, t_neg, neg)
     ratios["chi_lines"] = np.max(np.abs(chi_n)) / np.max(np.abs(chi_p))
 
@@ -230,7 +230,7 @@ def test_acceptance_09_causality():
     ratios["field"] = np.max(np.abs(f_n)) / np.max(np.abs(f_p))
 
     # non-dispersive medium built from the gapped line density
-    nd_pos = tr.ContourSpec(eta=0.5, omega_max=400.0, n_points=200000)
+    nd_pos = tr.ContourSpec(eta=0.5, omega_max=400.0, n_points=200000, rtol=1e-9)
     f_p, _ = sp.time_domain_field(lines, grid, src, 1.0, 47, t_pos, nd_pos,
                                   kind="nondispersive", omega0=1.0, taper=16.0)
     f_n, _ = sp.time_domain_field(lines, grid, src, 1.0, 47, t_neg, neg,
@@ -248,7 +248,7 @@ def test_acceptance_09_causality():
     assert t_cut > 0
     t_early = np.linspace(0.02, t_cut, 8)
     t_late = np.linspace(dist, 6.0, 200)
-    cvac = tr.ContourSpec(eta=0.5, omega_max=600.0, n_points=300000)
+    cvac = tr.ContourSpec(eta=0.5, omega_max=600.0, n_points=300000, rtol=1e-9)
     f_e, _ = sp.time_domain_field(vacuum, grid, src, 1.0, x_index, t_early, cvac,
                                   taper=16.0)
     f_l, _ = sp.time_domain_field(vacuum, grid, src, 1.0, x_index, t_late, cvac,

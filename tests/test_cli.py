@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -410,7 +409,7 @@ def test_causality_contours_sample_each_node_once_and_stop_early(tmp_path, capsy
             return sampler(z)
 
         values, est = invert(sampled, contour, t_grid, taper)
-        fixed, _ = invert(sampler, dataclasses.replace(contour, rtol=None), t_grid, taper)
+        fixed, _ = oracles.laplace_invert(sampler, contour, t_grid, taper)
         runs.append((contour, blocks, values, est, fixed))
         return values, est
 
@@ -654,8 +653,8 @@ SMALL = {
     },
     "causality": {
         "medium": str(SLAB_PATH), "grid": {"L": 1.0, "N": 16}, "x": 0.5,
-        "contour": {"eta": 0.1, "omega_max": 400.0, "n_points": 2000},
-        "contour_negative": {"eta": 12.0, "omega_max": 400.0, "n_points": 2000},
+        "contour": {"eta": 0.1, "omega_max": 400.0, "n_points": 2049},
+        "contour_negative": {"eta": 12.0, "omega_max": 400.0, "n_points": 2049},
         "source": {"omega_s": 1.0, "center": 0.3, "width": 0.05},
         "x_index": 11, "taper": 16.0, "t_negative": [-3.0, -1.0], "t_positive": [0.5, 2.0],
         "tolerances": {"suppression": 1e-6},
@@ -736,6 +735,11 @@ MALFORMED = [
     ("causality", ("source", "center"), DROP),
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
+    ("causality", ("contour", "n_points"), 2048),
+    ("causality", ("contour_negative", "n_points"), 2048),
+    ("causality", ("source", "center"), 5.0),
+    ("causality", ("x",), 5.0),
+    ("causality", ("x",), -0.5),
     ("causality", ("taper",), "x"),
     ("causality", ("taper",), -16),
     ("causality", ("t_negative", 1), "y"),
@@ -747,6 +751,7 @@ MALFORMED = [
     ("analyticity", ("loops", 0, "z_lo", "re"), "x"),
     ("analyticity", ("loops", 2, "bloch_k", "im"), "x"),
     ("analyticity", ("probe",), {"point_index": 99}),
+    ("analyticity", ("probe", "gaussian", "center"), 5.0),
     ("analyticity", ("loops", 1, "fixed_z", "im"), -1.0),
     ("analyticity", ("loops", 1, "fixed_z", "im"), 0.0),
     ("analyticity", ("grid", "boundary"), "bloch"),

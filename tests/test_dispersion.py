@@ -391,21 +391,24 @@ def test_sum_rule():
 def test_susceptibility_matches_exact_lorentz():
     m = lorentz_model(wp=1.0, w1=2.0, gamma=0.2)
     t = np.array([0.3, 1.0, 2.5, 5.0])
-    chi, est = dsp.susceptibility(m, 0.5, t, tr.ContourSpec(0.1, 800.0, 40000))
+    chi, est = dsp.susceptibility(m, 0.5, t, tr.ContourSpec(0.1, 800.0, 40000, rtol=1e-9))
     exact = oracles.lorentz_susceptibility_exact(1.0, 2.0, 0.2, t)
     assert np.max(np.abs(chi - exact)) < 1e-5
 
 
 def test_susceptibility_causal():
     m = lorentz_model(wp=1.0, w1=2.0, gamma=0.2)
-    contour = tr.ContourSpec(eta=10.0, omega_max=400.0, n_points=100000)
+    contour = tr.ContourSpec(eta=10.0, omega_max=400.0, n_points=100000, rtol=1e-9)
     chi, _ = dsp.susceptibility(m, 0.5, [-2.0, -1.0], contour)
     assert np.max(np.abs(chi)) < 1e-8
 
 
 def test_susceptibility_vacuum_zero():
-    chi, est = dsp.susceptibility(dsp.PermittivityModel(), 0.5, [1.0, 2.0], None)
-    assert np.all(chi == 0.0) and est == 0.0
+    # a zero sampler stops at the second level, its values and estimate 0
+    for contour in (tr.ContourSpec(0.1, 400.0, 200000, rtol=1e-9),
+                    tr.ContourSpec(12.0, 400.0, 200000, rtol=1e-9, scale=1e-300)):
+        chi, est = dsp.susceptibility(dsp.PermittivityModel(), 0.5, [-1.0, 1.0, 2.0], contour)
+        assert np.all(chi == 0.0) and est == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -233,8 +234,8 @@ def test_x_operator_causal_and_real():
     density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))
     model = dsp.PermittivityModel(layers=((0.25, 0.75, density),))
     p = sp.gaussian_probe(g, 0.5, 0.08)
-    pos = tr.ContourSpec(eta=0.1, omega_max=300.0, n_points=120000)
-    neg = tr.ContourSpec(eta=10.0, omega_max=300.0, n_points=120000)
+    pos = tr.ContourSpec(eta=0.1, omega_max=300.0, n_points=120000, rtol=1e-9)
+    neg = tr.ContourSpec(eta=10.0, omega_max=300.0, n_points=120000, rtol=1e-9)
     xp, _ = sp.x_operator_coefficient(model, g, p, p, [0.5, 1.0, 2.0], pos)
     xn, _ = sp.x_operator_coefficient(model, g, p, p, [-2.0, -1.0], neg)
     peak = np.max(np.abs(xp))
@@ -242,27 +243,43 @@ def test_x_operator_causal_and_real():
     assert np.max(np.abs(xp.imag)) / peak < 1e-10
 
 
-def test_under_resolved_contour_estimate_covers_its_error():
-    # 8193 nodes cannot resolve the x-operator coefficient of the shipped
-    # slab at eta = 0.1: the nested rule hits its cap unconverged, and its
-    # estimate must then be at least the error against a resolved rule
+def _shipped_causality_inversion(quantity, contour):
+    """chi, the x-operator coefficient or the field of the shipped
+    causality config at its positive times, on `contour`."""
     model = dsp.load_medium(str(MEDIA / "lorentz_slab.json"))
     grid = hh.Grid1D(L=1.0, N=64)
-    probe = sp.gaussian_probe(grid, 0.5, 1.0 / 16.0)
     t = [0.5, 1.0, 2.0, 4.0]
-    coarse = tr.ContourSpec(0.1, 400.0, 8193, rtol=1e-9)
-    got, est = sp.x_operator_coefficient(model, grid, probe, probe, t, coarse)
-    ref, _ = sp.x_operator_coefficient(model, grid, probe, probe, t,
-                                       tr.ContourSpec(0.1, 400.0, 131073))
+    if quantity == "chi":
+        return dsp.susceptibility(model, 0.5, t, contour)
+    if quantity == "x_operator":
+        probe = sp.gaussian_probe(grid, 0.5, 1.0 / 16.0)
+        return sp.x_operator_coefficient(model, grid, probe, probe, t, contour)
+    src = sp.gaussian_probe(grid, 0.3, 0.05)
+    return sp.time_domain_field(model, grid, src, 1.0, 47, t, contour, taper=16.0)
+
+
+@functools.cache
+def _resolved_causality_inversion(quantity):
+    return _shipped_causality_inversion(quantity, tr.ContourSpec(0.1, 400.0, 131073, rtol=1e-12))[0]
+
+
+@pytest.mark.parametrize("quantity", ["chi", "x_operator", "field"])
+@pytest.mark.parametrize("cap", [2049, 4097, 8193])
+def test_under_resolved_contour_estimate_covers_its_error(cap, quantity):
+    # these caps cannot resolve the shipped slab at eta = 0.1: the nested
+    # rule hits its cap unconverged, and its estimate must then be at least
+    # the error against a resolved rule
+    got, est = _shipped_causality_inversion(quantity, tr.ContourSpec(0.1, 400.0, cap, rtol=1e-9))
+    ref = _resolved_causality_inversion(quantity)
     error = float(np.max(np.abs(got - ref)))
-    assert error > 1e-4 * np.max(np.abs(ref))
+    assert error > 1e-6 * np.max(np.abs(ref))
     assert est >= error
 
 
 def test_time_domain_field_zero_source():
     g = hh.Grid1D(L=1.0, N=48)
     model = dsp.PermittivityModel()
-    c = tr.ContourSpec(eta=1.0, omega_max=200.0, n_points=50000)
+    c = tr.ContourSpec(eta=1.0, omega_max=200.0, n_points=50000, rtol=1e-9)
     vals, _ = sp.time_domain_field(model, g, np.zeros(48), 1.0, 10, [0.5, 1.0], c)
     assert np.all(vals == 0.0)
 
@@ -399,26 +416,24 @@ def test_coefficient_sweep_rejects_bloch_grid(model):
 
 
 def test_time_domain_field_memory_does_not_scale_with_contour():
-    # the shipped causality size: N=64 over 200k contour nodes, on the fixed
-    # rule and on the nested one. The sampler sees one block of nodes at a
-    # time and builds no (block, N) array, and laplace_invert keeps no array
-    # of a level's length but its nodes, so the peak is those nodes plus a
-    # few (block,) vectors (4.9 MiB measured on the fixed rule), not four
-    # (200k, N) arrays (about 800 MiB), the (block, N) arrays of a full
+    # the shipped causality size: N=64 under a cap of 200k contour nodes.
+    # The sampler sees one block of nodes at a time and builds no (block, N)
+    # array, and laplace_invert keeps no array of a level's length but its
+    # nodes, so the peak is those nodes plus a few (block,) vectors (3.9 MiB
+    # measured), not four (200k, N) arrays (about 800 MiB), the (block, N) arrays of a full
     # batched solve (90 MiB) or level-length samples and weights (15 MiB)
     model = dsp.load_medium(str(Path(__file__).resolve().parents[1] / "media"
                                 / "lorentz_slab.json"))
     grid = hh.Grid1D(L=1.0, N=64)
     src = sp.gaussian_probe(grid, 0.3, 0.05)
-    for rtol in (None, 1e-9):
-        contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000, rtol=rtol)
-        tracemalloc.start()
-        try:
-            sp.time_domain_field(model, grid, src, 1.0, 47, [0.5, 1.0], contour, taper=16.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, rtol
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000, rtol=1e-9)
+    tracemalloc.start()
+    try:
+        sp.time_domain_field(model, grid, src, 1.0, 47, [0.5, 1.0], contour, taper=16.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +496,7 @@ def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
         return np.zeros(len(t_grid), dtype=complex), 0.0
 
     monkeypatch.setattr(tr, "laplace_invert", keep_sampler)
-    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2001)
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2049, rtol=1e-9)
     sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour,
                          kind=kind, omega0=omega0)
     for eta in (0.1, 12.0):

@@ -10,44 +10,38 @@ import oracles
 
 
 def test_contour_nodes_trapezoid():
-    # the oracle's fixed rule, which laplace_invert must reproduce bit for bit
-    omega, w = _trapezoid(tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=21))
+    # the oracle's fixed rule, which the nested levels refine
+    omega, w = oracles.trapezoid(10.0, 21)
     assert omega[0] == -10.0 and omega[-1] == 10.0
     assert np.sum(w) == pytest.approx(20.0, rel=1e-13)
 
 
 def test_contour_validation():
     with pytest.raises(ConfigError):
-        tr.ContourSpec(eta=0.0, omega_max=1.0, n_points=100)
+        tr.ContourSpec(eta=0.0, omega_max=1.0, n_points=4097, rtol=1e-9)
     with pytest.raises(ConfigError):
-        tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=4)
+        tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=4, rtol=1e-9)
 
 
 def test_contour_tolerance_validation():
     for bad in (0.0, -1e-9, math.nan):
         with pytest.raises(ConfigError):
-            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=100, rtol=bad)
+            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=2049, rtol=bad)
     for bad in (-1.0, math.nan):
         with pytest.raises(ConfigError):
-            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=100, rtol=1e-9, scale=bad)
+            tr.ContourSpec(eta=1.0, omega_max=1.0, n_points=2049, rtol=1e-9, scale=bad)
 
 
 def test_nested_levels_double_up_to_the_cap():
-    assert tr._levels(tr.ContourSpec(0.1, 400.0, 200000)) == [200000]
     assert tr._levels(tr.ContourSpec(0.1, 400.0, 200000, rtol=1e-9)) == [
         2**j * tr._FIRST + 1 for j in range(8)]
-    # one level under the cap is no nested rule: the cap alone is used
-    assert tr._levels(tr.ContourSpec(0.1, 400.0, 2048, rtol=1e-9)) == [2048]
     assert tr._levels(tr.ContourSpec(0.1, 400.0, 2049, rtol=1e-9)) == [1025, 2049]
 
 
-def test_one_level_under_the_cap_matches_the_fixed_rule():
-    t = np.array([-1.0, 0.5, 2.0])
-    fixed = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2000)
-    capped = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2000, rtol=1e-9)
-    a, a_est = tr.laplace_invert(_oscillator, fixed, t, taper=16.0)
-    b, b_est = tr.laplace_invert(_oscillator, capped, t, taper=16.0)
-    assert np.array_equal(a, b) and a_est == b_est
+def test_a_cap_under_two_levels_is_a_config_error():
+    with pytest.raises(ConfigError, match="2049"):
+        tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2048, rtol=1e-9)
+    assert tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2049, rtol=1e-9).n_points == 2049
 
 
 @pytest.mark.parametrize("taper", [0.0, 16.0])
@@ -68,7 +62,9 @@ def test_nested_rule_samples_new_midpoints_only(taper):
     assert n in tr._levels(contour) and n < contour.n_points
     expect = np.linspace(-400.0, 400.0, n) + 0.1j
     assert np.array_equal(np.sort_complex(z), np.sort_complex(expect))
-    fixed, _ = tr.laplace_invert(_oscillator, tr.ContourSpec(0.1, 400.0, n), t, taper=taper)
+    # against the fixed rule on those n nodes
+    fixed, _ = oracles.laplace_invert(_oscillator, tr.ContourSpec(0.1, 400.0, n, rtol=1e-9),
+                                      t, taper=taper)
     assert np.max(np.abs(vals - fixed)) <= 1e-12 * np.max(np.abs(fixed))
     assert np.max(np.abs(vals - fixed)) <= est
 
@@ -81,7 +77,7 @@ def test_laplace_invert_damped_oscillator():
     def sampler(z):
         return 1.0 / (w1 * w1 - z * z - 1j * gamma * z)
 
-    c = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000)
+    c = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=200000, rtol=1e-9)
     t = np.array([0.5, 1.0, 3.0])
     vals, est = tr.laplace_invert(sampler, c, t)
     exact = np.exp(-gamma * t / 2.0) * np.sin(wt * t) / wt
@@ -92,7 +88,7 @@ def test_laplace_invert_causal():
     def sampler(z):
         return 1.0 / (4.0 - z * z - 0.2j * z)
 
-    c = tr.ContourSpec(eta=10.0, omega_max=400.0, n_points=100000)
+    c = tr.ContourSpec(eta=10.0, omega_max=400.0, n_points=100000, rtol=1e-9)
     vals, _ = tr.laplace_invert(sampler, c, [-2.0, -1.0])
     assert np.max(np.abs(vals)) < 1e-8
 
@@ -102,8 +98,8 @@ def test_laplace_invert_eta_independent():
         return 1.0 / (4.0 - z * z - 0.2j * z)
 
     t = np.array([1.0, 2.0])
-    a, _ = tr.laplace_invert(sampler, tr.ContourSpec(0.05, 400.0, 200000), t)
-    b, _ = tr.laplace_invert(sampler, tr.ContourSpec(0.3, 400.0, 200000), t)
+    a, _ = tr.laplace_invert(sampler, tr.ContourSpec(0.05, 400.0, 200000, rtol=1e-9), t)
+    b, _ = tr.laplace_invert(sampler, tr.ContourSpec(0.3, 400.0, 200000, rtol=1e-9), t)
     assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -111,56 +107,25 @@ def test_laplace_invert_taper_suppresses_ringing():
     def sampler(z):
         return 1.0 / (4.0 - z * z - 0.2j * z)
 
-    c = tr.ContourSpec(eta=5.0, omega_max=100.0, n_points=50000)
+    c = tr.ContourSpec(eta=5.0, omega_max=100.0, n_points=50000, rtol=1e-9)
     bare, _ = tr.laplace_invert(sampler, c, [-1.0])
     tapered, _ = tr.laplace_invert(sampler, c, [-1.0], taper=16.0)
     assert abs(tapered[0]) < abs(bare[0])
 
 
 def test_laplace_invert_rejects_nondecaying():
-    c = tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=100)
+    c = tr.ContourSpec(eta=1.0, omega_max=10.0, n_points=2049, rtol=1e-9)
     with pytest.raises(NonDecayingIntegrandError):
         tr.laplace_invert(lambda z: np.ones_like(z), c, [1.0])
-
-
-def _trapezoid(contour):
-    """The fixed rule's nodes and weights: spacing h = 2 omega_max / (n - 1),
-    halved at both ends of the window."""
-    n = contour.n_points
-    omega = np.linspace(-contour.omega_max, contour.omega_max, n)
-    w = np.full(n, 2.0 * contour.omega_max / (n - 1))
-    w[[0, -1]] *= 0.5
-    return omega, w
-
-
-def _one_shot_laplace_invert(sampler, contour, t_grid, taper=0.0):
-    """laplace_invert on the fixed rule, less its window check: one sampler
-    call on every node, then the same taper, weights, sums over chunks of
-    `tr._BLOCK` nodes and estimate. Kept as the exactness oracle."""
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    omega, w = _trapezoid(contour)
-    f = np.asarray(sampler(omega + 1j * contour.eta), dtype=np.complex128)
-    edge = max(abs(f[0]), abs(f[-1]))
-    if taper > 0:
-        f = f * np.exp(-taper * (omega / contour.omega_max) ** 2)
-    acc = np.zeros(t.shape, dtype=np.complex128)
-    for lo in range(0, omega.size, tr._BLOCK):
-        hi = lo + tr._BLOCK
-        phase = np.exp(-1j * np.outer(t, omega[lo:hi]))
-        acc += phase @ (w[lo:hi] * f[lo:hi])
-    values = np.exp(contour.eta * t) * acc / (2.0 * math.pi)
-    tail = edge * contour.omega_max / (2.0 * math.pi)
-    if taper > 0:
-        tail *= math.exp(-taper)
-    return values, tail * float(np.exp(contour.eta * np.max(t)))
 
 
 def _oscillator(z):
     return 1.0 / (4.0 - z * z - 0.2j * z)
 
 
-# two full blocks and a short last one
-_BLOCKED = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2 * tr._BLOCK + 17)
+# a tolerance no level meets: the rule runs to the cap, whose last level
+# samples its 32768 midpoints in two full blocks
+_BLOCKED = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=4 * tr._BLOCK + 1, rtol=1e-12)
 
 
 @pytest.mark.parametrize("taper", [0.0, 16.0])
@@ -173,9 +138,10 @@ def test_laplace_invert_blocks_match_one_shot(taper):
 
     t = np.array([-1.0, 0.5, 2.0])
     vals, est = tr.laplace_invert(sampler, _BLOCKED, t, taper=taper)
-    assert max(sizes) <= tr._BLOCK
+    assert max(sizes) <= tr._BLOCK and sizes[-2:] == [tr._BLOCK, tr._BLOCK]
     assert sum(sizes) == _BLOCKED.n_points
-    expect, expect_est = _one_shot_laplace_invert(_oscillator, _BLOCKED, t, taper=taper)
+    expect, expect_est = oracles.laplace_invert(_oscillator, _BLOCKED, t, taper=taper,
+                                                levels=tr._levels(_BLOCKED))
     assert np.array_equal(vals, expect)
     assert est == expect_est
 
@@ -183,7 +149,7 @@ def test_laplace_invert_blocks_match_one_shot(taper):
 def test_laplace_invert_rejects_wrong_shape_on_last_block():
     def sampler(z):
         f = _oscillator(z)
-        return f if z.size == tr._BLOCK else f[:-1]
+        return f[:-1] if z.size == tr._BLOCK and z.real[0] > 0 else f
 
     with pytest.raises(ValueError):
         tr.laplace_invert(sampler, _BLOCKED, [1.0])
@@ -193,7 +159,8 @@ def test_laplace_invert_rejects_nondecaying_across_blocks():
     with pytest.raises(NonDecayingIntegrandError):
         tr.laplace_invert(lambda z: np.ones_like(z), _BLOCKED, [1.0])
 
-    # decays everywhere but on the last block, which holds the window edge
+    # decays everywhere but next to the upper window end, which the first
+    # level samples
     def sampler(z):
         return _oscillator(z) + 10.0 * (z.real > 399.0)
 
