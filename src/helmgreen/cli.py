@@ -253,8 +253,9 @@ def cmd_modes(cfg, seed):
     report = Report()
     model = dispersion.PermittivityModel(background=eps_const)
 
-    expansion, _ = spectral.mode_expansion_green(modes, z)
+    # the direct operator first: its gate refuses a z whose square overflows
     direct = helmholtz.green_matrix(grid, helmholtz.assemble(grid, model, z))
+    expansion, _ = spectral.mode_expansion_green(modes, z)
     identity_err = float(np.max(np.abs(expansion - direct)) / np.max(np.abs(direct)))
     report.zero("expansion_identity", {"M": grid.N, "z": [z.real, z.imag]}, identity_err,
                 tol["identity"])
@@ -424,6 +425,8 @@ def cmd_asymptotic(cfg, seed):
         rgrid = _grid_of(rgrid, "resolvent_ray.grid")
         omegas = config.numbers(omegas, "resolvent_ray.omegas")
         eta = config.number(eta, "resolvent_ray.eta")
+        if not (0.0 < eta * eta < math.inf and 1.0 / (eta * eta) < math.inf):
+            raise DomainError(f"resolvent_ray.eta = {eta:g}: the cap needs finite eta^2 and 1/eta^2")
     report = Report()
     for theta in thetas:
         defects, estimates = freespace.asymptotic_defect(unit, unit, moduli, theta)

@@ -117,44 +117,6 @@ def sine_modes(grid):
     return lam, S
 
 
-def uniform_permittivity(model, grid):
-    """The constant eps (model.background) of a medium none of whose
-    dispersive layers holds a grid point; None otherwise."""
-    densities, _ = _layer_index(model, grid.points)
-    return None if densities else float(model.background)
-
-
-def check_kind_domain(kind, z, xi, model, grid, omega0=None):
-    """Domain of each operator kind over arrays of z (and xi, or omega0),
-    and the grid each kind runs on."""
-    if kind in ("dispersive", "nondispersive"):
-        if np.any(z.imag < 0):
-            raise DomainError(f"{kind} operator requires Im z >= 0")
-        if kind == "dispersive":
-            if not model.damped and np.any(z.imag == 0):
-                raise DomainError("real-axis assembly requires a damped medium")
-        elif omega0 is None:
-            raise ConfigError("nondispersive kind requires omega0")
-        elif not omega0 > 0:
-            raise DomainError(f"nondispersive kind requires omega0 > 0, got {omega0}")
-        elif any(density.lorentz or min(density.lines)[0] <= omega0
-                 for density in _layer_index(model, grid.points)[0]):
-            raise GapViolationError(f"the nondispersive kind needs lines only, all above "
-                                    f"omega0 = {omega0}, in every density on the grid")
-    elif kind == "two_freq":
-        if np.any(z.imag <= 0) or np.any(xi.imag <= 0):
-            raise DomainError("two-frequency operator requires Im z > 0 and Im xi > 0")
-    elif kind == "bloch":
-        k = complex(grid.bloch_k)
-        if np.any(z.imag <= abs(k.imag)):
-            raise DomainError(f"Bloch operator requires Im z > |Im k| = {abs(k.imag)}")
-    else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-    boundary = "bloch" if kind == "bloch" else "dirichlet"
-    if grid.boundary != boundary:
-        raise ConfigError(f"{kind} kind requires a {boundary} grid")
-
-
 def assemble(grid, model, z):
     """The length-N diagonal of the dispersive operator at one z: the B = 1
     case of `diagonal_batch`, which also checks the domain. Every operator
@@ -210,6 +172,7 @@ def inverse_norm(grid, rows, index):
     the bracket's half-width is within the count's rounding gamma_2N (max|d| +
     2/h^2) (sigma_max u by Gershgorin) or its midpoint equals an endpoint. The
     estimate is that half-width plus the rounding, both times ||H^-1||^2.
+    DomainError when the count's pivot floor overflows (max|d| h^2 > ~1.3e154).
     """
     used = np.abs(rows[np.unique(index)])
     off = 1.0 / grid.h**2
@@ -236,9 +199,14 @@ def _count_below(off, rows, index, s):
     pivots [[a, b], [conj(b), a]] with eigenvalues a -+ |b|, a_i = -s - q a_{i-1},
     b_i = d_i + q conj(b_{i-1}) and q = off^2 / (a_{i-1}^2 - |b_{i-1}|^2); it runs in
     place in units of off on the real and imaginary parts of the distinct rows,
-    a determinant below pivmin set to -pivmin as in LAPACK dstebz."""
+    a determinant below pivmin set to -pivmin as in LAPACK dstebz; DomainError
+    when pivmin overflows."""
     re, im, neg_s, used = rows.real / off, rows.imag / off, -s / off, rows[np.unique(index)]
-    neg_pivmin = -np.finfo(float).tiny * (2.0 + np.max(np.abs(used), axis=0) / off) ** 2
+    with np.errstate(over="ignore"):
+        neg_pivmin = -np.finfo(float).tiny * (2.0 + np.max(np.abs(used), axis=0) / off) ** 2
+    if np.any(np.isinf(neg_pivmin)):
+        raise DomainError("the Sturm count's pivot floor overflows: max|d| h^2 reaches "
+                          f"{np.max(np.abs(used)) / off:.3g}")
     a, b_re, b_im, abs_b, low, high, q = np.zeros((7, *s.shape))
     count = np.full(s.shape, -len(index))
     for k in index:
@@ -279,8 +247,8 @@ def resolvent_difference_ray(model, grid, eta, omega_ladder):
 def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
     """Operator diagonals of any kind, one per z in the 1-D `z_array`, as
     the distinct rows of the `_layer_index` table; for two_freq, `xi` is
-    broadcast against `z_array`. Raises for z (and xi) outside the kind's
-    domain.
+    broadcast against `z_array`. The one operator gate: each kind checks its
+    domain, its grid and a finite z^2 (and xi^2) right before its formula.
 
     Returns (rows, index): rows of shape (K+1, B) and the length-N table
     row of each grid point, so the diagonal at point i is rows[index[i]].
@@ -288,24 +256,50 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
     module docstring.
     """
     z = np.asarray(z_array, dtype=np.complex128)
-    if kind == "two_freq":
-        if xi is None:
-            raise ConfigError("two_freq kind requires xi")
-        z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
-    check_kind_domain(kind, z, xi, model, grid, omega0)
-    if kind in ("dispersive", "bloch"):
+    if kind == "dispersive":
+        _gate(kind, grid, "dirichlet", np.all(z.imag > 0) or (model.damped and np.all(z.imag >= 0)),
+              "Im z > 0, or Im z >= 0 in a damped medium", z)
+        rows, index = _permittivity_table(model, grid.points, z)
+        np.multiply(z * z, rows, out=rows)
+    elif kind == "bloch":
+        k = abs(complex(grid.bloch_k).imag)
+        _gate(kind, grid, "bloch", np.all(z.imag > k), f"Im z > |Im k| = {k}", z)
         rows, index = _permittivity_table(model, grid.points, z)
         np.multiply(z * z, rows, out=rows)
     elif kind == "two_freq":
+        if xi is None:
+            raise ConfigError("two_freq kind requires xi")
+        z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
+        _gate(kind, grid, "dirichlet", np.all(z.imag > 0) and np.all(xi.imag > 0),
+              "Im z > 0 and Im xi > 0", z, xi)
         rows, index = _permittivity_table(model, grid.points, xi)
         np.subtract(rows, 1.0, out=rows)
         np.multiply(z * xi, rows, out=rows)
         np.add(z * z, rows, out=rows)
-    else:  # nondispersive: eps at the real omega0, real below every line
+    elif kind == "nondispersive":  # eps at the real omega0, real below every line
+        if omega0 is None:
+            raise ConfigError("nondispersive kind requires omega0")
+        _gate(kind, grid, "dirichlet", np.all(z.imag >= 0) and omega0 > 0,
+              f"Im z >= 0 and omega0 > 0, got omega0 = {omega0}", z)
+        if any(density.lorentz or min(density.lines)[0] <= omega0
+               for density in _layer_index(model, grid.points)[0]):
+            raise GapViolationError(f"the nondispersive kind needs lines only, all above "
+                                    f"omega0 = {omega0}, in every density on the grid")
         table, index = _permittivity_table(model, grid.points, np.array([omega0], complex))
         rows = np.multiply(z * z, table.real)
+    else:
+        raise ConfigError(f"unknown operator kind {kind!r}")
     np.subtract(rows, 2.0 / grid.h**2, out=rows)
     return rows, index
+
+
+def _gate(kind, grid, boundary, inside, domain, *zs):
+    """The domain, grid boundary and finite-square checks of a `diagonal_rows` kind."""
+    if not inside:
+        raise DomainError(f"{kind} operator requires {domain}")
+    if grid.boundary != boundary:
+        raise ConfigError(f"{kind} kind requires a {boundary} grid")
+    dispersion._check_square(*zs)
 
 
 def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):

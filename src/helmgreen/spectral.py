@@ -79,7 +79,8 @@ def mode_coefficient(modes, phi, psi, z):
     sum w r / (r^2 + y^2) - i y sum w / (r^2 + y^2), in real arithmetic for
     the real weights w of real probes."""
     z = np.asarray(z, dtype=np.complex128)
-    z2 = np.square(z.ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        z2 = np.square(z.ravel())
     x, y = z2.real.copy(), z2.imag
     w2 = modes.omegas**2
     top = float(np.hypot(np.max(np.abs(x), initial=0.0) + w2[-1], np.max(np.abs(y), initial=0.0)))
@@ -117,8 +118,11 @@ def point_probe(grid, index):
 def gaussian_probe(grid, center, width):
     if width <= 0:
         raise DomainError("probe width must be > 0")
+    if not 0.0 < width * width < math.inf:
+        raise DomainError(f"probe width {width:g}: its square must be a positive finite float")
     x = grid.points
-    probe = np.exp(-((x - center) ** 2) / (2.0 * width**2))
+    with np.errstate(over="ignore"):  # an exponent that overflows gives exp(-inf) = 0
+        probe = np.exp(-((x - center) ** 2) / (2.0 * width**2))
     if not probe.any():
         raise DomainError(f"gaussian probe at {center} is 0 on every grid point")
     return probe
@@ -134,25 +138,21 @@ def _coefficient_sweep(model, grid, phi, psi, z_array, reference, xi=None):
 
     Every Dirichlet operator is complex-symmetric, so the coefficient is
     the bilinear form h conj(phi)^T H^-1 psi of one forward LDL^T sweep per
-    node. A medium of constant eps on the grid takes the closed-form mode
-    sum instead (single-frequency sweeps only).
+    node. A single-frequency sweep whose table has one row (eps is the
+    background on the grid) takes the closed-form mode sum instead.
     """
     if reference not in ("vacuum", "none"):
         raise ConfigError(f"unknown reference {reference!r}")
     kind = "dispersive" if xi is None else "two_freq"
-    z = np.asarray(z_array, dtype=np.complex128)
-    if xi is not None:
-        z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
-    eps_const = None if xi is not None else helmholtz.uniform_permittivity(model, grid)
-    if eps_const is not None:
-        helmholtz.check_kind_domain(kind, z, xi, model, grid)
-        coeff = mode_coefficient(cavity_modes(grid, eps_const), phi, psi, z)
+    rows, index = helmholtz.diagonal_rows(grid, model, kind, z_array, xi)
+    if xi is None and len(rows) == 1:
+        del rows  # the mode sum needs no table: release it first
+        coeff = mode_coefficient(cavity_modes(grid, float(model.background)), phi, psi, z_array)
     else:
-        rows, index = helmholtz.diagonal_rows(grid, model, kind, z, xi)
         coeff = grid.h * _kernels.tridiag_bilinear_batch(
             1.0 / grid.h**2, rows, index, np.conj(phi), psi)
     if reference == "vacuum":
-        coeff -= mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z)
+        coeff -= mode_coefficient(cavity_modes(grid, 1.0), phi, psi, z_array)
     return coeff
 
 
@@ -224,14 +224,16 @@ def x_operator_coefficient(model, grid, phi, psi, t_grid, contour):
 
 
 def time_domain_field(model, grid, source_space, omega_s, x_index, t_grid, contour,
-                      kind="dispersive", omega0=None, taper=0.0):
+                      omega0=None, taper=0.0):
     """E(x_i, t) radiated by a source switched on at t = 0.
 
     Time profile exp(-i omega_s t) step(t) with transform i / (z - omega_s);
     E = inverse transform of H(z)^-1 (i z) J_hat(z) s(x), whose entry
-    at x_i is the bilinear form e_i^T H^-1 s of the complex-symmetric H.
-    Returns (complex field values, truncation_estimate).
+    at x_i is the bilinear form e_i^T H^-1 s of the complex-symmetric H:
+    the dispersive operator, or the nondispersive one at `omega0` when it is
+    given. Returns (complex field values, truncation_estimate).
     """
+    kind = "dispersive" if omega0 is None else "nondispersive"
     src = np.asarray(source_space, dtype=np.complex128)
     unit = np.zeros(grid.N)
     unit[x_index] = 1.0

@@ -47,6 +47,9 @@ class ContourSpec:
             raise ConfigError("contour tolerance rtol must be > 0")
         if not self.scale >= 0:
             raise ConfigError("contour scale must be >= 0")
+        top = max(self.eta, self.omega_max)
+        if not 2.0 * top * top < math.inf:
+            raise ConfigError(f"contour nodes up to {top:.3g}: z^2 overflows")
 
 
 def _levels(contour):
@@ -101,8 +104,12 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
     at the latest requested time, plus the last nested difference and the
     rounding bound gamma_n sum |w f| exp(eta t) / (2 pi) of the n sampled
     nodes, gamma_n = n u (Higham, Accuracy and Stability, section 3.1).
+    An eta max t above log(float max), where exp(eta t) overflows, is a
+    ConfigError, raised before any sample.
     """
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if contour.eta * float(np.max(t)) > math.log(np.finfo(float).max):
+        raise ConfigError(f"exp(eta t) overflows at eta = {contour.eta:g}, t = {np.max(t):g}")
     big = contour.omega_max
     peak, values, acc, abs_sum = 0.0, None, 0.0, 0.0
     for j, n in enumerate(_levels(contour)):

@@ -232,9 +232,9 @@ def test_acceptance_09_causality():
     # non-dispersive medium built from the gapped line density
     nd_pos = tr.ContourSpec(eta=0.5, omega_max=400.0, n_points=200000, rtol=1e-9)
     f_p, _ = sp.time_domain_field(lines, grid, src, 1.0, 47, t_pos, nd_pos,
-                                  kind="nondispersive", omega0=1.0, taper=16.0)
+                                  omega0=1.0, taper=16.0)
     f_n, _ = sp.time_domain_field(lines, grid, src, 1.0, 47, t_neg, neg,
-                                  kind="nondispersive", omega0=1.0, taper=16.0)
+                                  omega0=1.0, taper=16.0)
     ratios["field_nondispersive"] = np.max(np.abs(f_n)) / np.max(np.abs(f_p))
 
     # vacuum front speed (c = 1): quiet before t = d - 3 * source FWHM

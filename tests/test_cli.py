@@ -710,6 +710,12 @@ def _run_case(tmp, target, path=(), value=DROP):
 
 _TWO_LAYERS = [{"interval": [0.0, 0.6]}, {"interval": [0.4, 1.0]}]
 
+
+def _norm_grid(im_max):
+    """SMALL["green"]'s norm grid with two imaginary parts, the top one im_max."""
+    return {**SMALL["green"]["norm_grid"], "im_max": im_max, "n_im": 2}
+
+
 MALFORMED = [
     ("green", ("grid", "N"), "x"),
     ("green", ("grid", "L"), "x"),
@@ -721,6 +727,10 @@ MALFORMED = [
     ("green", ("norm_grid",), "x"),
     ("green", ("grid", "L"), 1e-300),
     ("green", ("grid", "L"), 1e300),
+    ("green", ("norm_grid",), _norm_grid(1e200)),
+    ("green", ("norm_grid",), _norm_grid(1e160)),
+    ("green", ("norm_grid",), _norm_grid(1e100)),
+    ("green", ("z", "im"), 1e200),
     ("modes", ("eps_const",), "x"),
     ("modes", ("truncation_M",), "x"),
     ("modes", ("truncation_M",), 16),
@@ -732,6 +742,9 @@ MALFORMED = [
     ("modes", ("kk", "nu_grid", "max"), -40.0),
     ("modes", ("kk", "nu_grid", "max"), 0.0),
     ("modes", ("eps_const",), 1e300),
+    ("modes", ("z", "re"), 1e200),
+    ("modes", ("kk", "nu_grid", "max"), 1e300),
+    ("modes", ("kk", "zeta"), 1e300),
     ("causality", ("source", "center"), DROP),
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
@@ -746,6 +759,11 @@ MALFORMED = [
     ("causality", ("t_positive",), []),
     ("causality", ("contour", "rule"), "trapezoid"),
     ("causality", ("grid", "boundary"), "bloch"),
+    ("causality", ("source", "width"), 1e300),
+    ("causality", ("source", "width"), 1e-300),
+    ("causality", ("t_positive",), [0.5, 10000.0]),
+    ("causality", ("t_positive",), [1e300]),
+    ("causality", ("contour", "omega_max"), 1e300),
     ("analyticity", ("loops",), 3),
     ("analyticity", ("loops", 0, "n_points"), "x"),
     ("analyticity", ("loops", 0, "z_lo", "re"), "x"),
@@ -756,6 +774,8 @@ MALFORMED = [
     ("analyticity", ("loops", 1, "fixed_z", "im"), 0.0),
     ("analyticity", ("grid", "boundary"), "bloch"),
     ("analyticity", ("loops", 0, "z_hi"), {"re": 1e300, "im": 1e300}),
+    ("analyticity", ("probe", "gaussian", "width"), 1e300),
+    ("analyticity", ("probe", "gaussian", "width"), 1e-300),
     ("asymptotic", ("field", "polarization", 2), "y"),
     ("asymptotic", ("field", "k_c"), [0.0, 0.0]),
     ("asymptotic", ("field", "s"), "x"),
@@ -767,6 +787,11 @@ MALFORMED = [
     ("asymptotic", ("ladder", "theta"), "x"),
     ("asymptotic", ("resolvent_ray", "omegas"), 5),
     ("asymptotic", ("resolvent_ray", "eta"), "x"),
+    ("asymptotic", ("resolvent_ray", "eta"), 1e200),
+    ("asymptotic", ("resolvent_ray", "eta"), 1e-300),
+    ("asymptotic", ("resolvent_ray", "eta"), 1e-160),
+    ("asymptotic", ("resolvent_ray", "omegas"), [1e200]),
+    ("kk_eps", ("z_grid", "re_max"), 1e200),
     ("medium", ("layers",), 5),
     ("medium", ("layers",), [5]),
     ("medium", ("layers", 0, "lorentz"), [5]),
@@ -792,6 +817,38 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         assert _run_case(tmp_path, *case) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_contour_growth_past_the_float_range_exits_2(tmp_path, capsys):
+    # exp(eta t) at eta = 12, t = 100 overflows: one error line before any inversion
+    cfg = _replaced(SMALL["causality"], ("contour", "eta"), 12.0)
+    cfg["t_positive"] = [0.5, 100.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["causality", "--config", _write(tmp_path, "run.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("im_max", [1e60, 1.9e78, 2e78, 1e200])
+def test_green_writes_no_row_with_a_non_finite_estimate(tmp_path, capsys, im_max):
+    # up to |z| ~ 1.9e78 (N = 16) the norm grid gets finite rows; past it the
+    # Sturm count's pivot floor, and past ~1.3e154 z^2, overflows: exit 2, no CSV
+    out = tmp_path / "out.csv"
+    cfg = _write(tmp_path, "run.json", {**SMALL["green"], "norm_grid": _norm_grid(im_max)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["green", "--config", cfg, "--out", str(out)])
+    if im_max < 2e78:
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 2 + 4 * 2
+        for row in rows:
+            assert all(np.isfinite(float(row[key]))
+                       for key in ("measured", "bound", "error_estimate"))
+    else:
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 def _fresh_env():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_diagonal_batch_checks_every_node():
     gb = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=1.0 + 0.6j)
     with pytest.raises(DomainError):
         hh.diagonal_batch(gb, slab_model(), "bloch", z)
+
+
+@pytest.mark.parametrize("kind, extra", [("dispersive", {}), ("two_freq", {"xi": 1j}),
+                                         ("nondispersive", {"omega0": 1.0}), ("bloch", {})])
+def test_gate_refuses_a_z_whose_square_overflows(kind, extra):
+    # every kind refuses z = 1e160 i (z^2 = -1e320) before it evaluates eps
+    g = hh.Grid1D(L=1.0, N=16, boundary="bloch" if kind == "bloch" else "dirichlet")
+    model = line_slab_model() if kind == "nondispersive" else slab_model()
+    z = np.array([1j, 1e160j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            hh.diagonal_rows(g, model, kind, z, **extra)
+        if kind == "two_freq":
+            with pytest.raises(DomainError, match="overflows"):
+                hh.diagonal_rows(g, model, kind, 1j, xi=z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -108,6 +109,16 @@ def test_mode_coefficient_rejects_a_z_whose_sum_overflows(cavity):
     p = sp.gaussian_probe(grid, 0.4, 0.1)
     with pytest.raises(DomainError, match="overflows"):
         sp.mode_coefficient(modes, p, p, 1e100 + 1j)
+
+
+def test_mode_coefficient_refuses_an_overflowing_z_without_a_warning(cavity):
+    # at |z| = 1e200, z^2 itself overflows: the same error, and no warning first
+    grid, modes = cavity
+    p = sp.gaussian_probe(grid, 0.4, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            sp.mode_coefficient(modes, p, p, np.array([1j, 1e200 + 1j]))
 
 
 def test_mode_coefficient_resonance_guard(cavity):
@@ -482,12 +493,12 @@ def test_two_freq_sweep_matches_thomas_oracle(pair):
     assert np.all(np.abs(got - expect) <= 1e-12 * np.abs(expect))
 
 
-@pytest.mark.parametrize("kind, medium", [("dispersive", "lorentz_slab.json"),
-                                          ("nondispersive", "gapped_lines.json")])
-def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
-    model = dsp.load_medium(str(MEDIA / medium))
+def test_field_with_omega0_is_the_nondispersive_sampler_bit_for_bit(monkeypatch):
+    # omega0 selects the nondispersive kind: each contour block gives the
+    # bits of the sampler built on that kind's rows
+    model = dsp.load_medium(str(MEDIA / "gapped_lines.json"))
     grid = hh.Grid1D(L=1.0, N=64)
-    src = sp.gaussian_probe(grid, 0.3, 0.05)
+    src = sp.gaussian_probe(grid, 0.3, 0.05).astype(np.complex128)
     omega_s, x_index, omega0 = 1.0, 47, 1.0
     samplers = []
 
@@ -497,8 +508,34 @@ def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
 
     monkeypatch.setattr(tr, "laplace_invert", keep_sampler)
     contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2049, rtol=1e-9)
-    sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour,
-                         kind=kind, omega0=omega0)
+    sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour, omega0=omega0)
+    sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour)
+    unit = np.zeros(grid.N)
+    unit[x_index] = 1.0
+    z = np.linspace(-400.0, 400.0, 2001) + 0.1j
+    for kind, sampler in zip(("nondispersive", "dispersive"), samplers):
+        rows, index = hh.diagonal_rows(grid, model, kind, z, omega0=omega0)
+        entry = _kernels.tridiag_bilinear_batch(1.0 / grid.h**2, rows, index, unit, src)
+        assert np.array_equal(sampler(z), 1j * z * (1j / (z - omega_s)) * entry)
+
+
+@pytest.mark.parametrize("kind, medium", [("dispersive", "lorentz_slab.json"),
+                                          ("nondispersive", "gapped_lines.json")])
+def test_field_sampler_matches_thomas_oracle(kind, medium, monkeypatch):
+    model = dsp.load_medium(str(MEDIA / medium))
+    grid = hh.Grid1D(L=1.0, N=64)
+    src = sp.gaussian_probe(grid, 0.3, 0.05)
+    # the nondispersive kind is the one that takes omega0
+    omega_s, x_index, omega0 = 1.0, 47, (1.0 if kind == "nondispersive" else None)
+    samplers = []
+
+    def keep_sampler(sampler, contour, t_grid, taper=0.0):
+        samplers.append(sampler)
+        return np.zeros(len(t_grid), dtype=complex), 0.0
+
+    monkeypatch.setattr(tr, "laplace_invert", keep_sampler)
+    contour = tr.ContourSpec(eta=0.1, omega_max=400.0, n_points=2049, rtol=1e-9)
+    sp.time_domain_field(model, grid, src, omega_s, x_index, [1.0], contour, omega0=omega0)
     for eta in (0.1, 12.0):
         z = np.linspace(-400.0, 400.0, 2001) + 1j * eta
         got = samplers[0](z)
