@@ -95,23 +95,12 @@ QUAD_ABS_TOL = 1e-12
 # point evaluation
 
 
-def _check_square(*zs):
-    """Refuse frequencies whose square overflows: with m the largest |Re z|
-    or |Im z| over the arrays `zs`, z^2 (and the product of two of them) is
-    finite when 2 m^2 is."""
-    m = max((float(np.max(np.abs(part), initial=0.0)) for z in zs for part in (z.real, z.imag)),
-            default=0.0)
-    if not 2.0 * m * m < math.inf:
-        raise DomainError(f"z^2 overflows: a real or imaginary part of z is {m:.3g}")
-
-
 def _check_domain(density, z):
     """Domain and pole guard of `density_eval_array` over an ndarray of frequencies."""
     if np.any(z.imag < 0):
         raise DomainError(f"Im z = {np.min(z.imag)} < 0: outside the upper half-plane")
     if density.lines and np.any(z.imag == 0):
         raise DomainError("undamped lines cannot be evaluated on the real axis")
-    _check_square(z)
     z2 = z * z
     for nu, w in density.lines:
         den = np.min(np.abs(z2 - nu * nu), initial=math.inf)
@@ -297,7 +286,6 @@ def kk_reconstruct_permittivity(density, z):
     zs = z.reshape(-1)
     if not np.all(zs.imag > 0):
         raise DomainError("Kramers-Kronig reconstruction requires Im z > 0")
-    _check_square(zs)
     val = 1.0 + density_eval_array(OscillatorDensity(lines=density.lines), zs)
     bound = np.zeros(zs.shape)
     if density.lorentz and zs.size:

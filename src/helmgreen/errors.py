@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps every HelmgreenError to exit code 2; other exceptions propagate.
+The CLI maps every HelmgreenError, and every float-range error (numpy's
+FloatingPointError, OverflowError, ZeroDivisionError, LinAlgError), to exit
+code 2; other exceptions propagate.
 """
 
 

@@ -248,7 +248,7 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
     """Operator diagonals of any kind, one per z in the 1-D `z_array`, as
     the distinct rows of the `_layer_index` table; for two_freq, `xi` is
     broadcast against `z_array`. The one operator gate: each kind checks its
-    domain, its grid and a finite z^2 (and xi^2) right before its formula.
+    domain and its grid right before its formula.
 
     Returns (rows, index): rows of shape (K+1, B) and the length-N table
     row of each grid point, so the diagonal at point i is rows[index[i]].
@@ -258,12 +258,12 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
     z = np.asarray(z_array, dtype=np.complex128)
     if kind == "dispersive":
         _gate(kind, grid, "dirichlet", np.all(z.imag > 0) or (model.damped and np.all(z.imag >= 0)),
-              "Im z > 0, or Im z >= 0 in a damped medium", z)
+              "Im z > 0, or Im z >= 0 in a damped medium")
         rows, index = _permittivity_table(model, grid.points, z)
         np.multiply(z * z, rows, out=rows)
     elif kind == "bloch":
         k = abs(complex(grid.bloch_k).imag)
-        _gate(kind, grid, "bloch", np.all(z.imag > k), f"Im z > |Im k| = {k}", z)
+        _gate(kind, grid, "bloch", np.all(z.imag > k), f"Im z > |Im k| = {k}")
         rows, index = _permittivity_table(model, grid.points, z)
         np.multiply(z * z, rows, out=rows)
     elif kind == "two_freq":
@@ -271,7 +271,7 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
             raise ConfigError("two_freq kind requires xi")
         z, xi = np.broadcast_arrays(z, np.asarray(xi, dtype=np.complex128))
         _gate(kind, grid, "dirichlet", np.all(z.imag > 0) and np.all(xi.imag > 0),
-              "Im z > 0 and Im xi > 0", z, xi)
+              "Im z > 0 and Im xi > 0")
         rows, index = _permittivity_table(model, grid.points, xi)
         np.subtract(rows, 1.0, out=rows)
         np.multiply(z * xi, rows, out=rows)
@@ -280,7 +280,7 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
         if omega0 is None:
             raise ConfigError("nondispersive kind requires omega0")
         _gate(kind, grid, "dirichlet", np.all(z.imag >= 0) and omega0 > 0,
-              f"Im z >= 0 and omega0 > 0, got omega0 = {omega0}", z)
+              f"Im z >= 0 and omega0 > 0, got omega0 = {omega0}")
         if any(density.lorentz or min(density.lines)[0] <= omega0
                for density in _layer_index(model, grid.points)[0]):
             raise GapViolationError(f"the nondispersive kind needs lines only, all above "
@@ -293,13 +293,12 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
     return rows, index
 
 
-def _gate(kind, grid, boundary, inside, domain, *zs):
-    """The domain, grid boundary and finite-square checks of a `diagonal_rows` kind."""
+def _gate(kind, grid, boundary, inside, domain):
+    """The domain and grid boundary checks of a `diagonal_rows` kind."""
     if not inside:
         raise DomainError(f"{kind} operator requires {domain}")
     if grid.boundary != boundary:
         raise ConfigError(f"{kind} kind requires a {boundary} grid")
-    dispersion._check_square(*zs)
 
 
 def diagonal_batch(grid, model, kind, z_array, xi=None, omega0=None):

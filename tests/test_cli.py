@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helmgreen
@@ -21,6 +22,7 @@ from helmgreen import _kernels, cli, dispersion
 from helmgreen import helmholtz as hh
 from helmgreen import spectral as sp
 from helmgreen import transforms as tr
+from helmgreen.errors import DomainError
 
 import oracles
 
@@ -228,6 +230,21 @@ def test_summary_states_bound_and_estimate(capsys):
         "[PASS] reciprocity: measured 2e-13, bound 0, tolerance 1e-12, estimate 0",
         "2/2 checks passed",
     ]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["measured", "bound", "estimate"])
+def test_report_refuses_a_row_that_is_not_finite(field, value):
+    # a row built on an overflowed value certifies nothing: DomainError, no row
+    report = cli.Report()
+    row = {"measured": 2.5, "bound": 3.0, "estimate": 1e-12, field: value}
+    with pytest.raises(DomainError, match="not finite"):
+        report.add("norm_bound_dispersive", {}, row["measured"], row["bound"], 1e-8, True,
+                   row["estimate"])
+    if field != "bound":  # a zero row's bound is 0
+        with pytest.raises(DomainError, match="not finite"):
+            report.zero("reciprocity", {}, row["measured"], 1e-12, row["estimate"])
+    assert report.rows == []
 
 
 @pytest.mark.parametrize("z", [{"im": 5.0}, {"re": 3.0, "im": 0.5}], ids=["axis", "near_mode"])
@@ -696,16 +713,40 @@ def _replaced(obj, path, value):
     return out
 
 
-def _run_case(tmp, target, path=(), value=DROP):
-    """Run `target` (a command, or "medium" for a kk_eps run on the slab
-    medium) with the value at `path` replaced; return the exit code."""
-    if target == "medium":
-        medium = _write(tmp, "medium.json", _replaced(SLAB, path, value))
-        command, cfg = "kk_eps", {**SMALL["kk_eps"], "medium": medium}
-    else:
-        command, cfg = target, _replaced(SMALL[target], path, value)
+# where a medium target's slab medium sits: the command it runs, and the path
+MEDIUM_TARGETS = {"medium": ("kk_eps", ("medium",)),
+                  "ray_medium": ("asymptotic", ("resolvent_ray", "medium"))}
+
+
+def _with_slab(obj):
+    """A deep copy of `obj` with every path to the slab medium replaced by
+    the medium's own tree, so a change can reach into it."""
+    if isinstance(obj, dict):
+        return {k: copy.deepcopy(SLAB) if v == str(SLAB_PATH) else _with_slab(v)
+                for k, v in obj.items()}
+    return copy.deepcopy(obj)
+
+
+def _run_changes(tmp, command, changes):
+    """Run `command` on SMALL[command], with the slab medium inline, after
+    each (path, value) of `changes`; each inline medium is written to its
+    own file first. Return the exit code."""
+    cfg = _with_slab(SMALL[command])
+    for path, value in changes:
+        cfg = _replaced(cfg, path, value)
+    for i, parent in enumerate([cfg, cfg.get("resolvent_ray")]):
+        if isinstance(parent, dict) and isinstance(parent.get("medium"), dict):
+            parent["medium"] = _write(tmp, f"medium{i}.json", parent["medium"])
     return cli.main([command, "--config", _write(tmp, "run.json", cfg),
                      "--out", str(tmp / "out.csv")])
+
+
+def _run_case(tmp, target, path=(), value=DROP):
+    """Run `target` (a command, or a `MEDIUM_TARGETS` key for a run on a
+    changed slab medium) with the value at `path` replaced; return the exit
+    code."""
+    command, where = MEDIUM_TARGETS.get(target, (target, ()))
+    return _run_changes(tmp, command, [(where + path, value)] if path else [])
 
 
 _TWO_LAYERS = [{"interval": [0.0, 0.6]}, {"interval": [0.4, 1.0]}]
@@ -731,6 +772,7 @@ MALFORMED = [
     ("green", ("norm_grid",), _norm_grid(1e160)),
     ("green", ("norm_grid",), _norm_grid(1e100)),
     ("green", ("z", "im"), 1e200),
+    ("green", ("norm_grid", "im_min"), 5e-324),
     ("modes", ("eps_const",), "x"),
     ("modes", ("truncation_M",), "x"),
     ("modes", ("truncation_M",), 16),
@@ -745,6 +787,8 @@ MALFORMED = [
     ("modes", ("z", "re"), 1e200),
     ("modes", ("kk", "nu_grid", "max"), 1e300),
     ("modes", ("kk", "zeta"), 1e300),
+    ("modes", ("z", "im"), 1.3e77),
+    ("modes", ("eps_const",), 5e-324),
     ("causality", ("source", "center"), DROP),
     ("causality", ("x_index",), 99),
     ("causality", ("contour", "n_points"), "x"),
@@ -792,6 +836,7 @@ MALFORMED = [
     ("asymptotic", ("resolvent_ray", "eta"), 1e-160),
     ("asymptotic", ("resolvent_ray", "omegas"), [1e200]),
     ("kk_eps", ("z_grid", "re_max"), 1e200),
+    ("kk_eps", ("z_grid", "re_min"), 1e150),
     ("medium", ("layers",), 5),
     ("medium", ("layers",), [5]),
     ("medium", ("layers", 0, "lorentz"), [5]),
@@ -800,6 +845,8 @@ MALFORMED = [
     ("medium", ("unit_system",), "si"),
     ("medium", ("layers",), _TWO_LAYERS),
     ("medium", ("layers", 0, "gap_nu0"), 3.5),
+    ("medium", ("layers", 0, "lorentz", 0, "wp"), 1e160),
+    ("ray_medium", ("layers", 0, "lorentz", 0, "wp"), 1.07e301),
 ]
 
 
@@ -815,6 +862,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run_case(tmp_path, *case) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_z_squared_times_eps_past_the_float_range_exits_2(tmp_path, capsys):
+    # z^2 = -1e10 and eps = 1e300 are finite, their product in the operator
+    # diagonal is not: one error line, and no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_changes(tmp_path, "green", [(("medium", "background_epsilon"), 1e300),
+                                                (("z", "im"), 1e5)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -1066,11 +1124,12 @@ def test_overlapping_layers_error_names_both(tmp_path, capsys):
     assert "layers[0]" in err and "layers[1]" in err
 
 
-def _leaves(obj, path=()):
+def _leaves(obj, path=(), kind=object):
+    """The paths to the leaves of `obj` that are instances of `kind`."""
     if isinstance(obj, (dict, list)):
         pairs = obj.items() if isinstance(obj, dict) else enumerate(obj)
-        return [leaf for key, val in pairs for leaf in _leaves(val, path + (key,))]
-    return [path]
+        return [leaf for key, val in pairs for leaf in _leaves(val, path + (key,), kind)]
+    return [path] if isinstance(obj, kind) else []
 
 
 BAD_VALUES = st.one_of(
@@ -1100,6 +1159,42 @@ def test_property_one_bad_leaf_never_raises(data):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# 0, the subnormal floor, the edges of the square's and the float range,
+# and log-uniform magnitudes of either sign
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, 1e77, 1.3e77, 1e154, 1e300, -1e300]),
+    st.builds(lambda negative, exponent: (-1.0 if negative else 1.0) * 10.0**exponent,
+              st.booleans(), st.floats(-323.0, 308.0)),
+)
+# the float leaves of each command's config and its inline slab medium (the
+# integer leaves are counts and indexes)
+FLOAT_LEAVES = {command: _leaves(_with_slab(cfg), kind=float) for command, cfg in SMALL.items()}
+
+
+@settings(max_examples=max(300, settings.default.max_examples))
+@given(data=st.data())
+def test_contract_holds_for_extreme_floats(data):
+    # the exit-code contract with one or two float leaves set past the usual
+    # range: exit 0, 1 or 2, one error line on exit 2, no warning, and on
+    # exit 0 or 1 a finite value in every row
+    command = data.draw(st.sampled_from(sorted(FLOAT_LEAVES)))
+    paths = data.draw(st.permutations(FLOAT_LEAVES[command]))[:data.draw(st.integers(1, 2))]
+    changes = [(path, data.draw(EXTREME_FLOATS)) for path in paths]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run_changes(Path(tmp), command, changes)
+        rows = [] if code == 2 else _rows(Path(tmp) / "out.csv")
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    for row in rows:
+        assert all(math.isfinite(float(row[key]))
+                   for key in ("measured", "bound", "tolerance", "error_estimate"))
 
 
 _SCIPY_PROBE = """

@@ -104,20 +104,22 @@ def test_mode_coefficient_matches_the_complex_division_loop(cavity, weights):
 
 
 def test_mode_coefficient_rejects_a_z_whose_sum_overflows(cavity):
-    # at |z| ~ 1e100, r^2 + y^2 overflows: one error, not terms dropped to 0
+    # at |z| ~ 1e100, r^2 + y^2 overflows: under the caller's errstate, the
+    # CLI's float-range rule, one error, not terms dropped to 0
     grid, modes = cavity
     p = sp.gaussian_probe(grid, 0.4, 0.1)
-    with pytest.raises(DomainError, match="overflows"):
-        sp.mode_coefficient(modes, p, p, 1e100 + 1j)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            sp.mode_coefficient(modes, p, p, 1e100 + 1j)
 
 
 def test_mode_coefficient_refuses_an_overflowing_z_without_a_warning(cavity):
     # at |z| = 1e200, z^2 itself overflows: the same error, and no warning first
     grid, modes = cavity
     p = sp.gaussian_probe(grid, 0.4, 0.1)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(FloatingPointError):
             sp.mode_coefficient(modes, p, p, np.array([1j, 1e200 + 1j]))
 
 
@@ -145,6 +147,16 @@ def test_point_probe_normalization():
     g = hh.Grid1D(L=1.0, N=16)
     p = sp.point_probe(g, 3)
     assert g.h * np.sum(p) == pytest.approx(1.0)
+
+
+def test_gaussian_probe_narrower_than_the_float_range_is_a_spike():
+    # at width 1e-160 the exponent overflows off the centre, where the
+    # Gaussian is exactly 0: a unit spike at a centre on the grid, with no
+    # floating-point error even under the CLI's errstate
+    g = hh.Grid1D(L=1.0, N=16)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p = sp.gaussian_probe(g, g.points[3], 1e-160)
+    assert np.array_equal(p, np.eye(g.N)[3])
 
 
 # ---------------------------------------------------------------------------
