@@ -8,30 +8,8 @@ that certify the computed quantities.
 """
 
 from ._kernels import BACKEND
-from .errors import (
-    ConfigError,
-    DomainError,
-    GapViolationError,
-    HelmgreenError,
-    NonDecayingIntegrandError,
-    PeriodicityError,
-    PoleProximityError,
-    QuadratureError,
-    SingularMatrixError,
-)
+from .errors import ConfigError, DomainError, HelmgreenError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "__version__",
-    "ConfigError",
-    "DomainError",
-    "GapViolationError",
-    "HelmgreenError",
-    "NonDecayingIntegrandError",
-    "PeriodicityError",
-    "PoleProximityError",
-    "QuadratureError",
-    "SingularMatrixError",
-]
+__all__ = ["BACKEND", "__version__", "ConfigError", "DomainError", "HelmgreenError"]

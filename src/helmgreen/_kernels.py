@@ -11,7 +11,7 @@ only (B,) vectors between its steps.
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import DomainError
 
 # Recorded in benchmark provenance; numpy is the only backend.
 BACKEND = "pure"
@@ -26,8 +26,8 @@ def tridiag_solve(dl, d, du, b):
     d      : diagonal, shape (N,); or (N, B) for B systems, one per column
     b      : right-hand side, shape (N,) or (N, nrhs); (N, B) with an (N, B) d
 
-    A pivot below the floor raises SingularMatrixError after the forward
-    sweep, which runs under ``np.errstate``: no floating-point warning escapes.
+    A pivot below the floor raises DomainError after the forward sweep,
+    which runs under ``np.errstate``: no floating-point warning escapes.
     """
     d = np.ascontiguousarray(d, dtype=np.complex128)
     dl = np.asarray(dl, dtype=np.complex128)
@@ -47,7 +47,7 @@ def tridiag_solve(dl, d, du, b):
             x[i] = (x[i] - dl[i - 1] * x[i - 1]) / p
     # fmin skips the NaNs that follow a zero pivot
     if np.fmin.reduce(np.abs(piv), axis=None) < _PIVOT_FLOOR:
-        raise SingularMatrixError("zero pivot in tridiagonal factorization")
+        raise DomainError("zero pivot in tridiagonal factorization")
     for i in range(n - 2, -1, -1):
         x[i] = x[i] - cp[i] * x[i + 1]
     return x
@@ -85,7 +85,7 @@ def tridiag_bilinear_batch(off, rows, index, phi, psi):
     u_i = p_i y_i and the y recurrence serves both; rows before the first
     nonzero entry of phi add nothing and only advance p and y.
 
-    Returns a length-B complex array. Raises SingularMatrixError when the
+    Returns a length-B complex array. Raises DomainError when the
     running minimum of |p_i| falls below the pivot floor; no floating-point
     warning escapes.
     """
@@ -126,7 +126,7 @@ def tridiag_bilinear_batch(off, rows, index, phi, psi):
             np.multiply(u, y, out=tmp)
             np.add(acc, tmp, out=acc)
     if np.fmin.reduce(smallest) < _PIVOT_FLOOR:
-        raise SingularMatrixError("zero pivot in batched tridiagonal factorization")
+        raise DomainError("zero pivot in batched tridiagonal factorization")
     return acc
 
 

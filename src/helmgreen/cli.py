@@ -301,8 +301,8 @@ def cmd_causality(cfg, seed):
     # inversion measures its convergence against the positive peak
     rtol = 1e-3 * min(tol["suppression"], 1e-6)
     contour = _contour_of(contour, rtol)
-    # negative times are contour-height independent, so a taller contour may
-    # be supplied there purely to suppress window-truncation noise
+    # a taller negative-time contour suppresses window-truncation noise, but a
+    # row computed on it cannot see a singularity below its height
     contour_neg = (contour if contour_neg is None
                    else _contour_of(contour_neg, rtol, "contour_negative"))
     x = grid.L / 2 if x is None else config.number(x, "x")
@@ -495,6 +495,9 @@ def main(argv=None):
         return 2
     except (FloatingPointError, OverflowError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"error: past the float range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
     try:

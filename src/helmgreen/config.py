@@ -25,6 +25,8 @@ def load(path, what):
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} {path} is not valid JSON: nested too deeply") from None
 
 
 def fields(obj, where, required=(), optional=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, transforms
-from .errors import ConfigError, DomainError, PoleProximityError, QuadratureError
+from .errors import ConfigError, DomainError
 
 POLE_FLOOR = 1e-12
 
@@ -105,10 +105,10 @@ def _check_domain(density, z):
     for nu, w in density.lines:
         den = np.min(np.abs(z2 - nu * nu), initial=math.inf)
         if den < POLE_FLOOR:
-            raise PoleProximityError(f"|z^2 - nu^2| = {den} below floor at nu = {nu}")
+            raise DomainError(f"|z^2 - nu^2| = {den} below floor at nu = {nu}")
     for wp, w1, gamma in density.lorentz:
         if np.min(np.abs(w1 * w1 - z2 - 1j * gamma * z), initial=math.inf) < POLE_FLOOR:
-            raise PoleProximityError("Lorentz denominator below pole floor")
+            raise DomainError("Lorentz denominator below pole floor")
 
 
 def density_eval_array(density, z):
@@ -218,8 +218,8 @@ def _gauss_kronrod(f, breakpoints, tol, columns=1):
     to at most `tol`; otherwise it retires the live intervals whose estimate
     is within their share of the tolerance left (tol minus the retired
     estimates, split by width over the live intervals) and bisects the rest.
-    Returns (integral (columns,), estimate); QuadratureError (with the
-    estimate) when the rounds run out or the partition exceeds _GK_LIMIT.
+    Returns (integral (columns,), estimate); DomainError (its message has
+    the estimate) when the rounds run out or the partition exceeds _GK_LIMIT.
     """
     a, b = np.asarray(breakpoints[:-1], float), np.asarray(breakpoints[1:], float)
     done, done_err, n_done, err = 0.0, 0.0, 0, math.inf
@@ -248,9 +248,9 @@ def _gauss_kronrod(f, breakpoints, tol, columns=1):
         a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
         if n_done + a.size > _GK_LIMIT:
             break
-    raise QuadratureError(
+    raise DomainError(
         f"Gauss-Kronrod estimate {err:.3e} above tolerance {tol:.3e} at the cap of "
-        f"{_GK_ROUNDS} rounds or {_GK_LIMIT} intervals", estimate=err)
+        f"{_GK_ROUNDS} rounds or {_GK_LIMIT} intervals")
 
 
 def _gauss_kronrod_tail(f, cut, tol, columns=1):
@@ -276,8 +276,8 @@ def kk_reconstruct_permittivity(density, z):
     |K15 - G7| of its intervals, floored at their rounding bound) bounds the
     error of every z relative to that z's scale. Each part refines until its
     estimate is at most QUAD_REL_TOL / 4, so the scaled estimate of the
-    result, twice their sum, is at most QUAD_REL_TOL / 2. QuadratureError
-    (carrying the estimate) is raised when a part hits the rule's caps.
+    result, twice their sum, is at most QUAD_REL_TOL / 2. DomainError
+    (its message has the estimate) is raised when a part hits the rule's caps.
 
     Returns (values, bound), where bound is each z's absolute error bound,
     the scaled estimate times max(|val|, 1) (0 when no quadrature runs).

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, dispersion
-from .errors import ConfigError, DomainError, GapViolationError, PeriodicityError
+from .errors import ConfigError, DomainError
 from .dispersion import density_eval_array
 
 
@@ -129,9 +129,8 @@ def _bloch_corners(model, grid):
     `grid`; raises when a layer of `model` leaves the unit cell [0, L]."""
     for x0, x1, _ in model.layers:
         if x0 < 0 or x1 > grid.L:
-            raise PeriodicityError(
-                f"layer [{x0}, {x1}] extends outside the unit cell [0, {grid.L}]"
-            )
+            raise DomainError(f"layer [{x0}, {x1}] extends outside the unit cell "
+                              f"[0, {grid.L}]")
     k = complex(grid.bloch_k)
     return np.exp(1j * k * grid.L) / grid.h**2, np.exp(-1j * k * grid.L) / grid.h**2
 
@@ -283,8 +282,8 @@ def diagonal_rows(grid, model, kind, z_array, xi=None, omega0=None):
               f"Im z >= 0 and omega0 > 0, got omega0 = {omega0}")
         if any(density.lorentz or min(density.lines)[0] <= omega0
                for density in _layer_index(model, grid.points)[0]):
-            raise GapViolationError(f"the nondispersive kind needs lines only, all above "
-                                    f"omega0 = {omega0}, in every density on the grid")
+            raise DomainError(f"the nondispersive kind needs lines only, all above "
+                              f"omega0 = {omega0}, in every density on the grid")
         table, index = _permittivity_table(model, grid.points, np.array([omega0], complex))
         rows = np.multiply(z * z, table.real)
     else:

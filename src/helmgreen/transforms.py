@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonDecayingIntegrandError
+from .errors import ConfigError, DomainError
 
 _BLOCK = 1 << 14
 # the first nested level has _FIRST + 1 nodes: coarser levels can agree by
@@ -135,7 +135,7 @@ def laplace_invert(sampler, contour, t_grid, taper=0.0):
             if diff <= contour.rtol * max(contour.scale, float(np.max(np.abs(values)))):
                 break
     if peak > 0 and edge > 0.5 * peak:
-        raise NonDecayingIntegrandError(
+        raise DomainError(
             f"sampler magnitude at the window edge ({edge:.3e}) is not small "
             f"against its peak ({peak:.3e}); enlarge omega_max"
         )

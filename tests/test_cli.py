@@ -88,6 +88,21 @@ def test_malformed_config_exits_2(tmp_path, medium, capsys):
     assert cli.main(["kk_eps", "--config", str(bad)]) == 2
 
 
+# deeper than the JSON decoder's recursion limit; json.dump of such a list
+# fails on its own, so the text is written directly
+_NESTED = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("what", ["config file", "medium file"])
+def test_deeply_nested_file_exits_2(tmp_path, capsys, what):
+    nested = tmp_path / "nested.json"
+    nested.write_text(_NESTED)
+    cfg = str(nested) if what == "config file" else _kk_config(tmp_path, str(nested))
+    assert cli.main(["kk_eps", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what} {nested} is not valid JSON: nested too deeply\n"
+
+
 def test_unknown_key_exits_2(tmp_path, medium, capsys):
     cfg = _kk_config(tmp_path, medium, typo_key=1)
     assert cli.main(["kk_eps", "--config", cfg]) == 2
@@ -837,6 +852,8 @@ MALFORMED = [
     ("asymptotic", ("resolvent_ray", "omegas"), [1e200]),
     ("kk_eps", ("z_grid", "re_max"), 1e200),
     ("kk_eps", ("z_grid", "re_min"), 1e150),
+    # an array larger than any address space: the allocation fails at once
+    ("kk_eps", ("passivity_samples",), 10**17),
     ("medium", ("layers",), 5),
     ("medium", ("layers",), [5]),
     ("medium", ("layers", 0, "lorentz"), [5]),

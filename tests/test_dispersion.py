@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,13 +12,7 @@ from hypothesis import strategies as st
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
 from helmgreen import transforms as tr
-from helmgreen.errors import (
-    ConfigError,
-    DomainError,
-    GapViolationError,
-    PoleProximityError,
-    QuadratureError,
-)
+from helmgreen.errors import ConfigError, DomainError
 
 import oracles
 
@@ -78,12 +73,12 @@ def test_real_axis_with_lines_rejected():
 
 
 def test_pole_proximity_raises():
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(DomainError, match="below floor at nu = 3.0"):
         dsp.eval_permittivity(line_model(nu=3.0), 0.5, 3.0 + 1e-15j)
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(DomainError, match="below floor at nu = 3.0"):
         dsp.passivity_margin(line_model(nu=3.0), 0.5, np.array([1j, 3.0 + 1e-15j]))
     # w1^2 - z^2 - i gamma z is about -1.2e-13 i at z = 1 + 1e-14 i when gamma = 1e-13
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(DomainError, match="Lorentz denominator below pole floor"):
         dsp.passivity_margin(lorentz_model(w1=1.0, gamma=1e-13), 0.5,
                              np.array([2j, 1.0 + 1e-14j]))
 
@@ -124,9 +119,9 @@ def test_eval_permittivity_array_rejects_any_bad_point():
         dsp.eval_permittivity(lorentz_model(), 0.5, np.array([1j, 1.0 - 0.1j]))
     with pytest.raises(DomainError):
         dsp.eval_permittivity(line_model(), 0.5, np.array([1j, 2.0 + 0.5j, 2.0 + 0.0j]))
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(DomainError, match="below floor at nu = 3.0"):
         dsp.eval_permittivity(line_model(nu=3.0), 0.5, np.array([1j, 3.0 + 1e-15j]))
-    with pytest.raises(PoleProximityError):
+    with pytest.raises(DomainError, match="Lorentz denominator below pole floor"):
         dsp.eval_permittivity(lorentz_model(w1=1.0, gamma=1e-13), 0.5,
                               np.array([2j, 1.0 + 1e-14j]))
     # a damped medium may be evaluated on the real axis
@@ -291,12 +286,17 @@ def test_kk_requires_upper_half_plane():
         dsp.kk_reconstruct_permittivity(density, np.array([1j, 2.0 + 0.5j, 3.0 + 0.0j]))
 
 
+def _gk_estimate(exc):
+    """The estimate that a `_gauss_kronrod` error message prints."""
+    return float(re.search(r"Gauss-Kronrod estimate (\S+) above", str(exc)).group(1))
+
+
 def test_kk_unreachable_tolerance_raises_with_estimate(monkeypatch):
     monkeypatch.setattr(dsp, "QUAD_REL_TOL", 1e-15)
     monkeypatch.setattr(dsp, "QUAD_ABS_TOL", 1e-300)
-    with pytest.raises(QuadratureError) as info:
+    with pytest.raises(DomainError, match="Gauss-Kronrod estimate") as info:
         dsp.kk_reconstruct_permittivity(lorentz_model().density_at(0.5), 1.0 + 0.5j)
-    assert info.value.estimate is not None and math.isfinite(info.value.estimate)
+    assert math.isfinite(_gk_estimate(info.value))
 
 
 def test_gauss_kronrod_gauss_nodes_match_leggauss():
@@ -331,9 +331,10 @@ def test_gauss_kronrod_unreachable_tolerance_raises_in_bounded_work(f, tol):
         sizes.append(x.size)
         return f(x)[:, None]
 
-    with pytest.raises(QuadratureError) as info:
+    with pytest.raises(DomainError, match="Gauss-Kronrod estimate") as info:
         dsp._gauss_kronrod(counted, (0.0, 1.0), tol)
-    assert math.isfinite(info.value.estimate) and info.value.estimate > tol
+    estimate = _gk_estimate(info.value)
+    assert math.isfinite(estimate) and estimate > tol
     # one call per round; each bisection evaluates two intervals, so a
     # partition of at most _GK_LIMIT intervals evaluates fewer than twice that
     assert len(sizes) <= dsp._GK_ROUNDS
@@ -443,22 +444,21 @@ def test_build_nondispersive_requires_gap():
     # omega0 must be > 0, and the lowest line lies above it
     density = dsp.OscillatorDensity(lines=((3.0, 1.0), (5.0, 1.0)))
     for omega0 in (0.0, -1.0, math.nan):
-        with pytest.raises(DomainError) as info:
+        with pytest.raises(DomainError, match="omega0 > 0"):
             _nondispersive_rows(density, omega0)
-        assert info.type is DomainError
-    with pytest.raises(GapViolationError):
+    with pytest.raises(DomainError, match="lines only"):
         _nondispersive_rows(density, 3.0)
 
 
 def test_build_nondispersive_rejects_lorentz():
     density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.1),))
-    with pytest.raises(GapViolationError):
+    with pytest.raises(DomainError, match="lines only"):
         _nondispersive_rows(density, 1.0)
 
 
 def test_build_nondispersive_rejects_line_in_gap():
     density = dsp.OscillatorDensity(lines=((1.2, 1.0), (4.0, 1.0)))
-    with pytest.raises(GapViolationError):
+    with pytest.raises(DomainError, match="lines only"):
         _nondispersive_rows(density, 1.5)
 
 

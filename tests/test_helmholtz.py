@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 from helmgreen import _kernels
 from helmgreen import dispersion as dsp
 from helmgreen import helmholtz as hh
-from helmgreen.errors import (
-    ConfigError,
-    DomainError,
-    PeriodicityError,
-)
+from helmgreen.errors import ConfigError, DomainError
 
 import oracles
 
@@ -173,7 +169,7 @@ def test_layer_outside_cell_rejected():
     density = dsp.OscillatorDensity(lorentz=((1.0, 2.0, 0.2),))
     m = dsp.PermittivityModel(layers=((0.5, 1.5, density),))
     g = hh.Grid1D(L=1.0, N=16, boundary="bloch", bloch_k=0.1)
-    with pytest.raises(PeriodicityError):
+    with pytest.raises(DomainError, match="unit cell"):
         hh._bloch_corners(m, g)
 
 
